@@ -334,16 +334,6 @@ class ModelParameters:
         data.update(kwargs)
         return ModelParameters(**data)
 
-    def distance(self, other: "ModelParameters") -> float:
-        """Max-norm distance across all components."""
-        parts = [np.abs(self.beta - other.beta).max(initial=0.0),
-                 abs(self.sigma2 - other.sigma2)]
-        for a, b in zip(self.mu, other.mu):
-            parts.append(np.abs(a - b).max(initial=0.0))
-        for a, b in zip(self.sigma_blocks, other.sigma_blocks):
-            parts.append(np.abs(a - b).max(initial=0.0))
-        return float(max(parts))
-
 
 @dataclass(frozen=True)
 class ConditionalMoments:
@@ -380,14 +370,6 @@ class ConditionalMoments:
     def dense_marginal_cov(self) -> np.ndarray:
         return _block_diag(self.marginal_blocks) if self.q else np.zeros((0, 0))
 
-    def diagonal_block(self, k: int) -> np.ndarray:
-        """Conditional covariance block of missing client k."""
-        pos = self.missing_clients.index(k)
-        off = sum(b.shape[0] for b in self.marginal_blocks[:pos])
-        blk = self.marginal_blocks[pos]
-        u_k = self.u[off:off + blk.shape[0]]
-        return blk - np.outer(u_k, u_k) / self.d
-
     def alpha(self) -> np.ndarray:
         """Conditional covariance applied to the coefficients that built it.
 
@@ -397,24 +379,6 @@ class ConditionalMoments:
         if self.q == 0:
             return np.zeros(0)
         return self.u * (self.sigma2 / self.d)
-
-    def apply(self, beta_mis: np.ndarray) -> np.ndarray:
-        """Sigma_cond @ beta_mis for an arbitrary stacked coefficient vector."""
-        if self.q == 0:
-            return np.zeros(0)
-        parts, off = [], 0
-        for blk in self.marginal_blocks:
-            m = blk.shape[0]
-            parts.append(blk @ beta_mis[off:off + m])
-            off += m
-        marg = np.concatenate(parts)
-        return marg - self.u * (self.u @ beta_mis / self.d)
-
-    def quad_form(self, beta_mis: np.ndarray) -> float:
-        """beta' Sigma_cond beta for an arbitrary stacked coefficient vector."""
-        if self.q == 0:
-            return 0.0
-        return float(beta_mis @ self.apply(beta_mis))
 
 
 def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:

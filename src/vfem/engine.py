@@ -49,7 +49,6 @@ class FitConfig:
     engine: str = "federated"
     transport: str = "inproc"
     trace_path: Optional[str] = None
-    full_coupling: bool = False
     byte_accounting: bool = True
     beta_stall_tol: float = 1e-10
     divergence_patience: int = 10
@@ -286,18 +285,16 @@ def _fit_federated(data: VerticalDataset, cfg: FitConfig, theta0: ModelParameter
 
     agents = {}
     for k in layout.clients():
-        agent = ClientAgent(data.view(k), layout, mask, eta,
-                            full_coupling=cfg.full_coupling)
+        agent = ClientAgent(data.view(k), layout, mask, eta)
         agent.load_params(theta0.beta_block(layout, k), theta0.mu[k - 1],
                           theta0.sigma_blocks[k - 1])
         agents[k] = agent
 
-    schema = WireSchema(layout, mask, full_coupling=cfg.full_coupling)
+    schema = WireSchema(layout, mask)
     transport_cls = {"inproc": InProcessTransport, "socket": SocketTransport}[cfg.transport]
     transport = transport_cls(agents, schema, trace_path=cfg.trace_path,
                               byte_accounting=cfg.byte_accounting)
-    coord = ServerCoordinator(data.y, layout, mask, theta0.sigma2, transport,
-                              full_coupling=cfg.full_coupling)
+    coord = ServerCoordinator(data.y, layout, mask, theta0.sigma2, transport)
 
     losses: list[float] = []
     steps: list[float] = []

@@ -5,9 +5,12 @@ exchange: an imputation round (per-client fits and quadratic forms up,
 denominators and raw-fit residuals down), a residual round (pseudo-complete
 fits up, residuals down), a coupling round (coupling vectors up, coupling
 slices down, partial projections up, aggregated projections down), and a
-variance round (per-sample scalars up). Clients update their coefficient
-block with a first-order step and their distributional parameters in closed
-form; the server owns the response, the noise variance, and the loss.
+variance round (scalars up). Denominators, coupling slices, projections and
+variance scalars are constant within a missingness pattern and travel once
+per pattern; fits and residuals travel once per sample. Clients update their
+coefficient block with a first-order step and their distributional
+parameters in closed form; the server owns the response, the noise
+variance, and the loss.
 
 All updates within an iteration use the iteration-start snapshot. The
 coordinator never stores covariate-dimensional raw data, only the enumerated
@@ -17,7 +20,7 @@ statistics; clients never see anything beyond the broadcast scalars.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -52,35 +55,37 @@ class _Snapshot:
     sigma: np.ndarray
 
 
+class _Pattern(NamedTuple):
+    """One missingness pattern a client is missing on (public metadata)."""
+
+    key: tuple[int, ...]     # sorted missing-client ids
+    index: int               # position among the mask's non-empty patterns
+    rows: np.ndarray         # the pattern's samples
+    where: np.ndarray        # their positions within the client's missing rows
+    offset: int              # where the client's block sits in the stacked u
+
+
 class ClientAgent:
     """Holds one client's covariate block and its local parameter estimates."""
 
     def __init__(self, view: ClientView, layout: BlockLayout, mask: MissingMask,
-                 eta: float, full_coupling: bool = False):
+                 eta: float):
         self.k = view.client_index
         self.layout = layout
         self.n = view.n
         self.eta = float(eta)
-        self.full_coupling = full_coupling
         self.dim = view.dim
 
         self.obs_rows = mask.observed_rows(self.k)
         self.mis_rows = mask.missing_rows(self.k)
         self._x_obs = view.x[self.obs_rows]
 
-        # public metadata: where my block sits inside each pattern's stack,
-        # and the per-sample pattern membership of my missing rows
-        self._stack_offset = np.zeros(self.n, dtype=int)
-        self._pattern_id = np.full(self.n, -1, dtype=int)
-        self._pattern_of_row: list[tuple[np.ndarray, int]] = []
-        for missing, rows in mask.patterns():
-            if self.k not in missing:
-                continue
-            off = sum(layout.dim(j) for j in missing if j < self.k)
-            mine = rows  # every row of this pattern is missing on me
-            self._stack_offset[mine] = off
-            self._pattern_id[mine] = len(self._pattern_of_row)
-            self._pattern_of_row.append((mine, off))
+        nonempty = [(key, rows) for key, rows in mask.patterns() if key]
+        self._patterns = [
+            _Pattern(key, g, rows, np.searchsorted(self.mis_rows, rows),
+                     sum(layout.dim(j) for j in key if j < self.k))
+            for g, (key, rows) in enumerate(nonempty) if self.k in key]
+        self._keys = [p.key for p in self._patterns]
 
         self.beta: np.ndarray | None = None
         self.mu: np.ndarray | None = None
@@ -89,7 +94,7 @@ class ClientAgent:
         self.x_tilde[self.obs_rows] = self._x_obs
 
         self._u = np.zeros(self.dim)
-        self._d: np.ndarray | None = None
+        self._d: np.ndarray | None = None    # per non-empty pattern
         self._e: np.ndarray | None = None
         self.last_alpha = np.zeros((0, self.dim))
         self.last_gradient = np.zeros(self.dim)
@@ -151,12 +156,17 @@ class ClientAgent:
                     {"value": v1}),
         ]
 
+    def _check_keys(self, msg: Message) -> None:
+        if [tuple(key) for key in msg.payload["patterns"]] != self._keys:
+            raise ProtocolDesync(f"client {self.k} received {msg.kind!r} for "
+                                 f"other patterns")
+
     def _on_estep_broadcast(self, msg: Message) -> list[Message]:
         self._d = np.asarray(msg.payload["denom"], dtype=float)
         resid = np.asarray(msg.payload["resid"], dtype=float)
-        if self.mis_rows.size:
-            scale = resid[self.mis_rows] / self._d[self.mis_rows]
-            self.x_tilde[self.mis_rows] = self.mu + np.outer(scale, self._u)
+        for p in self._patterns:
+            scale = resid[p.rows] / self._d[p.index]
+            self.x_tilde[p.rows] = self.mu + np.outer(scale, self._u)
         fit = self.x_tilde @ self.beta
         self._phase = "residual_coupling"
         return [
@@ -168,43 +178,23 @@ class ClientAgent:
     def _on_residual_coupling(self, msg: Message) -> list[Message]:
         if int(msg.payload["client"]) != self.k:
             raise ProtocolDesync(f"client {self.k} received a slice for another client")
+        self._check_keys(msg)
         self._e = np.asarray(msg.payload["resid"], dtype=float)
-        idx = np.asarray(msg.payload["idx"], dtype=int)
-        slices = msg.payload["slices"]
-        # the coupling slice and denominator are constant within a pattern;
-        # compute each projection once and reuse the object
-        per_pattern: dict[int, np.ndarray] = {}
-        w_vecs = []
-        for i, block in zip(idx, slices):
-            pid = self._pattern_id[i]
-            w = per_pattern.get(pid)
-            if w is None:
-                arr = np.asarray(block, dtype=float)
-                if self.full_coupling:
-                    off = self._stack_offset[i]
-                    arr = arr[:, off:off + self.dim]
-                w = arr @ self.beta / self._d[i]
-                per_pattern[pid] = w
-            w_vecs.append(w)
+        w_vecs = [np.asarray(block, dtype=float) @ self.beta / self._d[p.index]
+                  for p, block in zip(self._patterns, msg.payload["slices"])]
         self._phase = "aggregated_projection"
         return [Message(self._t, ROUND_MSTEP, self.k, MSTEP_PARTIAL_PROJECTION,
-                        {"idx": idx, "vecs": w_vecs})]
+                        {"patterns": self._keys, "vecs": w_vecs})]
 
     def _on_aggregated_projection(self, msg: Message) -> list[Message]:
-        idx = np.asarray(msg.payload["idx"], dtype=int)
         vecs = msg.payload["vecs"]
-        pos = {int(i): j for j, i in enumerate(idx)}
-        per_pattern: dict[int, np.ndarray] = {}
         alpha = np.zeros((self.mis_rows.size, self.dim))
-        for j, i in enumerate(self.mis_rows):
-            pid = self._pattern_id[i]
-            row = per_pattern.get(pid)
-            if row is None:
-                s_i = np.asarray(vecs[pos[int(i)]], dtype=float)
-                off = self._stack_offset[i]
-                row = self._u - s_i[off:off + self.dim]
-                per_pattern[pid] = row
-            alpha[j] = row
+        v5 = np.zeros(len(self._patterns))   # alpha_g . beta, one per pattern
+        for j, p in enumerate(self._patterns):
+            s_g = np.asarray(vecs[p.index], dtype=float)
+            row = self._u - s_g[p.offset:p.offset + self.dim]
+            alpha[p.where] = row
+            v5[j] = row @ self.beta
         self.last_alpha = alpha
 
         grad = (self.x_tilde.T @ self._e - alpha.sum(axis=0)) / self.n
@@ -219,16 +209,15 @@ class ClientAgent:
         mu_new = self.x_tilde.mean(axis=0)
         centered = self.x_tilde - mu_old
         scatter = centered.T @ centered
-        for rows, _off in self._pattern_of_row:
-            d_g = self._d[rows[0]]
-            scatter += rows.size * (sigma_old - np.outer(self._u, self._u) / d_g)
+        for p in self._patterns:
+            d_g = self._d[p.index]
+            scatter += p.rows.size * (sigma_old - np.outer(self._u, self._u) / d_g)
         self.mu = mu_new
         self.sigma = repair_psd(scatter / self.n)
 
-        v5 = alpha @ beta_old
         self._phase = "round_end"
         return [Message(self._t, ROUND_VARSTEP, self.k, VARSTEP_SCALAR,
-                        {"idx": self.mis_rows, "vals": v5})]
+                        {"patterns": self._keys, "vals": v5})]
 
     def _end_round(self, msg: Message) -> list[Message]:
         pay = msg.payload
@@ -251,24 +240,21 @@ class ServerCoordinator:
     """Owns the response vector, the noise variance, and round aggregation."""
 
     def __init__(self, y: np.ndarray, layout: BlockLayout, mask: MissingMask,
-                 sigma2: float, transport, full_coupling: bool = False):
+                 sigma2: float, transport):
         self.y = np.asarray(y, dtype=float)
         self.layout = layout
         self.mask = mask
         self.sigma2 = float(sigma2)
         self.transport = transport
-        self.full_coupling = full_coupling
         self.t = 0
 
         self.n = self.y.shape[0]
-        self._mis_any = np.flatnonzero(mask.indicators.any(axis=1))
-        self._patterns = [(missing, rows) for missing, rows in mask.patterns()
-                          if missing]
-        self._pattern_id = np.full(self.n, -1, dtype=int)
-        self._pattern_q = []
-        for pid, (missing, rows) in enumerate(self._patterns):
-            self._pattern_id[rows] = pid
-            self._pattern_q.append(sum(layout.dim(k) for k in missing))
+        self._has_complete = mask.complete_rows().size > 0
+        self._patterns = [(key, rows) for key, rows in mask.patterns() if key]
+        self._keys = [key for key, _rows in self._patterns]
+        # indices into self._patterns of the patterns each client is missing on
+        self._patterns_of = {k: [g for g, key in enumerate(self._keys) if k in key]
+                             for k in layout.clients()}
         self.last_residuals: np.ndarray | None = None
         self.last_v4: np.ndarray | None = None
         self._sigma2_pre: float = self.sigma2
@@ -299,9 +285,10 @@ class ServerCoordinator:
             fit_bar += np.asarray(self._recv(k, ESTEP_LOCAL_FIT).payload["fit"],
                                   dtype=float)
             v1[k - 1] = float(self._recv(k, ESTEP_QUAD_FORM).payload["value"])
-        d = self.sigma2 + self.mask.indicators @ v1
-        if d.size and d.min() <= _D_FLOOR:
-            raise DegenerateVariance(f"conditional denominator {d.min():.3e}")
+        d = np.array([self.sigma2 + sum(v1[k - 1] for k in key) for key in self._keys])
+        lowest = d.min(initial=self.sigma2 if self._has_complete else np.inf)
+        if lowest <= _D_FLOOR:
+            raise DegenerateVariance(f"conditional denominator {lowest:.3e}")
         r = self.y - fit_bar
         self._bcast(ESTEP_BROADCAST, ROUND_ESTEP, {"denom": d, "resid": r})
 
@@ -315,53 +302,40 @@ class ServerCoordinator:
                 self._recv(k, MSTEP_COUPLING_VEC).payload["vec"], dtype=float)
         e = self.y - fit
 
-        # coupling round: slices of outer(U, U) down, projections up and back
-        slices_per_client: dict[int, dict[int, np.ndarray]] = {
-            k: {} for k in self.layout.clients()}
-        coupling = {}
-        for missing, rows in self._patterns:
-            u_stack = np.concatenate([u_blocks[k] for k in missing])
+        # coupling round: per pattern, each missing client's column slice of
+        # outer(U, U) down, partial projections up, their sums back down
+        slices: dict[int, list[np.ndarray]] = {k: [] for k in self.layout.clients()}
+        for key in self._keys:
+            u_stack = np.concatenate([u_blocks[k] for k in key])
             v_mat = np.outer(u_stack, u_stack)
-            coupling[missing] = (rows, v_mat)
             off = 0
-            for k in missing:
+            for k in key:
                 width = self.layout.dim(k)
-                block = v_mat if self.full_coupling else v_mat[:, off:off + width]
-                for i in rows:
-                    slices_per_client[k][int(i)] = block
+                slices[k].append(v_mat[:, off:off + width])
                 off += width
         for k in self.layout.clients():
-            idx = self.mask.missing_rows(k)
-            payload = {"client": k, "resid": e, "idx": idx,
-                       "slices": [slices_per_client[k][int(i)] for i in idx]}
+            payload = {"client": k, "resid": e,
+                       "patterns": [self._keys[g] for g in self._patterns_of[k]],
+                       "slices": slices[k]}
             self.transport.send_to_client(
                 k, Message(self.t, ROUND_MSTEP, SERVER_ID,
                            MSTEP_RESIDUAL_COUPLING, payload))
 
-        # partial projections are constant within a pattern; aggregate each
-        # client's contribution once per pattern
-        s_pat = [np.zeros(q) for q in self._pattern_q]
+        s_pat = [np.zeros(sum(self.layout.dim(k) for k in key)) for key in self._keys]
         for k in self.layout.clients():
-            msg = self._recv(k, MSTEP_PARTIAL_PROJECTION)
-            seen = set()
-            for i, w in zip(msg.payload["idx"], msg.payload["vecs"]):
-                pid = int(self._pattern_id[int(i)])
-                if pid in seen:
-                    continue
-                seen.add(pid)
-                s_pat[pid] += np.asarray(w, dtype=float)
+            vecs = self._recv(k, MSTEP_PARTIAL_PROJECTION).payload["vecs"]
+            for g, w in zip(self._patterns_of[k], vecs):
+                s_pat[g] += np.asarray(w, dtype=float)
         self._bcast(MSTEP_AGGREGATED_PROJECTION, ROUND_MSTEP,
-                    {"idx": self._mis_any,
-                     "vecs": [s_pat[self._pattern_id[int(i)]]
-                              for i in self._mis_any]})
+                    {"patterns": self._keys, "vecs": s_pat})
 
-        # variance round: per-sample scalars up; new noise variance and loss
+        # variance round: per-pattern scalars up, scattered to the pattern's
+        # rows; new noise variance and loss
         v4 = np.zeros(self.n)
         for k in self.layout.clients():
-            msg = self._recv(k, VARSTEP_SCALAR)
-            iarr = np.asarray(msg.payload["idx"], dtype=int)
-            if iarr.size:
-                v4[iarr] += np.asarray(msg.payload["vals"], dtype=float)
+            vals = self._recv(k, VARSTEP_SCALAR).payload["vals"]
+            for g, val in zip(self._patterns_of[k], vals):
+                v4[self._patterns[g][1]] += float(val)
         self.last_residuals = e
         self.last_v4 = v4
         self._sigma2_pre = self.sigma2

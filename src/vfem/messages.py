@@ -6,6 +6,10 @@ layout and missingness pattern. Raw covariate blocks do not fit any
 variant: sends are validated, so an attempt to smuggle an (n, p_k) block
 fails before it reaches a channel.
 
+Only fits and residuals travel per sample. Statistics that are constant
+within a missingness pattern (denominators, coupling slices, projections,
+variance scalars) travel once per pattern.
+
 Serialization is newline-delimited, self-describing text with a fixed key
 order and 17-significant-digit floats, so records round-trip exactly and
 traces are byte-reproducible.
@@ -55,10 +59,10 @@ _PAYLOAD_KEY_ORDER = {
     ESTEP_BROADCAST: ("denom", "resid"),
     MSTEP_LOCAL_FIT: ("fit",),
     MSTEP_COUPLING_VEC: ("vec",),
-    MSTEP_RESIDUAL_COUPLING: ("client", "resid", "idx", "slices"),
-    MSTEP_PARTIAL_PROJECTION: ("idx", "vecs"),
-    MSTEP_AGGREGATED_PROJECTION: ("idx", "vecs"),
-    VARSTEP_SCALAR: ("idx", "vals"),
+    MSTEP_RESIDUAL_COUPLING: ("client", "resid", "patterns", "slices"),
+    MSTEP_PARTIAL_PROJECTION: ("patterns", "vecs"),
+    MSTEP_AGGREGATED_PROJECTION: ("patterns", "vecs"),
+    VARSTEP_SCALAR: ("patterns", "vals"),
     CONTROL: ("event", "loss", "best", "restore", "eta_scale"),
 }
 
@@ -92,7 +96,7 @@ def _encode_array(arr: np.ndarray) -> str:
     return _encode_value(arr.tolist())
 
 
-def _encode_value(value: Any, memo: dict | None = None) -> str:
+def _encode_value(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -104,22 +108,7 @@ def _encode_value(value: Any, memo: dict | None = None) -> str:
     if isinstance(value, np.ndarray):
         return _encode_array(value)
     if isinstance(value, (list, tuple)):
-        if memo is None:
-            return "[" + ",".join(_encode_value(v) for v in value) + "]"
-        # per-sample payload entries repeat the same array object across
-        # samples of one missingness pattern; encode each object once
-        parts = []
-        for v in value:
-            if isinstance(v, np.ndarray):
-                key = id(v)
-                text = memo.get(key)
-                if text is None:
-                    text = _encode_array(v)
-                    memo[key] = text
-                parts.append(text)
-            else:
-                parts.append(_encode_value(v, memo))
-        return "[" + ",".join(parts) + "]"
+        return "[" + ",".join(_encode_value(v) for v in value) + "]"
     raise SchemaViolation(f"unserializable payload value of type {type(value)!r}")
 
 
@@ -128,11 +117,10 @@ def encode(msg: Message) -> str:
     keys = _PAYLOAD_KEY_ORDER.get(msg.kind)
     if keys is None:
         raise SchemaViolation(f"unknown message kind {msg.kind!r}")
-    memo: dict = {}
     items = []
     for key in keys:
         if key in msg.payload:
-            items.append(f'"{key}":{_encode_value(msg.payload[key], memo)}')
+            items.append(f'"{key}":{_encode_value(msg.payload[key])}')
     extra = set(msg.payload) - set(keys)
     if extra:
         raise SchemaViolation(f"unexpected payload fields {sorted(extra)}")
@@ -148,20 +136,36 @@ def decode(line: str) -> Message:
     except json.JSONDecodeError as err:
         raise SchemaViolation(f"undecodable record: {err}") from None
     try:
+        payload = obj["payload"]
+        if not isinstance(payload, dict):
+            raise TypeError("payload is not an object")
         return Message(t=int(obj["t"]), round=str(obj["round"]),
                        sender=int(obj["from"]), kind=str(obj["kind"]),
-                       payload=dict(obj["payload"]))
-    except (KeyError, TypeError) as err:
+                       payload=payload)
+    except (KeyError, TypeError, ValueError) as err:
         raise SchemaViolation(f"malformed record: {err}") from None
 
 
+def _as_float_array(value, what: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise SchemaViolation(f"{what}: not a numeric array") from None
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise SchemaViolation(f"{what}: non-finite entries")
+    return arr
+
+
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and bool(np.isfinite(value)))
+
+
 def _as_scalar_list(value, length, what) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _as_float_array(value, what)
     if arr.ndim != 1 or (length is not None and arr.shape[0] != length):
         raise SchemaViolation(f"{what}: expected flat vector of length {length}, "
                               f"got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise SchemaViolation(f"{what}: non-finite entries")
     return arr
 
 
@@ -170,32 +174,47 @@ class WireSchema:
 
     The layout and missingness pattern are common knowledge; covariate
     values are not. Every validator pins payload shapes to quantities
-    derivable from that public metadata alone.
+    derivable from that public metadata alone. Pattern-constant payloads
+    carry one entry per missingness pattern, keyed by the pattern's sorted
+    missing-client tuple in `MissingMask.patterns()` order; the fully
+    observed pattern carries none.
     """
 
-    def __init__(self, layout: BlockLayout, mask: MissingMask,
-                 full_coupling: bool = False):
+    def __init__(self, layout: BlockLayout, mask: MissingMask):
         self.layout = layout
         self.mask = mask
         self.n = mask.n
-        self.full_coupling = full_coupling
-        self._q = np.array([mask.q(i, layout) for i in range(self.n)])
-        self._any_missing = np.flatnonzero(mask.indicators.any(axis=1))
+        # (key, q) of every non-empty pattern, and the sublist each client
+        # is missing on
+        self._patterns = [(key, sum(layout.dim(k) for k in key))
+                          for key, _rows in mask.patterns() if key]
+        self._patterns_of = {k: [(key, q) for key, q in self._patterns if k in key]
+                             for k in layout.clients()}
 
     def _require(self, cond: bool, what: str):
         if not cond:
             raise SchemaViolation(what)
 
-    def _check_idx(self, idx, expected: np.ndarray, what: str) -> np.ndarray:
-        arr = np.asarray(idx)
-        self._require(arr.ndim == 1, f"{what}: index list must be flat")
-        if arr.size and not np.issubdtype(arr.dtype, np.integer):
-            if not np.all(arr == arr.astype(int)):
-                raise SchemaViolation(f"{what}: non-integer sample index")
-            arr = arr.astype(int)
-        self._require(np.array_equal(arr, expected),
-                      f"{what}: sample indices disagree with the public mask")
-        return arr
+    def _check_keys(self, pay: dict, expected: list, what: str) -> None:
+        keys = pay.get("patterns")
+        self._require(isinstance(keys, (list, tuple)) and len(keys) == len(expected)
+                      and all(isinstance(got, (list, tuple)) and tuple(got) == want
+                              for got, (want, _q) in zip(keys, expected)),
+                      f"{what}: pattern keys disagree with the public mask")
+
+    def _check_blocks(self, pay: dict, field: str, expected: list, width,
+                      what: str) -> None:
+        """One finite array per expected pattern in `field`, of shape
+        (q,) when `width` is None and (q, width) otherwise."""
+        self._check_keys(pay, expected, what)
+        blocks = pay.get(field)
+        self._require(isinstance(blocks, (list, tuple)) and len(blocks) == len(expected),
+                      f"{what}: one {field} entry per pattern")
+        for (key, q), block in zip(expected, blocks):
+            shape = (q,) if width is None else (q, width)
+            self._require(_as_float_array(block, what).shape == shape,
+                          f"{what}: {field} entry for pattern {key} must have "
+                          f"shape {shape}")
 
     def validate(self, msg: Message) -> None:
         if msg.kind not in MESSAGE_KINDS:
@@ -203,18 +222,19 @@ class WireSchema:
         pay = msg.payload
         K = self.layout.num_clients
         kind = msg.kind
+        extra = set(pay) - set(_PAYLOAD_KEY_ORDER[kind])
+        self._require(not extra, f"{kind}: unexpected payload fields {sorted(extra)}")
 
         if kind in (ESTEP_LOCAL_FIT, MSTEP_LOCAL_FIT):
             self._require(1 <= msg.sender <= K, f"{kind}: bad sender")
             _as_scalar_list(pay.get("fit"), self.n, kind)
         elif kind == ESTEP_QUAD_FORM:
             self._require(1 <= msg.sender <= K, f"{kind}: bad sender")
-            val = pay.get("value")
-            self._require(np.isscalar(val) and np.isfinite(val),
+            self._require(_is_finite_number(pay.get("value")),
                           f"{kind}: value must be a finite scalar")
         elif kind == ESTEP_BROADCAST:
             self._require(msg.sender == SERVER_ID, f"{kind}: server only")
-            denom = _as_scalar_list(pay.get("denom"), self.n, kind)
+            denom = _as_scalar_list(pay.get("denom"), len(self._patterns), kind)
             _as_scalar_list(pay.get("resid"), self.n, kind)
             self._require(bool(np.all(denom > 0)), f"{kind}: denominators must be positive")
         elif kind == MSTEP_COUPLING_VEC:
@@ -222,70 +242,32 @@ class WireSchema:
             _as_scalar_list(pay.get("vec"), self.layout.dim(msg.sender), kind)
         elif kind == MSTEP_RESIDUAL_COUPLING:
             self._require(msg.sender == SERVER_ID, f"{kind}: server only")
-            k = int(pay.get("client", -1))
-            self._require(1 <= k <= K, f"{kind}: bad target client")
+            k = pay.get("client")
+            self._require(isinstance(k, (int, np.integer)) and 1 <= k <= K,
+                          f"{kind}: bad target client")
             _as_scalar_list(pay.get("resid"), self.n, kind)
-            idx = self._check_idx(pay.get("idx"), self.mask.missing_rows(k), kind)
-            slices = pay.get("slices")
-            self._require(isinstance(slices, (list, tuple)) and len(slices) == idx.size,
-                          f"{kind}: one coupling slice per missing sample")
-            width = self.layout.dim(k)
-            flats = []
-            for i, block in zip(idx, slices):
-                arr = np.asarray(block, dtype=float)
-                q_i = self._q[i]
-                cols = q_i if self.full_coupling else width
-                self._require(arr.shape == (q_i, cols),
-                              f"{kind}: slice for sample {i} must be ({q_i}, {cols})")
-                flats.append(arr.ravel())
-            if flats:
-                self._require(bool(np.all(np.isfinite(np.concatenate(flats)))),
-                              f"{kind}: non-finite coupling entries")
-        elif kind in (MSTEP_PARTIAL_PROJECTION, MSTEP_AGGREGATED_PROJECTION):
-            if kind == MSTEP_PARTIAL_PROJECTION:
-                self._require(1 <= msg.sender <= K, f"{kind}: bad sender")
-                expected = self.mask.missing_rows(msg.sender)
-            else:
-                self._require(msg.sender == SERVER_ID, f"{kind}: server only")
-                expected = self._any_missing
-            idx = self._check_idx(pay.get("idx"), expected, kind)
-            vecs = pay.get("vecs")
-            self._require(isinstance(vecs, (list, tuple)) and len(vecs) == idx.size,
-                          f"{kind}: one vector per listed sample")
-            flats = []
-            for i, vec in zip(idx, vecs):
-                arr = np.asarray(vec, dtype=float)
-                self._require(arr.shape == (int(self._q[i]),),
-                              f"{kind}: sample {i} vector must have length "
-                              f"{self._q[i]}")
-                flats.append(arr)
-            if flats:
-                self._require(bool(np.all(np.isfinite(np.concatenate(flats)))),
-                              f"{kind}: non-finite entries")
+            self._check_blocks(pay, "slices", self._patterns_of[int(k)],
+                               self.layout.dim(int(k)), kind)
+        elif kind == MSTEP_PARTIAL_PROJECTION:
+            self._require(1 <= msg.sender <= K, f"{kind}: bad sender")
+            self._check_blocks(pay, "vecs", self._patterns_of[msg.sender], None, kind)
+        elif kind == MSTEP_AGGREGATED_PROJECTION:
+            self._require(msg.sender == SERVER_ID, f"{kind}: server only")
+            self._check_blocks(pay, "vecs", self._patterns, None, kind)
         elif kind == VARSTEP_SCALAR:
             self._require(1 <= msg.sender <= K, f"{kind}: bad sender")
-            idx = self._check_idx(pay.get("idx"), self.mask.missing_rows(msg.sender), kind)
-            _as_scalar_list(pay.get("vals"), idx.size, kind)
+            expected = self._patterns_of[msg.sender]
+            self._check_keys(pay, expected, kind)
+            _as_scalar_list(pay.get("vals"), len(expected), kind)
         elif kind == CONTROL:
             self._require(msg.sender == SERVER_ID, f"{kind}: server only")
             event = pay.get("event")
             self._require(event in CONTROL_EVENTS, f"unknown control event {event!r}")
             for key in ("loss", "eta_scale"):
                 if key in pay:
-                    self._require(np.isscalar(pay[key]) and np.isfinite(pay[key]),
+                    self._require(_is_finite_number(pay[key]),
                                   f"{kind}: {key} must be a finite scalar")
             for key in ("best", "restore"):
                 if key in pay:
                     self._require(isinstance(pay[key], (bool, np.bool_)),
                                   f"{kind}: {key} must be boolean")
-
-
-def expected_round(kind: str) -> str:
-    if kind in (ESTEP_LOCAL_FIT, ESTEP_QUAD_FORM, ESTEP_BROADCAST):
-        return ROUND_ESTEP
-    if kind in (MSTEP_LOCAL_FIT, MSTEP_COUPLING_VEC, MSTEP_RESIDUAL_COUPLING,
-                MSTEP_PARTIAL_PROJECTION, MSTEP_AGGREGATED_PROJECTION):
-        return ROUND_MSTEP
-    if kind == VARSTEP_SCALAR:
-        return ROUND_VARSTEP
-    return ROUND_CONTROL

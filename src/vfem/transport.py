@@ -20,6 +20,8 @@ from typing import Callable, Optional
 from .errors import ProtocolDesync
 from .messages import Message, WireSchema, decode, encode
 
+_MAX_HELLO = 32  # characters read for a connection's hello line
+
 
 class ByteCounters:
     def __init__(self, num_clients: int):
@@ -142,19 +144,44 @@ class SocketTransport(BaseTransport):
             self._threads.append(th)
         self._conns: dict[int, socket.socket] = {}
         self._readers = {}
-        for _ in agents:
-            conn, _addr = self._listener.accept()
-            reader = conn.makefile("r", encoding="utf-8")
-            hello = reader.readline()
-            k = int(hello.strip())
-            self._conns[k] = conn
-            self._readers[k] = reader
+        try:
+            for _ in agents:
+                conn, _addr = self._listener.accept()
+                reader = conn.makefile("r", encoding="utf-8")
+                try:
+                    k = self._read_hello(reader)
+                except BaseException:
+                    reader.close()
+                    conn.close()
+                    raise
+                self._conns[k] = conn
+                self._readers[k] = reader
+        except BaseException:
+            self.close()
+            raise
+
+    def _read_hello(self, reader) -> int:
+        """The client id a new connection announces; any local process can
+        connect, so it must be a decimal id in 1..K not yet taken."""
+        try:
+            hello = reader.readline(_MAX_HELLO)
+        except (OSError, UnicodeDecodeError) as err:
+            raise ProtocolDesync(f"unreadable hello: {err}") from err
+        text = hello[:-1] if hello.endswith("\n") else None
+        if not (text and text.isascii() and text.isdigit()):
+            raise ProtocolDesync(f"malformed hello {hello!r}")
+        k = int(text)
+        if not 1 <= k <= self.num_clients:
+            raise ProtocolDesync(f"hello from unknown client id {k}")
+        if k in self._conns:
+            raise ProtocolDesync(f"second connection for client id {k}")
+        return k
 
     def _client_loop(self, k: int, agent, host: str, port: int) -> None:
         try:
-            with socket.create_connection((host, port)) as sock:
+            with socket.create_connection((host, port)) as sock, \
+                    sock.makefile("r", encoding="utf-8") as reader:
                 sock.sendall(f"{k}\n".encode())
-                reader = sock.makefile("r", encoding="utf-8")
                 while True:
                     line = reader.readline()
                     if not line:
@@ -195,9 +222,10 @@ class SocketTransport(BaseTransport):
         return msg
 
     def close(self) -> None:
-        for conn in self._conns.values():
+        # a socket stays open while a file from makefile() is, so close both
+        for handle in (*self._readers.values(), *self._conns.values()):
             try:
-                conn.close()
+                handle.close()
             except OSError:
                 pass
         self._listener.close()

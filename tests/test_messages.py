@@ -16,6 +16,7 @@ from vfem.messages import (
     MSTEP_RESIDUAL_COUPLING,
     ROUND_ESTEP,
     ROUND_MSTEP,
+    ROUND_VARSTEP,
     SERVER_ID,
     VARSTEP_SCALAR,
     Message,
@@ -25,11 +26,43 @@ from vfem.messages import (
 )
 
 
+# patterns of the fixture mask, in canonical order: () holds row 1,
+# (1, 2) row 2 and (2,) rows 0 and 3; stacked widths q are 5 and 3
+BOTH, ONLY2 = (1, 2), (2,)
+
+
 @pytest.fixture
 def schema():
     layout = BlockLayout((2, 3))
     mask = MissingMask(np.array([[0, 1], [0, 0], [1, 1], [0, 1]], dtype=bool))
     return WireSchema(layout, mask), layout, mask
+
+
+def valid_messages():
+    """One valid message of every pattern-keyed kind for the fixture."""
+    return {
+        ESTEP_BROADCAST: Message(0, ROUND_ESTEP, SERVER_ID, ESTEP_BROADCAST,
+                                 {"denom": np.array([2.0, 1.5]),
+                                  "resid": np.zeros(4)}),
+        MSTEP_RESIDUAL_COUPLING: Message(
+            0, ROUND_MSTEP, SERVER_ID, MSTEP_RESIDUAL_COUPLING,
+            {"client": 2, "resid": np.zeros(4), "patterns": [BOTH, ONLY2],
+             "slices": [np.zeros((5, 3)), np.zeros((3, 3))]}),
+        MSTEP_PARTIAL_PROJECTION: Message(
+            0, ROUND_MSTEP, 2, MSTEP_PARTIAL_PROJECTION,
+            {"patterns": [BOTH, ONLY2], "vecs": [np.zeros(5), np.zeros(3)]}),
+        MSTEP_AGGREGATED_PROJECTION: Message(
+            0, ROUND_MSTEP, SERVER_ID, MSTEP_AGGREGATED_PROJECTION,
+            {"patterns": [BOTH, ONLY2], "vecs": [np.zeros(5), np.zeros(3)]}),
+        VARSTEP_SCALAR: Message(0, ROUND_VARSTEP, 2, VARSTEP_SCALAR,
+                                {"patterns": [BOTH, ONLY2],
+                                 "vals": np.array([0.5, 0.25])}),
+    }
+
+
+def with_payload(msg, **changes):
+    return Message(msg.t, msg.round, msg.sender, msg.kind,
+                   {**msg.payload, **changes})
 
 
 def test_encode_decode_round_trip(schema):
@@ -42,6 +75,27 @@ def test_encode_decode_round_trip(schema):
     assert np.array_equal(np.asarray(back.payload["fit"], dtype=float),
                           np.asarray(msg.payload["fit"]))
     assert encode(back) == line  # canonical form is stable
+
+
+def test_malformed_records_rejected():
+    good = encode(Message(0, "control", SERVER_ID, CONTROL,
+                          {"event": "round_begin"}))
+    decode(good)
+    for line in ("nope", "[1]", good.replace('"t":0', '"t":"zero"'),
+                 good.replace('{"event":"round_begin"}', '"ab"'),
+                 good.replace('{"event":"round_begin"}', '[["event","x"]]'),
+                 good.replace('"from":0,', '')):
+        with pytest.raises(SchemaViolation):
+            decode(line)
+
+
+def test_pattern_keyed_messages_validate_after_round_trip(schema):
+    sch, *_ = schema
+    for msg in valid_messages().values():
+        sch.validate(msg)
+        back = decode(encode(msg))
+        sch.validate(back)
+        assert encode(back) == encode(msg)
 
 
 def test_every_kind_is_enumerated():
@@ -59,16 +113,30 @@ def test_vector_payload_length_enforced(schema):
 
 
 def test_raw_covariate_block_rejected(schema):
-    # an (n, p_k) matrix does not fit any per-sample statistic variant
+    # an (n, p_k) matrix fits no array slot of any kind, whether it replaces
+    # the whole field or one per-pattern entry of it
     sch, layout, mask = schema
     raw_block = np.arange(12.0).reshape(4, 3)
     for kind, field in ((ESTEP_LOCAL_FIT, "fit"), (MSTEP_LOCAL_FIT, "fit"),
                         (MSTEP_COUPLING_VEC, "vec")):
         with pytest.raises(SchemaViolation):
             sch.validate(Message(0, ROUND_MSTEP, 2, kind, {field: raw_block}))
-    with pytest.raises(SchemaViolation):
-        sch.validate(Message(0, ROUND_MSTEP, 2, VARSTEP_SCALAR,
-                             {"idx": mask.missing_rows(2), "vals": raw_block}))
+    slots = 0
+    for msg in valid_messages().values():
+        sch.validate(msg)
+        for field, value in msg.payload.items():
+            if field in ("client", "patterns"):
+                continue
+            slots += 1
+            with pytest.raises(SchemaViolation):
+                sch.validate(with_payload(msg, **{field: raw_block}))
+            if isinstance(value, list):
+                for j in range(len(value)):
+                    entries = list(value)
+                    entries[j] = raw_block
+                    with pytest.raises(SchemaViolation):
+                        sch.validate(with_payload(msg, **{field: entries}))
+    assert slots == 7
 
 
 def test_unknown_kind_and_fields_rejected(schema):
@@ -78,6 +146,9 @@ def test_unknown_kind_and_fields_rejected(schema):
     with pytest.raises(SchemaViolation):
         encode(Message(0, ROUND_ESTEP, 1, ESTEP_QUAD_FORM,
                        {"value": 1.0, "extra": [1, 2]}))
+    with pytest.raises(SchemaViolation):
+        sch.validate(Message(0, ROUND_ESTEP, 1, ESTEP_QUAD_FORM,
+                             {"value": 1.0, "extra": [1, 2]}))
 
 
 def test_non_finite_payload_rejected(schema):
@@ -87,39 +158,141 @@ def test_non_finite_payload_rejected(schema):
     with pytest.raises(SchemaViolation):
         sch.validate(Message(0, ROUND_ESTEP, 1, ESTEP_LOCAL_FIT,
                              {"fit": [np.nan, 0.0, 0.0, 0.0]}))
+    for value in ("1.0", True, [1.0], None):
+        with pytest.raises(SchemaViolation):
+            sch.validate(Message(0, ROUND_ESTEP, 1, ESTEP_QUAD_FORM,
+                                 {"value": value}))
+        with pytest.raises(SchemaViolation):
+            sch.validate(Message(0, "control", SERVER_ID, CONTROL,
+                                 {"event": "round_end", "loss": value}))
+    msgs = valid_messages()
+    bad = [
+        with_payload(msgs[ESTEP_BROADCAST], denom=np.array([2.0, np.inf])),
+        with_payload(msgs[MSTEP_RESIDUAL_COUPLING],
+                     slices=[np.zeros((5, 3)), np.full((3, 3), np.nan)]),
+        with_payload(msgs[MSTEP_PARTIAL_PROJECTION],
+                     vecs=[np.zeros(5), np.array([0.0, np.inf, 0.0])]),
+        with_payload(msgs[MSTEP_AGGREGATED_PROJECTION],
+                     vecs=[np.full(5, -np.inf), np.zeros(3)]),
+        with_payload(msgs[VARSTEP_SCALAR], vals=np.array([np.nan, 0.0])),
+    ]
+    for msg in bad:
+        with pytest.raises(SchemaViolation):
+            sch.validate(msg)
 
 
 def test_coupling_slices_pinned_to_mask(schema):
     sch, layout, mask = schema
-    idx = mask.missing_rows(2)          # rows 0, 2, 3
-    q = {0: 3, 2: 5, 3: 3}
-    slices = [np.zeros((q[int(i)], 3)) for i in idx]
-    ok = Message(1, ROUND_MSTEP, SERVER_ID, MSTEP_RESIDUAL_COUPLING,
-                 {"client": 2, "resid": np.zeros(4), "idx": idx,
-                  "slices": slices})
+    ok = valid_messages()[MSTEP_RESIDUAL_COUPLING]
     sch.validate(ok)
-    bad = Message(1, ROUND_MSTEP, SERVER_ID, MSTEP_RESIDUAL_COUPLING,
-                  {"client": 2, "resid": np.zeros(4), "idx": idx,
-                   "slices": [np.zeros((4, 4)) for _ in idx]})
+    bad_payloads = [
+        # wrong shapes: square stacked matrices, transposed slices
+        {"slices": [np.zeros((5, 5)), np.zeros((3, 3))]},
+        {"slices": [np.zeros((3, 5)), np.zeros((3, 3))]},
+        {"slices": [np.zeros(15), np.zeros((3, 3))]},
+        # the old per-sample layout: one slice per missing sample of client 2
+        {"slices": [np.zeros((3, 3)), np.zeros((5, 3)), np.zeros((3, 3))]},
+        {"patterns": [ONLY2, BOTH, ONLY2],
+         "slices": [np.zeros((3, 3)), np.zeros((5, 3)), np.zeros((3, 3))]},
+        # the slices addressed to another client
+        {"client": 1},
+    ]
+    for change in bad_payloads:
+        with pytest.raises(SchemaViolation):
+            sch.validate(with_payload(ok, **change))
+    legacy = Message(1, ROUND_MSTEP, SERVER_ID, MSTEP_RESIDUAL_COUPLING,
+                     {"client": 2, "resid": np.zeros(4),
+                      "idx": mask.missing_rows(2),
+                      "slices": [np.zeros((3, 3)), np.zeros((5, 3)),
+                                 np.zeros((3, 3))]})
     with pytest.raises(SchemaViolation):
-        sch.validate(bad)
+        sch.validate(legacy)
+
+
+@pytest.mark.parametrize("kind", [MSTEP_RESIDUAL_COUPLING,
+                                  MSTEP_PARTIAL_PROJECTION,
+                                  MSTEP_AGGREGATED_PROJECTION, VARSTEP_SCALAR])
+def test_pattern_keys_pinned_to_mask(schema, kind):
+    sch, *_ = schema
+    ok = valid_messages()[kind]
+    field = {MSTEP_RESIDUAL_COUPLING: "slices", VARSTEP_SCALAR: "vals"}.get(
+        kind, "vecs")
+    entries = list(ok.payload[field])
+    bad_payloads = [
+        {"patterns": [ONLY2, BOTH]},                          # reordered
+        {"patterns": [BOTH], field: entries[:1]},             # missing
+        {"patterns": [BOTH, ONLY2, (1,)],                     # extra
+         field: entries + [entries[-1]]},
+        {"patterns": [(2, 1), ONLY2]},                        # not canonical
+        {"patterns": [BOTH, (1,)]},                           # not in the mask
+        {"patterns": [[1, 2], 2]},                            # malformed key
+        {"patterns": [BOTH]},                                 # fewer keys than entries
+        {field: entries[:1]},                                 # fewer entries than keys
+    ]
+    for change in bad_payloads:
+        with pytest.raises(SchemaViolation):
+            sch.validate(with_payload(ok, **change))
+    no_keys = dict(ok.payload)
+    del no_keys["patterns"]
+    with pytest.raises(SchemaViolation):
+        sch.validate(Message(ok.t, ok.round, ok.sender, ok.kind, no_keys))
 
 
 def test_projection_indices_must_match_mask(schema):
     sch, layout, mask = schema
+    # client 1 is missing on (1, 2) only; client 2's keys are not its own
+    sch.validate(Message(0, ROUND_MSTEP, 1, MSTEP_PARTIAL_PROJECTION,
+                         {"patterns": [BOTH], "vecs": [np.zeros(5)]}))
+    with pytest.raises(SchemaViolation):
+        sch.validate(Message(0, ROUND_MSTEP, 1, MSTEP_PARTIAL_PROJECTION,
+                             {"patterns": [BOTH, ONLY2],
+                              "vecs": [np.zeros(5), np.zeros(3)]}))
+    # the old per-sample index list
     with pytest.raises(SchemaViolation):
         sch.validate(Message(0, ROUND_MSTEP, 2, MSTEP_PARTIAL_PROJECTION,
                              {"idx": [1], "vecs": [[0.0, 0.0, 0.0]]}))
+    # vectors of the wrong length for their pattern
+    for vecs in ([np.zeros(3), np.zeros(5)], [np.zeros(5), np.zeros(2)],
+                 [np.zeros((5, 1)), np.zeros(3)]):
+        for kind, sender in ((MSTEP_PARTIAL_PROJECTION, 2),
+                             (MSTEP_AGGREGATED_PROJECTION, SERVER_ID)):
+            with pytest.raises(SchemaViolation):
+                sch.validate(Message(0, ROUND_MSTEP, sender, kind,
+                                     {"patterns": [BOTH, ONLY2], "vecs": vecs}))
+
+
+def test_varstep_scalars_one_per_pattern(schema):
+    sch, layout, mask = schema
+    ok = valid_messages()[VARSTEP_SCALAR]
+    for vals in (np.zeros(3), np.zeros(1), np.zeros((2, 1)),
+                 np.zeros(mask.missing_rows(2).size)):
+        with pytest.raises(SchemaViolation):
+            sch.validate(with_payload(ok, vals=vals))
+    with pytest.raises(SchemaViolation):
+        sch.validate(Message(0, ROUND_VARSTEP, 2, VARSTEP_SCALAR,
+                             {"idx": mask.missing_rows(2), "vals": np.zeros(3)}))
+
+
+def test_broadcast_denominators_one_per_pattern(schema):
+    sch, *_ = schema
+    ok = valid_messages()[ESTEP_BROADCAST]
+    # one denominator per sample (the old layout), per pattern including the
+    # complete one, too few, non-positive
+    for denom in (np.ones(4), np.ones(3), np.ones(1), np.array([1.0, 0.0]),
+                  np.array([1.0, -2.0]), np.ones((2, 1))):
+        with pytest.raises(SchemaViolation):
+            sch.validate(with_payload(ok, denom=denom))
 
 
 def test_broadcast_only_from_server(schema):
     sch, *_ = schema
     with pytest.raises(SchemaViolation):
         sch.validate(Message(0, ROUND_ESTEP, 1, ESTEP_BROADCAST,
-                             {"denom": np.ones(4), "resid": np.zeros(4)}))
+                             {"denom": np.ones(2), "resid": np.zeros(4)}))
     with pytest.raises(SchemaViolation):
         sch.validate(Message(0, ROUND_MSTEP, 1, MSTEP_AGGREGATED_PROJECTION,
-                             {"idx": [0, 2, 3], "vecs": [[0.0]] * 3}))
+                             {"patterns": [BOTH, ONLY2],
+                              "vecs": [np.zeros(5), np.zeros(3)]}))
 
 
 def test_control_events_closed(schema):

@@ -1,3 +1,5 @@
+import socket
+
 import numpy as np
 import pytest
 
@@ -6,17 +8,20 @@ from conftest import make_instance, rel_err
 from vfem import (
     BlockLayout,
     FitConfig,
+    MissingMask,
     ModelParameters,
     fit,
+    generate,
     initialize,
     make_dataset,
     q_gradient_beta,
+    smes_like_config,
 )
 from vfem.centralized import estep, observed_loss
 from vfem.errors import ProtocolDesync
 from vfem.federated import ClientAgent, ServerCoordinator
 from vfem.messages import ESTEP_BROADCAST, MESSAGE_KINDS, WireSchema, decode
-from vfem.transport import InProcessTransport
+from vfem.transport import InProcessTransport, SocketTransport
 
 
 def build_protocol(data, theta, eta=0.5, transport_cls=InProcessTransport,
@@ -158,17 +163,15 @@ class TestTransports:
             assert msg.kind in MESSAGE_KINDS
             schema.validate(msg)
 
-    def test_full_coupling_matrix_mode_matches_sliced_mode(self):
-        # shipping whole coupling matrices instead of per-client column
-        # slices costs more bytes but must not change any number
-        data, _ = make_instance(80, (2, 2, 2), 0.35, seed=61)
-        res_slice = fit(data, FitConfig(engine="federated", max_iters=6,
-                                        tol=1e-300))
-        res_full = fit(data, FitConfig(engine="federated", max_iters=6,
-                                       tol=1e-300, full_coupling=True))
-        assert np.array_equal(res_slice.theta.beta, res_full.theta.beta)
-        assert np.array_equal(res_slice.loss_trace, res_full.loss_trace)
-        assert res_full.comm["bytes_total"] >= res_slice.comm["bytes_total"]
+    def test_pattern_constant_statistics_travel_once_per_pattern(self):
+        # heavy preset: 20 missingness patterns over 5 clients; only fits
+        # and residuals may grow with the sample count
+        n = 600
+        data, _ = generate(smes_like_config(n=n, seed=3))
+        assert len(data.mask.patterns()) == 20
+        res = fit(data, FitConfig(engine="federated", max_iters=4, tol=1e-300))
+        assert res.iterations == 4
+        assert res.comm["bytes_total"] / (n * res.iterations) <= 1024
 
     def test_byte_accounting_scales_with_samples(self):
         sizes = (100, 200, 400)
@@ -184,6 +187,37 @@ class TestTransports:
         assert growth.max() / growth.min() < 1.25
 
 
+class TestHandshake:
+    @pytest.mark.parametrize("hello", [b"abc\n", b"", b"1", b"+1\n", b"\xff\n",
+                                       b"0\n", b"3\n", b"2\n"],
+                             ids=["not-integer", "empty", "unterminated",
+                                  "signed", "not-utf8", "below-range",
+                                  "above-range", "duplicate"])
+    def test_bad_hello_is_a_protocol_error(self, hello):
+        # client 1 announces itself wrongly; client 2 says "2" as it should
+        opened = []
+
+        class BadHelloTransport(SocketTransport):
+            def _client_loop(self, k, agent, host, port):
+                opened.append(self)
+                if k != 1:
+                    return super()._client_loop(k, agent, host, port)
+                with socket.create_connection((host, port)) as sock, \
+                        sock.makefile("rb") as reader:
+                    sock.sendall(hello)
+                    sock.shutdown(socket.SHUT_WR)
+                    reader.read()  # until the server hangs up
+
+        schema = WireSchema(BlockLayout((1, 1)), MissingMask(np.zeros((3, 2))))
+        with pytest.raises(ProtocolDesync):
+            BadHelloTransport({1: None, 2: None}, schema)
+        transport = opened[0]
+        assert transport._listener.fileno() == -1
+        # each client blocks reading until the server closes its connection,
+        # and closing the transport has joined every client thread
+        assert not any(th.is_alive() for th in transport._threads)
+
+
 class TestDesync:
     def test_dropped_broadcast_detected(self):
         data, _ = make_instance(40, (2, 2), 0.3, seed=5)
@@ -192,6 +226,25 @@ class TestDesync:
         transport.inject_drop(lambda k, m: m.kind == ESTEP_BROADCAST and k == 2)
         with pytest.raises(ProtocolDesync):
             coord.run_iteration()
+
+    def test_crashing_socket_client_releases_the_others(self):
+        data, _ = make_instance(40, (2, 2, 2), 0.3, seed=5)
+        theta = initialize(data, FitConfig())
+        agents, coord, transport = build_protocol(
+            data, theta, transport_cls=SocketTransport)
+
+        def crash(msg):
+            raise RuntimeError("client 2 crashed")
+
+        agents[2]._on_estep_broadcast = crash
+        try:
+            with pytest.raises(ProtocolDesync):
+                coord.run_iteration()
+        finally:
+            transport.close()
+        # clients 1 and 3 were waiting on their connections; closing the
+        # transport must end their threads, not leave them to the join timeout
+        assert not any(th.is_alive() for th in transport._threads)
 
     def test_stale_iteration_detected(self):
         data, _ = make_instance(40, (2, 2), 0.3, seed=5)
