@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import stats as spstats
 
 from .centralized import em_map, estep
 from .data import BlockLayout, ModelParameters, VerticalDataset, repair_psd
@@ -456,6 +455,11 @@ class InferenceReport:
         )
 
 
+def two_sided_p(z: np.ndarray) -> np.ndarray:
+    """Two-sided normal p-values, 2 (1 - Phi(|z|)) = erfc(|z| / sqrt 2)."""
+    return np.array([math.erfc(abs(v) / math.sqrt(2.0)) for v in z])
+
+
 def asymptotic_covariance(info: np.ndarray, gamma: np.ndarray,
                           theta: ModelParameters, n: int,
                           vectorizer: ThetaVectorizer,
@@ -488,7 +492,7 @@ def asymptotic_covariance(info: np.ndarray, gamma: np.ndarray,
         raise SingularSystem("covariance produced non-positive standard errors")
     est = theta.beta
     z = est / se
-    p_vals = 2.0 * spstats.norm.sf(np.abs(z))
+    p_vals = two_sided_p(z)
     meta = sketch_meta or {}
     return InferenceReport(
         names=vectorizer.beta_names, estimates=est.copy(), std_errors=se,

@@ -10,13 +10,17 @@ Only fits and residuals travel per sample. Statistics that are constant
 within a missingness pattern (denominators, coupling slices, projections,
 variance scalars) travel once per pattern.
 
-Serialization is newline-delimited, self-describing text with a fixed key
-order and 17-significant-digit floats, so records round-trip exactly and
-traces are byte-reproducible.
+Serialization is newline-delimited, self-describing JSON with a fixed key
+order. Float arrays travel packed: each vector, and each row of a 2-D
+block, is the base64 text of its raw little-endian float64 bytes, about
+10.7 bytes per float whatever its value. Scalars are written with 17
+significant digits. Records therefore round-trip bit for bit and traces
+are byte-reproducible.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass
 from typing import Any
@@ -53,17 +57,25 @@ ROUND_MSTEP = "mstep"
 ROUND_VARSTEP = "varstep"
 ROUND_CONTROL = "control"
 
-_PAYLOAD_KEY_ORDER = {
-    ESTEP_LOCAL_FIT: ("fit",),
-    ESTEP_QUAD_FORM: ("value",),
-    ESTEP_BROADCAST: ("denom", "resid"),
-    MSTEP_LOCAL_FIT: ("fit",),
-    MSTEP_COUPLING_VEC: ("vec",),
-    MSTEP_RESIDUAL_COUPLING: ("client", "resid", "patterns", "slices"),
-    MSTEP_PARTIAL_PROJECTION: ("patterns", "vecs"),
-    MSTEP_AGGREGATED_PROJECTION: ("patterns", "vecs"),
-    VARSTEP_SCALAR: ("patterns", "vals"),
-    CONTROL: ("event", "loss", "best", "restore", "eta_scale"),
+# packed forms of the float array fields (see `_pack`)
+_VEC = "vector"     # one float vector
+_VECS = "vectors"   # a list of float vectors
+_BLOCKS = "blocks"  # a list of 2-D float blocks, each a list of packed rows
+
+# payload fields of each kind in wire order, each with its packed form, or
+# None for a plain JSON value
+_PAYLOAD_FIELDS = {
+    ESTEP_LOCAL_FIT: {"fit": _VEC},
+    ESTEP_QUAD_FORM: {"value": None},
+    ESTEP_BROADCAST: {"denom": _VEC, "resid": _VEC},
+    MSTEP_LOCAL_FIT: {"fit": _VEC},
+    MSTEP_COUPLING_VEC: {"vec": _VEC},
+    MSTEP_RESIDUAL_COUPLING: {"client": None, "resid": _VEC, "patterns": None,
+                              "slices": _BLOCKS},
+    MSTEP_PARTIAL_PROJECTION: {"patterns": None, "vecs": _VECS},
+    MSTEP_AGGREGATED_PROJECTION: {"patterns": None, "vecs": _VECS},
+    VARSTEP_SCALAR: {"patterns": None, "vals": _VEC},
+    CONTROL: dict.fromkeys(("event", "loss", "best", "restore", "eta_scale")),
 }
 
 
@@ -82,18 +94,33 @@ def _fmt_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def _encode_array(arr: np.ndarray) -> str:
-    # flat numeric vectors and matrices dominate traffic; format from
-    # native floats (cheaper than numpy scalars)
-    if arr.ndim == 1:
-        if np.issubdtype(arr.dtype, np.integer):
-            return "[" + ",".join(map(str, arr.tolist())) + "]"
-        return "[" + ",".join(map(_fmt_float, arr.tolist())) + "]"
-    if arr.ndim == 2 and np.issubdtype(arr.dtype, np.floating):
-        return "[" + ",".join(
-            "[" + ",".join(map(_fmt_float, row)) + "]"
-            for row in arr.tolist()) + "]"
-    return _encode_value(arr.tolist())
+def _b64(vec: np.ndarray) -> str:
+    return '"' + base64.b64encode(vec.tobytes()).decode("ascii") + '"'
+
+
+def _pack(value: Any, ndim: int) -> str:
+    """A float vector as the quoted base64 of its little-endian float64
+    bytes; a 2-D block as the list of its packed rows."""
+    try:
+        arr = np.asarray(value, dtype="<f8")
+    except (TypeError, ValueError):
+        raise SchemaViolation("float array payload is not numeric") from None
+    if arr.ndim != ndim:
+        raise SchemaViolation(f"expected a {ndim}-D float array, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise SchemaViolation("non-finite value in payload")
+    if ndim == 1:
+        return _b64(arr)
+    return "[" + ",".join(map(_b64, arr)) + "]"
+
+
+def _encode_floats(value: Any, form: str) -> str:
+    if form == _VEC:
+        return _pack(value, 1)
+    if not isinstance(value, (list, tuple)):
+        raise SchemaViolation(f"expected a list of float arrays, got {type(value)!r}")
+    ndim = 2 if form == _BLOCKS else 1
+    return "[" + ",".join(_pack(v, ndim) for v in value) + "]"
 
 
 def _encode_value(value: Any) -> str:
@@ -105,8 +132,6 @@ def _encode_value(value: Any) -> str:
         return _fmt_float(float(value))
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, np.ndarray):
-        return _encode_array(value)
     if isinstance(value, (list, tuple)):
         return "[" + ",".join(_encode_value(v) for v in value) + "]"
     raise SchemaViolation(f"unserializable payload value of type {type(value)!r}")
@@ -114,23 +139,64 @@ def _encode_value(value: Any) -> str:
 
 def encode(msg: Message) -> str:
     """Canonical one-line encoding with a fixed key order."""
-    keys = _PAYLOAD_KEY_ORDER.get(msg.kind)
-    if keys is None:
+    fields = _PAYLOAD_FIELDS.get(msg.kind)
+    if fields is None:
         raise SchemaViolation(f"unknown message kind {msg.kind!r}")
-    items = []
-    for key in keys:
-        if key in msg.payload:
-            items.append(f'"{key}":{_encode_value(msg.payload[key])}')
-    extra = set(msg.payload) - set(keys)
+    extra = set(msg.payload) - set(fields)
     if extra:
         raise SchemaViolation(f"unexpected payload fields {sorted(extra)}")
+    items = []
+    for key, form in fields.items():
+        if key in msg.payload:
+            value = msg.payload[key]
+            text = _encode_value(value) if form is None else _encode_floats(value, form)
+            items.append(f'"{key}":{text}')
     body = "{" + ",".join(items) + "}"
     return (f'{{"t":{int(msg.t)},"round":{json.dumps(msg.round)},'
             f'"from":{int(msg.sender)},"kind":{json.dumps(msg.kind)},'
             f'"payload":{body}}}\n')
 
 
+def _unpack(text: Any, what: str) -> bytes:
+    """The float64 bytes of one packed vector."""
+    if not isinstance(text, str):
+        raise SchemaViolation(f"{what}: a packed array must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as err:  # binascii.Error, or non-ASCII text
+        raise SchemaViolation(f"{what}: not base64: {err}") from None
+    if len(raw) % 8:
+        raise SchemaViolation(f"{what}: {len(raw)} bytes is not whole float64s")
+    return raw
+
+
+def _floats(raw: bytes, shape) -> np.ndarray:
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
+def _decode_block(rows: Any, what: str) -> np.ndarray:
+    if not isinstance(rows, list):
+        raise SchemaViolation(f"{what}: a block must be a list of packed rows")
+    raws = [_unpack(row, what) for row in rows]
+    width = len(raws[0]) // 8 if raws else 0
+    if any(len(raw) != 8 * width for raw in raws):
+        raise SchemaViolation(f"{what}: ragged block rows")
+    return _floats(b"".join(raws), (len(raws), width))
+
+
+def _decode_floats(value: Any, form: str, what: str):
+    if form == _VEC:
+        return _floats(_unpack(value, what), -1)
+    if not isinstance(value, list):
+        raise SchemaViolation(f"{what}: expected a list of packed arrays")
+    if form == _VECS:
+        return [_floats(_unpack(v, what), -1) for v in value]
+    return [_decode_block(block, what) for block in value]
+
+
 def decode(line: str) -> Message:
+    """Inverse of `encode`; every float array field becomes a writable
+    float64 ndarray (a list of them for the list forms)."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as err:
@@ -139,11 +205,16 @@ def decode(line: str) -> Message:
         payload = obj["payload"]
         if not isinstance(payload, dict):
             raise TypeError("payload is not an object")
-        return Message(t=int(obj["t"]), round=str(obj["round"]),
-                       sender=int(obj["from"]), kind=str(obj["kind"]),
-                       payload=payload)
+        msg = Message(t=int(obj["t"]), round=str(obj["round"]),
+                      sender=int(obj["from"]), kind=str(obj["kind"]),
+                      payload=payload)
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaViolation(f"malformed record: {err}") from None
+    for field, form in _PAYLOAD_FIELDS.get(msg.kind, {}).items():
+        if form is not None and field in payload:
+            payload[field] = _decode_floats(payload[field], form,
+                                            f"{msg.kind}.{field}")
+    return msg
 
 
 def _as_float_array(value, what: str) -> np.ndarray:
@@ -222,7 +293,7 @@ class WireSchema:
         pay = msg.payload
         K = self.layout.num_clients
         kind = msg.kind
-        extra = set(pay) - set(_PAYLOAD_KEY_ORDER[kind])
+        extra = set(pay) - set(_PAYLOAD_FIELDS[kind])
         self._require(not extra, f"{kind}: unexpected payload fields {sorted(extra)}")
 
         if kind in (ESTEP_LOCAL_FIT, MSTEP_LOCAL_FIT):

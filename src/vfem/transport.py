@@ -127,7 +127,12 @@ class InProcessTransport(BaseTransport):
 
 
 class SocketTransport(BaseTransport):
-    """One loopback TCP connection per client, one thread per client agent."""
+    """One loopback TCP connection per client, one thread per client agent.
+
+    Both ends set TCP_NODELAY: the server writes two records back to back
+    with no reply in between (round_end, round_begin) and clients reply
+    with two writes, which Nagle's algorithm and delayed ACKs would stall
+    by tens of milliseconds each."""
 
     def __init__(self, agents: dict, schema: WireSchema,
                  trace_path: Optional[str] = None, byte_accounting: bool = True):
@@ -149,6 +154,7 @@ class SocketTransport(BaseTransport):
                 conn, _addr = self._listener.accept()
                 reader = conn.makefile("r", encoding="utf-8")
                 try:
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                     k = self._read_hello(reader)
                 except BaseException:
                     reader.close()
@@ -181,6 +187,7 @@ class SocketTransport(BaseTransport):
         try:
             with socket.create_connection((host, port)) as sock, \
                     sock.makefile("r", encoding="utf-8") as reader:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 sock.sendall(f"{k}\n".encode())
                 while True:
                     line = reader.readline()

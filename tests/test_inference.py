@@ -21,6 +21,7 @@ from vfem import (
 )
 from vfem.centralized import estep
 from vfem.errors import NotAFixedPoint
+from vfem.inference import two_sided_p
 
 
 def tight_fit(data):
@@ -246,6 +247,14 @@ class TestCovariance:
         report = run_inference(res.theta, data,
                                InferenceConfig(scope="beta", stats_mode="exact"))
         assert np.array_equal(report.significant, np.abs(report.z_scores) > 1.959964)
+
+    def test_p_values_follow_the_normal_tail(self):
+        assert two_sided_p(np.array([0.0]))[0] == 1.0
+        assert abs(two_sided_p(np.array([1.959963984540054]))[0] - 0.05) <= 1e-15
+        spstats = pytest.importorskip("scipy.stats")
+        z = np.linspace(-30.0, 30.0, 6001)
+        ref = 2.0 * spstats.norm.sf(np.abs(z))
+        assert np.all(np.abs(two_sided_p(z) - ref) <= 1e-12 * ref)
 
     def test_report_round_trips(self):
         data, _ = make_instance(100, (2, 2), 0.2, seed=16)

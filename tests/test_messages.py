@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -66,15 +69,46 @@ def with_payload(msg, **changes):
 
 
 def test_encode_decode_round_trip(schema):
+    # packed arrays carry the raw float64 bits: signed zero, the smallest
+    # subnormal and the largest finite values come back bit for bit
     sch, layout, mask = schema
-    msg = Message(3, ROUND_ESTEP, 1, ESTEP_LOCAL_FIT,
-                  {"fit": np.array([0.1, -2.5e-17, 3.0, 1e300])})
+    edge = np.array([0.1, -0.0, 5e-324, 1.7976931348623157e308,
+                     -1.7976931348623157e308, -2.5e-17, 3.0])
+    msg = Message(3, ROUND_ESTEP, 1, ESTEP_LOCAL_FIT, {"fit": edge})
     line = encode(msg)
     back = decode(line)
     assert back.t == 3 and back.sender == 1 and back.kind == ESTEP_LOCAL_FIT
-    assert np.array_equal(np.asarray(back.payload["fit"], dtype=float),
-                          np.asarray(msg.payload["fit"]))
+    assert back.payload["fit"].dtype == np.float64
+    assert back.payload["fit"].tobytes() == edge.tobytes()
+    assert back.payload["fit"].flags.writeable
     assert encode(back) == line  # canonical form is stable
+
+    # (q, p_k) slices keep their shape and bits
+    rng = np.random.default_rng(0)
+    coupling = with_payload(valid_messages()[MSTEP_RESIDUAL_COUPLING],
+                            resid=edge[:4],
+                            slices=[np.resize(edge, (5, 3)),
+                                    rng.standard_normal((3, 3))])
+    line = encode(coupling)
+    back = decode(line)
+    sch.validate(back)
+    assert back.payload["resid"].tobytes() == edge[:4].tobytes()
+    for got, sent in zip(back.payload["slices"], coupling.payload["slices"]):
+        assert got.shape == sent.shape and got.tobytes() == sent.tobytes()
+        assert got.flags.writeable
+    assert encode(back) == line
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 4, 7, 100])
+def test_packed_size_depends_only_on_length(m):
+    # a length-m vector costs 4 * ceil(8m / 3) + 2 bytes whatever its values
+    rng = np.random.default_rng(m)
+    sizes = set()
+    for vec in (np.zeros(m), rng.standard_normal(m), np.full(m, 1 / 3)):
+        line = encode(Message(0, ROUND_ESTEP, 1, ESTEP_LOCAL_FIT, {"fit": vec}))
+        field = line[line.index('"fit":') + len('"fit":'):-len("}}\n")]
+        sizes.add(len(field.encode("utf-8")))
+    assert sizes == {4 * math.ceil(8 * m / 3) + 2}
 
 
 def test_malformed_records_rejected():
@@ -87,6 +121,39 @@ def test_malformed_records_rejected():
                  good.replace('"from":0,', '')):
         with pytest.raises(SchemaViolation):
             decode(line)
+
+    # an array field takes packed base64 strings and nothing else
+    msgs = valid_messages()
+    vec_msg = Message(0, ROUND_ESTEP, 1, ESTEP_LOCAL_FIT, {"fit": np.ones(2)})
+    packed2 = json.loads(encode(vec_msg))["payload"]["fit"]
+    packed3 = json.loads(encode(with_payload(vec_msg, fit=np.ones(3))))["payload"]["fit"]
+    projection, coupling = msgs[MSTEP_PARTIAL_PROJECTION], msgs[MSTEP_RESIDUAL_COUPLING]
+    bad_arrays = [
+        (vec_msg, "fit", [1.0, 1.0]),                # a JSON number list
+        (vec_msg, "fit", 1.0),                       # not a string
+        (vec_msg, "fit", None),
+        (vec_msg, "fit", [packed2]),                 # a list of packed rows
+        (vec_msg, "fit", "AAAA AAAAAAA="),           # outside the alphabet
+        (vec_msg, "fit", "!!!!"),
+        (vec_msg, "fit", packed2.rstrip("=")),       # unpadded
+        (vec_msg, "fit", "\u00e9AAA"),               # not ASCII
+        (vec_msg, "fit", "AAAA"),                    # 3 bytes: not whole float64s
+        (msgs[ESTEP_BROADCAST], "denom", [2.0, 1.5]),
+        (msgs[VARSTEP_SCALAR], "vals", [0.5, 0.25]),
+        (projection, "vecs", packed2),               # not a list
+        (projection, "vecs", [[0.0] * 5, [0.0] * 3]),
+        (projection, "vecs", [packed2, 3]),
+        (coupling, "slices", [packed2, packed2]),    # blocks that are not row lists
+        (coupling, "slices", [[[0.0] * 3] * 5, [[0.0] * 3] * 3]),
+        (coupling, "slices", [[packed2, packed3], [packed3]]),  # ragged rows
+        (coupling, "slices", [[packed2, 1.0], [packed3]]),
+        (coupling, "slices", {"0": [packed2]}),
+    ]
+    for msg, field, value in bad_arrays:
+        obj = json.loads(encode(msg))
+        obj["payload"][field] = value
+        with pytest.raises(SchemaViolation):
+            decode(json.dumps(obj))
 
 
 def test_pattern_keyed_messages_validate_after_round_trip(schema):
@@ -138,6 +205,31 @@ def test_raw_covariate_block_rejected(schema):
                         sch.validate(with_payload(msg, **{field: entries}))
     assert slots == 7
 
+    # packed into a length-n slot, the block's bytes decode to a vector of
+    # length n * p_k, or to row lists the slot does not take
+    flat = decode(encode(Message(0, ROUND_ESTEP, 2, ESTEP_LOCAL_FIT,
+                                 {"fit": raw_block.ravel()})))
+    assert flat.payload["fit"].shape == (12,)
+    with pytest.raises(SchemaViolation):
+        sch.validate(flat)
+    with pytest.raises(SchemaViolation):
+        encode(Message(0, ROUND_ESTEP, 2, ESTEP_LOCAL_FIT, {"fit": raw_block}))
+    coupling = valid_messages()[MSTEP_RESIDUAL_COUPLING]
+    rows = json.loads(encode(with_payload(
+        coupling, slices=[raw_block, np.zeros((3, 3))])))["payload"]["slices"][0]
+    obj = json.loads(encode(Message(0, ROUND_ESTEP, 2, ESTEP_LOCAL_FIT,
+                                    {"fit": np.zeros(4)})))
+    obj["payload"]["fit"] = rows
+    with pytest.raises(SchemaViolation):
+        decode(json.dumps(obj))
+    # and in a per-pattern slice it decodes to an (n, p_k) block of the
+    # wrong shape
+    back = decode(encode(with_payload(coupling,
+                                      slices=[raw_block, np.zeros((3, 3))])))
+    assert back.payload["slices"][0].shape == raw_block.shape
+    with pytest.raises(SchemaViolation):
+        sch.validate(back)
+
 
 def test_unknown_kind_and_fields_rejected(schema):
     sch, *_ = schema
@@ -179,6 +271,11 @@ def test_non_finite_payload_rejected(schema):
     for msg in bad:
         with pytest.raises(SchemaViolation):
             sch.validate(msg)
+        with pytest.raises(SchemaViolation):
+            encode(msg)
+    for fit in ([0.0, np.nan, 0.0, 0.0], np.array([0.0, 0.0, -np.inf, 0.0])):
+        with pytest.raises(SchemaViolation):
+            encode(Message(0, ROUND_ESTEP, 1, ESTEP_LOCAL_FIT, {"fit": fit}))
 
 
 def test_coupling_slices_pinned_to_mask(schema):

@@ -21,6 +21,7 @@ from vfem.centralized import estep, observed_loss
 from vfem.errors import ProtocolDesync
 from vfem.federated import ClientAgent, ServerCoordinator
 from vfem.messages import ESTEP_BROADCAST, MESSAGE_KINDS, WireSchema, decode
+from vfem import transport as transport_module
 from vfem.transport import InProcessTransport, SocketTransport
 
 
@@ -138,6 +139,30 @@ class TestTransports:
         assert np.array_equal(res_a.loss_trace, res_b.loss_trace)
         assert res_a.comm["bytes_total"] == res_b.comm["bytes_total"]
         assert res_a.comm["messages"] == res_b.comm["messages"]
+
+    def test_socket_connections_disable_nagle(self, monkeypatch):
+        # both ends write records back to back; with Nagle's algorithm each
+        # second write waits for the peer's delayed ACK
+        clients = []
+        connect = socket.create_connection
+
+        def capture(*args, **kwargs):
+            sock = connect(*args, **kwargs)
+            clients.append(sock)
+            return sock
+
+        monkeypatch.setattr(transport_module.socket, "create_connection", capture)
+        data, _ = make_instance(40, (2, 2, 2), 0.3, seed=5)
+        theta = initialize(data, FitConfig())
+        _agents, _coord, transport = build_protocol(
+            data, theta, transport_cls=SocketTransport)
+        try:
+            conns = list(transport._conns.values())
+            assert len(conns) == len(clients) == 3
+            for sock in conns + clients:
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            transport.close()
 
     def test_trace_files_byte_identical_across_runs(self, tmp_path):
         data, _ = make_instance(40, (2, 2), 0.3, seed=29)
