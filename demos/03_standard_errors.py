@@ -1,10 +1,12 @@
 """Standard-error pipeline walkthrough.
 
-After a converged fit, clients ship Gaussian-sketch projections of their
-pseudo-complete blocks; the server assembles the information matrix from the
-sketched cross-products, estimates the EM map's rate matrix by forward
-differences, and combines them into Wald standard errors. Compares the
-sketched pipeline against exact statistics and against the no-missing limit.
+After a converged fit, clients ship CountSketch projections of their
+pseudo-complete blocks (O(n p) per replicate: each sample is added, with a
+random sign, to one of m buckets); the server sketches the residuals with the
+same broadcast sketch, assembles the information matrix from the sketched
+cross-products, estimates the EM map's rate matrix by forward differences,
+and combines them into Wald standard errors. Compares the sketched pipeline
+against exact statistics and against the no-missing limit.
 """
 
 import numpy as np

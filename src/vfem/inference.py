@@ -1,10 +1,11 @@
 """Standard errors for the converged fit.
 
 Pipeline: approximate the cross-product statistics of the pseudo-complete
-design by averaged Gaussian sketches (clients only ever ship m x p_k
-projections), assemble the conditional expectation of the complete-data
-information matrix from those statistics, estimate the EM map's rate matrix
-by forward differences, and combine them into the asymptotic covariance
+design by averaged CountSketches (clients only ever ship m x p_k
+projections, each computed in O(n p_k), so L replicates cost O(L n p)),
+assemble the conditional expectation of the complete-data information matrix
+from those statistics, estimate the EM map's rate matrix by forward
+differences, and combine them into the asymptotic covariance
 
     V = I_oc^{-1} (I - Gamma)^{-1},
 
@@ -12,11 +13,11 @@ whose beta block yields Wald standard errors, z scores, and p-values.
 
 I_oc is stored per sample (the full-data information divided by n), so the
 standard error of a coefficient is sqrt(V_jj / n). Two sketching choices are
-exposed: clients may share one sketch matrix per replicate (derived from a
-broadcast seed; cross-client blocks are then unbiased) or draw private ones
-(cross-client blocks shrink toward zero), and within-client blocks may be
-computed exactly instead of sketched ("hybrid", the default) since they never
-leave their owner.
+exposed: clients and the server may share one sketch per replicate (derived
+from a broadcast seed; cross-client blocks and the residual product are then
+unbiased) or draw private ones (cross-client blocks and the residual product
+shrink toward zero), and within-client blocks may be computed exactly instead
+of sketched ("hybrid", the default) since they never leave their owner.
 """
 
 from __future__ import annotations
@@ -179,54 +180,66 @@ def exact_statistics(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
         exact=True)
 
 
+def _count_sketch(seed: np.random.SeedSequence, n: int, m: int):
+    """Draw one CountSketch S (m x n): sample i goes to bucket h(i) with sign
+    s(i). Returns (h, s, S 1)."""
+    rng = np.random.default_rng(seed)
+    h = rng.integers(m, size=n)
+    s = rng.integers(2, size=n) * 2.0 - 1.0
+    return h, s, np.bincount(h, weights=s, minlength=m)
+
+
+def _project(sketch, block: np.ndarray, m: int) -> np.ndarray:
+    """S @ block in O(n p): per column, the signed sums of each bucket."""
+    h, s, _ = sketch
+    return np.stack([np.bincount(h, weights=s * col, minlength=m)
+                     for col in block.T], axis=1)
+
+
 def sketch_statistics(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
                       mu_blocks: list[np.ndarray], layout: BlockLayout,
                       cfg: SketchConfig) -> SketchedStatistics:
-    """Replicate-averaged Gaussian sketches of the design cross-products.
+    """Replicate-averaged CountSketches of the design cross-products.
 
-    Per replicate each client projects its pseudo-complete block (and its
-    centered version) to m rows and ships the projections; the residual
-    product uses a separate server-side sketch of e.
+    Per replicate each client projects its pseudo-complete block X_k and the
+    ones vector with a CountSketch S (E[S'S] = I) and ships S X_k (m x p_k)
+    and S 1; centered projections are S X_k - (S 1) mu_k'. A projection
+    costs O(n p_k), so the statistics cost O(L n p) with no (m, n) matrix.
+    In shared mode all clients and the server derive the same S from the
+    broadcast seed: cross-client blocks and the residual product
+    (S X~)'(S e) are unbiased. In private mode each client draws its own S
+    and the server sketches e with an independent one, so cross-client
+    blocks and xe shrink toward zero, their expectation under independent
+    sketches.
     """
     n = pseudo_blocks[0].shape[0]
     K = layout.num_clients
     p = layout.total_dim
     m, L = cfg.resolve(n, K)
-    root = np.random.SeedSequence(cfg.seed)
-    scale = 1.0 / math.sqrt(m)
-    e = np.asarray(residuals, dtype=float)
+    e = np.asarray(residuals, dtype=float)[:, None]
+    mu = np.concatenate(mu_blocks)
+    owner = np.repeat(np.arange(K), [layout.dim(k) for k in layout.clients()])
 
     xx = np.zeros((p, p))
     cxx = np.zeros((p, p))
     xe = np.zeros(p)
     xsum = np.zeros(p)
     cxsum = np.zeros(p)
-    ones = np.ones(m)
 
-    for child in root.spawn(L):
+    for child in np.random.SeedSequence(cfg.seed).spawn(L):
         if cfg.shared:
-            rng = np.random.default_rng(child)
-            g_a = rng.standard_normal((m, n))
-            g_b = rng.standard_normal((m, n))
-            g_0 = rng.standard_normal((m, n))
-            proj_a = [scale * (g_a @ blk) for blk in pseudo_blocks]
-            proj_b = [scale * (g_b @ (blk - mu))
-                      for blk, mu in zip(pseudo_blocks, mu_blocks)]
+            sketches = [_count_sketch(child, n, m)] * (K + 1)
         else:
-            subs = child.spawn(K + 1)
-            proj_a, proj_b = [], []
-            for blk, mu, sub in zip(pseudo_blocks, mu_blocks, subs[:K]):
-                rng_k = np.random.default_rng(sub)
-                proj_a.append(scale * (rng_k.standard_normal((m, n)) @ blk))
-                proj_b.append(scale * (rng_k.standard_normal((m, n)) @ (blk - mu)))
-            g_0 = np.random.default_rng(subs[K]).standard_normal((m, n))
-        sa = np.concatenate(proj_a, axis=1)
-        sb = np.concatenate(proj_b, axis=1)
+            sketches = [_count_sketch(sub, n, m) for sub in child.spawn(K + 1)]
+        sa = np.concatenate([_project(sk, blk, m)
+                             for sk, blk in zip(sketches, pseudo_blocks)], axis=1)
+        s1 = np.stack([ones for _, _, ones in sketches[:K]], axis=1)[:, owner]
+        sb = sa - s1 * mu
         xx += sa.T @ sa
         cxx += sb.T @ sb
-        xe += sa.T @ (scale * (g_0 @ e))
-        xsum += sa.T @ ones
-        cxsum += sb.T @ ones
+        xe += sa.T @ _project(sketches[K], e, m)[:, 0]
+        xsum += (sa * s1).sum(axis=0)
+        cxsum += (sb * s1).sum(axis=0)
 
     xx = 0.5 * (xx + xx.T) / L
     cxx = 0.5 * (cxx + cxx.T) / L

@@ -83,6 +83,8 @@ class TestSketches:
                                             exact_within_block=False))
         err = np.linalg.norm(st.xx - exact.xx, 2) / np.linalg.norm(exact.xx, 2)
         assert err < 0.05
+        # X'1 is estimated by (S X)'(S 1), which is unbiased like X'X
+        assert rel_err(st.xsum, exact.xsum) < 0.2
 
     def test_quadrupling_work_shrinks_squared_error_about_fourfold(self):
         data, _ = make_instance(200, (2, 2), 0.3, seed=12)
@@ -123,6 +125,29 @@ class TestSketches:
         assert err_ind > 0.5          # estimate collapsed toward zero
         assert err_sh < 0.35
         assert np.linalg.norm(st_ind.xx[0:2, 2:4]) < 0.5 * np.linalg.norm(cross)
+
+    def test_shared_sketch_residual_product_is_unbiased(self):
+        # the server sketches e with the broadcast sketch the clients use
+        data, _ = make_instance(200, (2, 2), 0.3, seed=12)
+        res = tight_fit(data)
+        cache, blocks, mus = stats_inputs(res.theta, data)
+        exact = exact_statistics(blocks, cache.e, mus)
+        st = sketch_statistics(blocks, cache.e, mus, data.layout,
+                               SketchConfig(m=32, replicates=2000, seed=5,
+                                            exact_within_block=False))
+        assert rel_err(st.xe, exact.xe) < 0.1
+
+    def test_private_sketch_residual_product_shrinks(self):
+        # an independent server sketch of e makes xe an estimate of zero
+        data, _ = make_instance(200, (2, 2), 0.3, seed=12)
+        res = tight_fit(data)
+        cache, blocks, mus = stats_inputs(res.theta, data)
+        exact = exact_statistics(blocks, cache.e, mus)
+        st = sketch_statistics(blocks, cache.e, mus, data.layout,
+                               SketchConfig(m=16, replicates=400, seed=3,
+                                            shared=False,
+                                            exact_within_block=False))
+        assert np.linalg.norm(st.xe) < 0.5 * np.linalg.norm(exact.xe)
 
     def test_hybrid_mode_pins_within_client_blocks(self):
         data, _ = make_instance(150, (2, 2), 0.3, seed=13)
