@@ -309,8 +309,8 @@ def _fit_federated(data: VerticalDataset, cfg: FitConfig, theta0: ModelParameter
             if inspect is not None:
                 inspect(_federated_snapshot(t, agents, coord, layout, loss))
             losses.append(loss)
-            steps.append(math.sqrt(sum(agents[k].last_beta_step ** 2
-                                       for k in layout.clients())))
+            # each client's step norm arrives in its last reply
+            steps.append(math.sqrt(sum(step ** 2 for step in coord.last_beta_steps)))
 
             finite = math.isfinite(loss)
             is_best = finite and loss < best_loss

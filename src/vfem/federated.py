@@ -1,20 +1,24 @@
 """Round-based client/server state machines for the federated fit.
 
-One iteration runs four logical rounds, mirroring the summary-statistic
-exchange: an imputation round (per-client fits and quadratic forms up,
-denominators and raw-fit residuals down), a residual round (pseudo-complete
-fits up, residuals down), a coupling round (coupling vectors up, coupling
-slices down, partial projections up, aggregated projections down), and a
-variance round (scalars up). Denominators, coupling slices, projections and
-variance scalars are constant within a missingness pattern and travel once
-per pattern; fits and residuals travel once per sample. Clients update their
-coefficient block with a first-order step and their distributional
-parameters in closed form; the server owns the response, the noise
-variance, and the loss.
+One iteration is one statistics round trip per client. Each client uploads
+its fit on the rows it observes, the scalar mu_k' beta_k that stands in for
+that fit on the rows it misses, and the quadratic form
+v1_k = beta_k' Sigma_k beta_k. The server forms the residuals r and one
+denominator d_g = sigma2 + sum of v1 over the clients missing in pattern g,
+and broadcasts (sigma2, d, r). The covariance is block-diagonal across
+clients, so everything after that is a closed form in what each party
+already holds: on a row of pattern g the pseudo-complete residual is
+e = sigma2 r / d_g (e = r on complete rows), a missing client's
+conditional-covariance projection is alpha_g = sigma2 Sigma_k beta_k / d_g,
+and the variance correction is sigma2 (d_g - sigma2) / d_g. Clients impute
+their missing blocks, take a first-order coefficient step and update their
+distributional parameters in closed form, then reply with the norm of the
+coefficient step; the server owns the response, the noise variance and the
+loss.
 
 All updates within an iteration use the iteration-start snapshot. The
 coordinator never stores covariate-dimensional raw data, only the enumerated
-statistics; clients never see anything beyond the broadcast scalars.
+statistics; Sigma_k beta_k never leaves its client.
 """
 
 from __future__ import annotations
@@ -30,15 +34,8 @@ from .messages import (
     CONTROL,
     ESTEP_BROADCAST,
     ESTEP_LOCAL_FIT,
-    ESTEP_QUAD_FORM,
-    MSTEP_AGGREGATED_PROJECTION,
-    MSTEP_COUPLING_VEC,
-    MSTEP_LOCAL_FIT,
-    MSTEP_PARTIAL_PROJECTION,
-    MSTEP_RESIDUAL_COUPLING,
     ROUND_CONTROL,
     ROUND_ESTEP,
-    ROUND_MSTEP,
     ROUND_VARSTEP,
     SERVER_ID,
     VARSTEP_SCALAR,
@@ -58,11 +55,25 @@ class _Snapshot:
 class _Pattern(NamedTuple):
     """One missingness pattern a client is missing on (public metadata)."""
 
-    key: tuple[int, ...]     # sorted missing-client ids
     index: int               # position among the mask's non-empty patterns
     rows: np.ndarray         # the pattern's samples
     where: np.ndarray        # their positions within the client's missing rows
-    offset: int              # where the client's block sits in the stacked u
+
+
+def _row_patterns(n: int, nonempty: list) -> np.ndarray:
+    """Per sample, 1 + the index of its pattern among the non-empty
+    (key, rows) patterns, or 0 on a complete row."""
+    out = np.zeros(n, dtype=np.intp)
+    for g, (_key, rows) in enumerate(nonempty):
+        out[rows] = g + 1
+    return out
+
+
+def _m_step_residuals(r: np.ndarray, sigma2: float, d: np.ndarray,
+                      row_patterns: np.ndarray) -> np.ndarray:
+    """y minus the pseudo-complete fit: sigma2 r / d_g on rows of pattern g,
+    r itself on complete rows."""
+    return r * np.concatenate(([1.0], sigma2 / d))[row_patterns]
 
 
 class ClientAgent:
@@ -82,10 +93,9 @@ class ClientAgent:
 
         nonempty = [(key, rows) for key, rows in mask.patterns() if key]
         self._patterns = [
-            _Pattern(key, g, rows, np.searchsorted(self.mis_rows, rows),
-                     sum(layout.dim(j) for j in key if j < self.k))
+            _Pattern(g, rows, np.searchsorted(self.mis_rows, rows))
             for g, (key, rows) in enumerate(nonempty) if self.k in key]
-        self._keys = [p.key for p in self._patterns]
+        self._row_patterns = _row_patterns(self.n, nonempty)
 
         self.beta: np.ndarray | None = None
         self.mu: np.ndarray | None = None
@@ -94,11 +104,8 @@ class ClientAgent:
         self.x_tilde[self.obs_rows] = self._x_obs
 
         self._u = np.zeros(self.dim)
-        self._d: np.ndarray | None = None    # per non-empty pattern
-        self._e: np.ndarray | None = None
         self.last_alpha = np.zeros((0, self.dim))
         self.last_gradient = np.zeros(self.dim)
-        self.last_beta_step = 0.0
         self._pre_update: Optional[_Snapshot] = None
         self._best: Optional[_Snapshot] = None
 
@@ -135,89 +142,49 @@ class ClientAgent:
         if msg.kind == ESTEP_BROADCAST:
             self._check(msg, ESTEP_BROADCAST, "estep_broadcast")
             return self._on_estep_broadcast(msg)
-        if msg.kind == MSTEP_RESIDUAL_COUPLING:
-            self._check(msg, MSTEP_RESIDUAL_COUPLING, "residual_coupling")
-            return self._on_residual_coupling(msg)
-        if msg.kind == MSTEP_AGGREGATED_PROJECTION:
-            self._check(msg, MSTEP_AGGREGATED_PROJECTION, "aggregated_projection")
-            return self._on_aggregated_projection(msg)
         raise ProtocolDesync(f"client {self.k}: unexpected kind {msg.kind!r}")
 
     def _begin_round(self) -> list[Message]:
         self._u = self.sigma @ self.beta
-        v1 = float(self.beta @ self._u)
-        fit_bar = np.full(self.n, float(self.mu @ self.beta))
-        fit_bar[self.obs_rows] = self._x_obs @ self.beta
         self._phase = "estep_broadcast"
-        return [
-            Message(self._t, ROUND_ESTEP, self.k, ESTEP_LOCAL_FIT,
-                    {"fit": fit_bar}),
-            Message(self._t, ROUND_ESTEP, self.k, ESTEP_QUAD_FORM,
-                    {"value": v1}),
-        ]
-
-    def _check_keys(self, msg: Message) -> None:
-        if [tuple(key) for key in msg.payload["patterns"]] != self._keys:
-            raise ProtocolDesync(f"client {self.k} received {msg.kind!r} for "
-                                 f"other patterns")
+        return [Message(self._t, ROUND_ESTEP, self.k, ESTEP_LOCAL_FIT,
+                        {"fit": self._x_obs @ self.beta,
+                         "mean": float(self.mu @ self.beta),
+                         "quad": float(self.beta @ self._u)})]
 
     def _on_estep_broadcast(self, msg: Message) -> list[Message]:
-        self._d = np.asarray(msg.payload["denom"], dtype=float)
-        resid = np.asarray(msg.payload["resid"], dtype=float)
-        for p in self._patterns:
-            scale = resid[p.rows] / self._d[p.index]
-            self.x_tilde[p.rows] = self.mu + np.outer(scale, self._u)
-        fit = self.x_tilde @ self.beta
-        self._phase = "residual_coupling"
-        return [
-            Message(self._t, ROUND_MSTEP, self.k, MSTEP_LOCAL_FIT, {"fit": fit}),
-            Message(self._t, ROUND_MSTEP, self.k, MSTEP_COUPLING_VEC,
-                    {"vec": self._u}),
-        ]
-
-    def _on_residual_coupling(self, msg: Message) -> list[Message]:
-        if int(msg.payload["client"]) != self.k:
-            raise ProtocolDesync(f"client {self.k} received a slice for another client")
-        self._check_keys(msg)
-        self._e = np.asarray(msg.payload["resid"], dtype=float)
-        w_vecs = [np.asarray(block, dtype=float) @ self.beta / self._d[p.index]
-                  for p, block in zip(self._patterns, msg.payload["slices"])]
-        self._phase = "aggregated_projection"
-        return [Message(self._t, ROUND_MSTEP, self.k, MSTEP_PARTIAL_PROJECTION,
-                        {"patterns": self._keys, "vecs": w_vecs})]
-
-    def _on_aggregated_projection(self, msg: Message) -> list[Message]:
-        vecs = msg.payload["vecs"]
+        sigma2 = float(msg.payload["sigma2"])
+        d = np.asarray(msg.payload["denom"], dtype=float)
+        r = np.asarray(msg.payload["resid"], dtype=float)
         alpha = np.zeros((self.mis_rows.size, self.dim))
-        v5 = np.zeros(len(self._patterns))   # alpha_g . beta, one per pattern
-        for j, p in enumerate(self._patterns):
-            s_g = np.asarray(vecs[p.index], dtype=float)
-            row = self._u - s_g[p.offset:p.offset + self.dim]
-            alpha[p.where] = row
-            v5[j] = row @ self.beta
+        for p in self._patterns:
+            d_g = d[p.index]
+            self.x_tilde[p.rows] = self.mu + np.outer(r[p.rows] / d_g, self._u)
+            alpha[p.where] = self._u * (sigma2 / d_g)
         self.last_alpha = alpha
 
-        grad = (self.x_tilde.T @ self._e - alpha.sum(axis=0)) / self.n
+        e = _m_step_residuals(r, sigma2, d, self._row_patterns)
+        grad = (self.x_tilde.T @ e - alpha.sum(axis=0)) / self.n
         self.last_gradient = grad
 
         beta_old, mu_old, sigma_old = self.beta, self.mu, self.sigma
         self._pre_update = _Snapshot(beta_old.copy(), mu_old.copy(), sigma_old.copy())
 
         self.beta = beta_old + self.eta * grad
-        self.last_beta_step = float(np.linalg.norm(self.beta - beta_old))
+        step = float(np.linalg.norm(self.beta - beta_old))
 
         mu_new = self.x_tilde.mean(axis=0)
         centered = self.x_tilde - mu_old
         scatter = centered.T @ centered
         for p in self._patterns:
-            d_g = self._d[p.index]
-            scatter += p.rows.size * (sigma_old - np.outer(self._u, self._u) / d_g)
+            scatter += p.rows.size * (sigma_old - np.outer(self._u, self._u) / d[p.index])
         self.mu = mu_new
         self.sigma = repair_psd(scatter / self.n)
 
+        # the reply also tells the server the update is done
         self._phase = "round_end"
         return [Message(self._t, ROUND_VARSTEP, self.k, VARSTEP_SCALAR,
-                        {"patterns": self._keys, "vals": v5})]
+                        {"value": step})]
 
     def _end_round(self, msg: Message) -> list[Message]:
         pay = msg.payload
@@ -250,13 +217,13 @@ class ServerCoordinator:
 
         self.n = self.y.shape[0]
         self._has_complete = mask.complete_rows().size > 0
-        self._patterns = [(key, rows) for key, rows in mask.patterns() if key]
-        self._keys = [key for key, _rows in self._patterns]
-        # indices into self._patterns of the patterns each client is missing on
-        self._patterns_of = {k: [g for g, key in enumerate(self._keys) if k in key]
-                             for k in layout.clients()}
+        nonempty = [(key, rows) for key, rows in mask.patterns() if key]
+        self._keys = [key for key, _rows in nonempty]
+        self._row_patterns = _row_patterns(self.n, nonempty)
+        self._rows = {k: (mask.observed_rows(k), mask.missing_rows(k))
+                      for k in layout.clients()}
         self.last_residuals: np.ndarray | None = None
-        self.last_v4: np.ndarray | None = None
+        self.last_beta_steps: list[float] = []
         self._sigma2_pre: float = self.sigma2
         self.best_sigma2: float = self.sigma2
 
@@ -276,69 +243,37 @@ class ServerCoordinator:
     def run_iteration(self) -> float:
         """Drive one full iteration; returns the new loss value."""
         K = self.layout.num_clients
+        sigma2 = self.sigma2
         self._bcast(CONTROL, ROUND_CONTROL, {"event": "round_begin"})
 
-        # imputation round: local fits + quadratic forms up, (d, r) down
+        # local fits and quadratic forms up, (sigma2, d, r) down
         fit_bar = np.zeros(self.n)
         v1 = np.zeros(K)
         for k in self.layout.clients():
-            fit_bar += np.asarray(self._recv(k, ESTEP_LOCAL_FIT).payload["fit"],
-                                  dtype=float)
-            v1[k - 1] = float(self._recv(k, ESTEP_QUAD_FORM).payload["value"])
-        d = np.array([self.sigma2 + sum(v1[k - 1] for k in key) for key in self._keys])
-        lowest = d.min(initial=self.sigma2 if self._has_complete else np.inf)
+            pay = self._recv(k, ESTEP_LOCAL_FIT).payload
+            observed, missing = self._rows[k]
+            fit_bar[observed] += np.asarray(pay["fit"], dtype=float)
+            fit_bar[missing] += float(pay["mean"])
+            v1[k - 1] = float(pay["quad"])
+        d = np.array([sigma2 + sum(v1[k - 1] for k in key) for key in self._keys])
+        lowest = d.min(initial=sigma2 if self._has_complete else np.inf)
         if lowest <= _D_FLOOR:
             raise DegenerateVariance(f"conditional denominator {lowest:.3e}")
         r = self.y - fit_bar
-        self._bcast(ESTEP_BROADCAST, ROUND_ESTEP, {"denom": d, "resid": r})
+        self._bcast(ESTEP_BROADCAST, ROUND_ESTEP,
+                    {"sigma2": sigma2, "denom": d, "resid": r})
 
-        # residual round: pseudo-complete fits + coupling vectors up
-        fit = np.zeros(self.n)
-        u_blocks: dict[int, np.ndarray] = {}
-        for k in self.layout.clients():
-            fit += np.asarray(self._recv(k, MSTEP_LOCAL_FIT).payload["fit"],
-                              dtype=float)
-            u_blocks[k] = np.asarray(
-                self._recv(k, MSTEP_COUPLING_VEC).payload["vec"], dtype=float)
-        e = self.y - fit
+        # every client replies once its update is done
+        self.last_beta_steps = [
+            float(self._recv(k, VARSTEP_SCALAR).payload["value"])
+            for k in self.layout.clients()]
 
-        # coupling round: per pattern, each missing client's column slice of
-        # outer(U, U) down, partial projections up, their sums back down
-        slices: dict[int, list[np.ndarray]] = {k: [] for k in self.layout.clients()}
-        for key in self._keys:
-            u_stack = np.concatenate([u_blocks[k] for k in key])
-            v_mat = np.outer(u_stack, u_stack)
-            off = 0
-            for k in key:
-                width = self.layout.dim(k)
-                slices[k].append(v_mat[:, off:off + width])
-                off += width
-        for k in self.layout.clients():
-            payload = {"client": k, "resid": e,
-                       "patterns": [self._keys[g] for g in self._patterns_of[k]],
-                       "slices": slices[k]}
-            self.transport.send_to_client(
-                k, Message(self.t, ROUND_MSTEP, SERVER_ID,
-                           MSTEP_RESIDUAL_COUPLING, payload))
-
-        s_pat = [np.zeros(sum(self.layout.dim(k) for k in key)) for key in self._keys]
-        for k in self.layout.clients():
-            vecs = self._recv(k, MSTEP_PARTIAL_PROJECTION).payload["vecs"]
-            for g, w in zip(self._patterns_of[k], vecs):
-                s_pat[g] += np.asarray(w, dtype=float)
-        self._bcast(MSTEP_AGGREGATED_PROJECTION, ROUND_MSTEP,
-                    {"patterns": self._keys, "vecs": s_pat})
-
-        # variance round: per-pattern scalars up, scattered to the pattern's
-        # rows; new noise variance and loss
-        v4 = np.zeros(self.n)
-        for k in self.layout.clients():
-            vals = self._recv(k, VARSTEP_SCALAR).payload["vals"]
-            for g, val in zip(self._patterns_of[k], vals):
-                v4[self._patterns[g][1]] += float(val)
+        # new noise variance and loss, from the same closed forms
+        e = _m_step_residuals(r, sigma2, d, self._row_patterns)
+        quad = d - sigma2
+        v4 = np.concatenate(([0.0], quad - quad * quad / d))[self._row_patterns]
         self.last_residuals = e
-        self.last_v4 = v4
-        self._sigma2_pre = self.sigma2
+        self._sigma2_pre = sigma2
         loss = float(np.mean(e ** 2 + v4))
         self.sigma2 = loss
         return loss

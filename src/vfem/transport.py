@@ -21,13 +21,22 @@ from .errors import ProtocolDesync
 from .messages import Message, WireSchema, decode, encode
 
 _MAX_HELLO = 32  # characters read for a connection's hello line
+# seconds between checks for failed client threads while waiting to accept
+_ACCEPT_POLL = 0.05
 
 
 class ByteCounters:
     def __init__(self, num_clients: int):
         self.to_client = {k: 0 for k in range(1, num_clients + 1)}
         self.from_client = {k: 0 for k in range(1, num_clients + 1)}
+        self.by_kind: dict[str, dict[str, int]] = {}
         self.messages = 0
+
+    def add(self, k: int, kind: str, nbytes: int, outgoing: bool) -> None:
+        (self.to_client if outgoing else self.from_client)[k] += nbytes
+        per_kind = self.by_kind.setdefault(
+            kind, {"to_clients": 0, "from_clients": 0})
+        per_kind["to_clients" if outgoing else "from_clients"] += nbytes
 
     @property
     def total_to_clients(self) -> int:
@@ -47,6 +56,7 @@ class ByteCounters:
             "bytes_to_clients": self.total_to_clients,
             "bytes_from_clients": self.total_from_clients,
             "bytes_total": self.total,
+            "bytes_by_kind": {kind: dict(v) for kind, v in sorted(self.by_kind.items())},
         }
 
 
@@ -71,11 +81,7 @@ class BaseTransport:
         if line is None:
             line = encode(msg)
         if self.byte_accounting:
-            nbytes = len(line.encode("utf-8"))
-            if outgoing:
-                self.counters.to_client[k] += nbytes
-            else:
-                self.counters.from_client[k] += nbytes
+            self.counters.add(k, msg.kind, len(line.encode("utf-8")), outgoing)
         if self._trace_file:
             self._trace_file.write(line)
 
@@ -130,9 +136,13 @@ class SocketTransport(BaseTransport):
     """One loopback TCP connection per client, one thread per client agent.
 
     Both ends set TCP_NODELAY: the server writes two records back to back
-    with no reply in between (round_end, round_begin) and clients reply
-    with two writes, which Nagle's algorithm and delayed ACKs would stall
-    by tens of milliseconds each."""
+    with no reply in between (round_end, round_begin), which Nagle's
+    algorithm and delayed ACKs would stall by tens of milliseconds.
+
+    While waiting for the clients to connect, the server checks every
+    `_ACCEPT_POLL` seconds whether a client thread has failed, so a client
+    that cannot connect ends the fit with `ProtocolDesync` instead of
+    leaving it waiting forever."""
 
     def __init__(self, agents: dict, schema: WireSchema,
                  trace_path: Optional[str] = None, byte_accounting: bool = True):
@@ -149,9 +159,15 @@ class SocketTransport(BaseTransport):
             self._threads.append(th)
         self._conns: dict[int, socket.socket] = {}
         self._readers = {}
+        self._listener.settimeout(_ACCEPT_POLL)
         try:
-            for _ in agents:
-                conn, _addr = self._listener.accept()
+            while len(self._conns) < len(agents):
+                try:
+                    conn, _addr = self._listener.accept()
+                except socket.timeout:
+                    self._check_errors()
+                    continue
+                conn.settimeout(None)
                 reader = conn.makefile("r", encoding="utf-8")
                 try:
                     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

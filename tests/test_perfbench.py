@@ -5,6 +5,7 @@ message, per-kind byte tallies that add up to the fit's counters) fails
 here, not only when the benchmark is run.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -16,3 +17,15 @@ def test_perfbench_selftest_passes():
     proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_traced_benchmark_run_is_correct():
+    # a traced run tallies bytes per message kind from a fixed list of kinds
+    # and checks that they add up to the fit's wire bytes
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
+                           "heavy-inproc", "--seed", "1", "--seconds", "0.1",
+                           "--trace", "1"], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

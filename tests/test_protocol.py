@@ -1,4 +1,5 @@
 import socket
+import threading
 
 import numpy as np
 import pytest
@@ -20,7 +21,14 @@ from vfem import (
 from vfem.centralized import estep, observed_loss
 from vfem.errors import ProtocolDesync
 from vfem.federated import ClientAgent, ServerCoordinator
-from vfem.messages import ESTEP_BROADCAST, MESSAGE_KINDS, WireSchema, decode
+from vfem.messages import (
+    ESTEP_BROADCAST,
+    MESSAGE_KINDS,
+    SERVER_ID,
+    WireSchema,
+    decode,
+    encode,
+)
 from vfem import transport as transport_module
 from vfem.transport import InProcessTransport, SocketTransport
 
@@ -65,7 +73,8 @@ class TestRounds:
         agents, coord, transport = build_protocol(data, theta, eta=0.0)
         coord.run_iteration()
         assert agents[1].x_tilde[0, 0] == pytest.approx(1.0, abs=1e-15)
-        # coupling algebra for the same sample: u=1, d=2, w=0.5, alpha=0.5
+        # conditional covariance times beta for the same sample:
+        # alpha = u sigma2 / d = 1 * 1 / 2
         assert agents[1].last_alpha[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_coefficients_impute_client_means(self, small_instance):
@@ -198,6 +207,40 @@ class TestTransports:
         assert res.iterations == 4
         assert res.comm["bytes_total"] / (n * res.iterations) <= 1024
 
+    def test_one_round_trip_per_iteration(self):
+        # per client and iteration: round_begin, the local fit, the
+        # broadcast, the step reply and round_end; then one "converged"
+        data, _ = generate(smes_like_config(n=600, seed=3))
+        K = data.layout.num_clients
+        res = fit(data, FitConfig(engine="federated", max_iters=4, tol=1e-300))
+        assert res.iterations == 4
+        assert res.comm["messages"] == 5 * K * res.iterations + K
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_bytes_by_kind_add_up_to_the_trace(self, tmp_path, transport):
+        data, _ = make_instance(60, (2, 3, 2), 0.3, seed=41)
+        path = tmp_path / "trace.log"
+        res = fit(data, FitConfig(engine="federated", transport=transport,
+                                  max_iters=3, tol=1e-300, trace_path=str(path)))
+        from_trace: dict = {}
+        for line in path.read_text().splitlines(keepends=True):
+            msg = decode(line)
+            nbytes = len(encode(msg).encode("utf-8"))
+            assert nbytes == len(line.encode("utf-8"))
+            per_kind = from_trace.setdefault(msg.kind, {"to_clients": 0,
+                                                        "from_clients": 0})
+            per_kind["to_clients" if msg.sender == SERVER_ID
+                     else "from_clients"] += nbytes
+        by_kind = res.comm["bytes_by_kind"]
+        assert by_kind == from_trace
+        assert set(by_kind) == MESSAGE_KINDS
+        assert sum(v["to_clients"] for v in by_kind.values()) \
+            == res.comm["bytes_to_clients"]
+        assert sum(v["from_clients"] for v in by_kind.values()) \
+            == res.comm["bytes_from_clients"]
+        assert sum(sum(v.values()) for v in by_kind.values()) \
+            == res.comm["bytes_total"]
+
     def test_byte_accounting_scales_with_samples(self):
         sizes = (100, 200, 400)
         per_iter = []
@@ -241,6 +284,30 @@ class TestHandshake:
         # each client blocks reading until the server closes its connection,
         # and closing the transport has joined every client thread
         assert not any(th.is_alive() for th in transport._threads)
+
+
+    def test_client_that_cannot_connect_ends_the_fit(self, monkeypatch):
+        # the failure lands in a client thread while the server waits to
+        # accept; it must surface as a protocol error, not a hang
+        def refuse(*args, **kwargs):
+            raise ConnectionRefusedError("refused")
+
+        monkeypatch.setattr(transport_module.socket, "create_connection", refuse)
+        data, _ = make_instance(40, (2, 2), 0.3, seed=5)
+        outcome = []
+
+        def run():
+            try:
+                fit(data, FitConfig(engine="federated", transport="socket"))
+            except BaseException as err:
+                outcome.append(err)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=10.0)
+        assert not runner.is_alive(), "fit still waiting for the clients"
+        assert len(outcome) == 1 and isinstance(outcome[0], ProtocolDesync)
+        assert isinstance(outcome[0].__cause__, ConnectionRefusedError)
 
 
 class TestDesync:
