@@ -250,11 +250,6 @@ def test_unknown_kind_and_fields_rejected(schema):
     for msg in valid_messages().values():
         with pytest.raises(SchemaViolation):
             sch.validate(with_payload(msg, extra=[1, 2]))
-    # the earlier per-pattern form of the step reply
-    with pytest.raises(SchemaViolation):
-        sch.validate(Message(0, ROUND_VARSTEP, 2, VARSTEP_SCALAR,
-                             {"patterns": [(1, 2), (2,)],
-                              "vals": np.array([0.5, 0.25])}))
 
 
 def test_non_finite_payload_rejected(schema):
@@ -288,6 +283,22 @@ def test_non_finite_payload_rejected(schema):
     # a step norm is never negative
     with pytest.raises(SchemaViolation):
         sch.validate(with_payload(msgs[VARSTEP_SCALAR], value=-0.5))
+
+
+def test_varstep_scalars_one_per_pattern(schema):
+    # the step reply is one scalar per party now, not one per pattern
+    sch, layout, mask = schema
+    ok = valid_messages()[VARSTEP_SCALAR]
+    sch.validate(ok)
+    for value in (np.zeros(3), np.zeros(1), np.zeros((2, 1)),
+                  np.zeros(mask.missing_rows(2).size)):
+        with pytest.raises(SchemaViolation):
+            sch.validate(with_payload(ok, value=value))
+    for payload in ({"idx": mask.missing_rows(2), "vals": np.zeros(3)},
+                    {"patterns": [(1, 2), (2,)], "vals": np.array([0.5, 0.25])},
+                    {"value": 0.5, "vals": np.array([0.5, 0.25])}):
+        with pytest.raises(SchemaViolation):
+            sch.validate(Message(0, ROUND_VARSTEP, 2, VARSTEP_SCALAR, payload))
 
 
 def test_broadcast_denominators_one_per_pattern(schema):
