@@ -1,6 +1,6 @@
 #!/bin/sh
 # End-to-end command-line pipeline in a scratch directory:
-# generate -> fit (with a wire trace) -> infer -> montecarlo -> benchmark.
+# generate -> fit (with a wire trace) -> infer -> montecarlo.
 set -e
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
@@ -20,6 +20,3 @@ vfem infer --data data --fit fit.json --out infer.json --stats sketch --seed 1
 echo "== montecarlo =="
 vfem montecarlo --reps 5 --n 400 --clients 2,2 --rho 0.3 \
     --methods vfem,cc,impute --seed 2 --out mc.csv
-
-echo "== benchmark =="
-vfem benchmark --sizes 500,1000,2000 --clients 2,2 --iters 2 --out bench.json

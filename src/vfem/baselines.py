@@ -9,8 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import VerticalDataset, make_dataset
-from .engine import FitConfig, fit
+from .data import VerticalDataset
 from .errors import InsufficientCompleteCases
 
 
@@ -59,34 +58,9 @@ class BaselineResult:
     mse: Optional[float]
 
 
-def _fit_pooled(x: np.ndarray, y: np.ndarray, layout, engine: str) -> OlsFit:
-    """Least squares on a fully observed pooled design, optionally routed
-    through the federated gradient machinery (no missingness, so the
-    iteration reduces to distributed gradient descent)."""
-    direct = ols(x, y)
-    if engine == "direct":
-        return direct
-    blocks = [x[:, layout.block_slice(k)] for k in layout.clients()]
-    mask = np.zeros((x.shape[0], layout.num_clients), dtype=bool)
-    data = make_dataset(layout, blocks, y, mask)
-    cfg = FitConfig(engine="federated" if engine == "federated" else "oracle",
-                    max_iters=5000, tol=1e-14, byte_accounting=False)
-    res = fit(data, cfg)
-    return OlsFit(beta=res.theta.beta, std_errors=direct.std_errors,
-                  sigma2_mle=res.theta.sigma2, r2=direct.r2,
-                  adj_r2=direct.adj_r2, n_used=x.shape[0])
-
-
 def run_baseline(kind: BaselineKind, data: VerticalDataset,
-                 test: Optional[VerticalDataset] = None,
-                 engine: str = "direct") -> BaselineResult:
-    """Fit one baseline on `data`; report held-out MSE when `test` is given.
-
-    `engine` picks how the pooled least-squares subproblem is solved:
-    'direct' (normal equations), 'oracle', or 'federated' (through the
-    round-based machinery, which reduces to distributed gradient descent
-    because the constructed subproblem has no missing blocks).
-    """
+                 test: Optional[VerticalDataset] = None) -> BaselineResult:
+    """Fit one baseline on `data`; report held-out MSE when `test` is given."""
     layout, mask = data.layout, data.mask
     p = layout.total_dim
     y = data.y
@@ -111,7 +85,7 @@ def run_baseline(kind: BaselineKind, data: VerticalDataset,
                 f"{rows.size} fully observed rows; need at least {p + 2}")
         x_cc = np.concatenate([data.view(k).x[rows] for k in layout.clients()],
                               axis=1)
-        fit_ols = _fit_pooled(x_cc, y[rows], layout, engine)
+        fit_ols = ols(x_cc, y[rows])
         beta, se = fit_ols.beta, fit_ols.std_errors
         support = np.ones(p, dtype=bool)
     elif kind is BaselineKind.MEAN_IMPUTE:
@@ -124,7 +98,7 @@ def run_baseline(kind: BaselineKind, data: VerticalDataset,
             block[obs] = view.x[obs]
             filled.append(block)
         x_imp = np.concatenate(filled, axis=1)
-        fit_ols = _fit_pooled(x_imp, y, layout, engine)
+        fit_ols = ols(x_imp, y)
         beta, se = fit_ols.beta, fit_ols.std_errors
         support = np.ones(p, dtype=bool)
     else:

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: generate, fit, infer, montecarlo, benchmark. Options can come
-from a plain-text key=value config file (--config) with command-line flags
-taking precedence. Exit codes: 0 success/converged, 2 fit did not converge,
+Subcommands: generate, fit, infer, montecarlo. Options can come from a
+plain-text key=value config file (--config) with command-line flags taking
+precedence. Exit codes: 0 success/converged, 2 fit did not converge,
 3 validation or usage error, 4 protocol error.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import numpy as np
 
 from . import __version__
 from .data import BlockLayout
@@ -120,8 +119,8 @@ def cmd_generate(args) -> int:
 
 def _fit_config_from(cfg_vals: dict) -> FitConfig:
     kwargs = {}
-    for key in ("max_iters", "tol", "learning_rate", "seed", "engine",
-                "transport", "trace_path", "init"):
+    for key in ("max_iters", "tol", "learning_rate", "engine", "transport",
+                "trace_path", "init"):
         if key in cfg_vals and cfg_vals[key] is not None:
             kwargs[key] = cfg_vals[key]
     return FitConfig(**kwargs)
@@ -129,7 +128,7 @@ def _fit_config_from(cfg_vals: dict) -> FitConfig:
 
 def cmd_fit(args) -> int:
     cfg_vals = _merge_config(args, ["engine", "transport", "max_iters", "tol",
-                                    "learning_rate", "seed", "init"])
+                                    "learning_rate", "init"])
     if args.trace:
         cfg_vals["trace_path"] = args.trace
     cfg = _fit_config_from(cfg_vals)
@@ -223,51 +222,6 @@ def cmd_montecarlo(args) -> int:
     return EXIT_OK
 
 
-def cmd_benchmark(args) -> int:
-    cfg_vals = _merge_config(args, ["sizes", "clients", "rho", "iters", "seed"])
-    sizes = cfg_vals.get("sizes", "1000,10000,100000")
-    if isinstance(sizes, str):
-        sizes = [int(s) for s in sizes.split(",")]
-    dims = _parse_dims(cfg_vals.get("clients", "2,2,2"))
-    rho = _parse_rates(cfg_vals.get("rho", 0.3))
-    iters = int(cfg_vals.get("iters", 3))
-    seed = int(cfg_vals.get("seed", 0))
-
-    rows = []
-    for n in sizes:
-        gen = GenConfig(n=int(n), layout=BlockLayout(dims), rho=rho, seed=seed)
-        data, _ = generate(gen)
-        cfg = FitConfig(engine="federated", transport="inproc",
-                        max_iters=iters, tol=1e-300)
-        started = time.perf_counter()
-        result = fit(data, cfg)
-        elapsed = time.perf_counter() - started
-        bytes_per_iter = result.comm["bytes_total"] / result.iterations
-        rows.append({"n": int(n), "iterations": result.iterations,
-                     "bytes_per_iteration": bytes_per_iter,
-                     "seconds": elapsed})
-    ns = np.array([r["n"] for r in rows], dtype=float)
-    bs = np.array([r["bytes_per_iteration"] for r in rows])
-    design = np.column_stack([np.ones_like(ns), ns])
-    coef, *_ = np.linalg.lstsq(design, bs, rcond=None)
-    pred = design @ coef
-    ss_res = float(np.sum((bs - pred) ** 2))
-    ss_tot = float(np.sum((bs - bs.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-
-    print(f"{'n':>8} {'iters':>6} {'bytes/iter':>14} {'seconds':>9}")
-    for r in rows:
-        print(f"{r['n']:>8} {r['iterations']:>6} "
-              f"{r['bytes_per_iteration']:>14.1f} {r['seconds']:>9.3f}")
-    print(f"linear fit bytes/iter ~ a + b*n: b={coef[1]:.2f}, R^2={r2:.5f}")
-    if args.out:
-        write_json(args.out, {"rows": rows,
-                              "linear_fit": {"intercept": coef[0],
-                                             "slope": coef[1], "r2": r2}})
-        print(f"profile written to {args.out}")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vfem",
@@ -298,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--tol", type=float)
     f.add_argument("--learning-rate", dest="learning_rate", type=float)
     f.add_argument("--init", choices=["zeros", "cc-ols"])
-    f.add_argument("--seed", type=int)
     f.add_argument("--trace", help="append every protocol message to this file")
     f.set_defaults(func=cmd_fit)
 
@@ -331,15 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--out")
     m.set_defaults(func=cmd_montecarlo)
 
-    b = sub.add_parser("benchmark", help="bytes/iteration and wall time vs n")
-    b.add_argument("--config")
-    b.add_argument("--sizes", help="comma-separated sample sizes")
-    b.add_argument("--clients")
-    b.add_argument("--rho")
-    b.add_argument("--iters", type=int)
-    b.add_argument("--seed", type=int)
-    b.add_argument("--out")
-    b.set_defaults(func=cmd_benchmark)
     return parser
 
 

@@ -1,9 +1,12 @@
-"""Fit orchestration: initialization, the iteration loop for both engines,
+"""Fit orchestration: initialization, one iteration loop for both engines,
 convergence handling, and prediction.
 
-The federated engine runs the round-based protocol with a first-order
-coefficient step; the oracle engine iterates the closed-form maximization on
-pooled data. Both monitor the same loss (mean squared residual plus the
+Each engine evaluates the same EM fixed-point map. The federated engine runs
+one protocol round trip per iteration with a first-order coefficient step;
+the oracle engine applies the closed-form maximization to pooled data. The
+loop in `fit` owns everything else, once for both: the loss and step traces,
+the tolerance and stall stops, the divergence guard and the result. Both
+engines monitor the same loss (mean squared residual plus the
 conditional-covariance corrections) and stop when successive losses differ
 by less than the tolerance.
 """
@@ -37,6 +40,8 @@ from .transport import InProcessTransport, SocketTransport
 ENGINES = ("federated", "oracle")
 TRANSPORTS = ("inproc", "socket")
 INIT_STRATEGIES = ("zeros", "cc-ols")
+# step halvings the divergence guard allows before a fit ends as "diverged"
+_MAX_HALVINGS = 8
 
 
 @dataclass
@@ -45,14 +50,11 @@ class FitConfig:
     tol: float = 1e-8
     learning_rate: Optional[float] = None   # None = plug-in spectral step
     init: Union[str, np.ndarray] = "zeros"
-    seed: int = 0
     engine: str = "federated"
     transport: str = "inproc"
     trace_path: Optional[str] = None
-    byte_accounting: bool = True
     beta_stall_tol: float = 1e-10
     divergence_patience: int = 10
-    max_halvings: int = 8
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -219,37 +221,40 @@ def _oracle_snapshot(t: int, theta: ModelParameters, cache: EStepCache,
                              sigma2_new=loss, loss=loss)
 
 
-def _fit_oracle(data: VerticalDataset, cfg: FitConfig, theta0: ModelParameters,
-                inspect: Optional[Callable]) -> FitResult:
-    theta = theta0
-    losses: list[float] = []
-    steps: list[float] = []
-    prev: Optional[float] = None
-    converged, reason = False, "max_iters"
+class _OracleEngine:
+    """The closed-form EM map on pooled data. It has no step size to halve."""
 
-    for t in range(cfg.max_iters):
-        cache = estep(theta, data)
+    eta = None
+
+    def __init__(self, data: VerticalDataset, theta0: ModelParameters):
+        self.data = data
+        self.theta = theta0
+        self._start = self._best = theta0
+
+    def run_iteration(self, t: int, inspect: Optional[Callable]) -> tuple[float, float]:
+        """One EM step; returns the loss at the iteration-start parameters
+        and the norm of the coefficient step."""
+        cache = estep(self.theta, self.data)
         loss = observed_loss(cache.e, cache.v4)
         if inspect is not None:
-            inspect(_oracle_snapshot(t, theta, cache, data, loss))
-        theta_new = closed_form_m_step(theta, data, cache)
-        steps.append(float(np.linalg.norm(theta_new.beta - theta.beta)))
-        theta = theta_new
-        losses.append(loss)
-        if prev is not None and abs(loss - prev) < cfg.tol:
-            converged, reason = True, "loss"
-            break
-        if steps[-1] < cfg.beta_stall_tol and _loss_quiet(loss, prev):
-            # frozen coefficients and a quiet loss: nothing left to move,
-            # but the while-condition itself never fired
-            converged, reason = False, "stalled"
-            break
-        prev = loss
+            inspect(_oracle_snapshot(t, self.theta, cache, self.data, loss))
+        theta_new = closed_form_m_step(self.theta, self.data, cache)
+        step = float(np.linalg.norm(theta_new.beta - self.theta.beta))
+        self._start, self.theta = self.theta, theta_new
+        return loss, step
 
-    return FitResult(theta=theta, loss_trace=np.asarray(losses),
-                     iterations=len(losses), converged=converged, reason=reason,
-                     beta_step_trace=np.asarray(steps), eta=None,
-                     eta_halvings=0, engine="oracle")
+    def end_iteration(self, best: bool, restore: bool,
+                      eta_scale: Optional[float]) -> None:
+        if best:
+            self._best = self._start
+        if restore:
+            self.theta = self._best
+
+    def finish(self) -> tuple[ModelParameters, Optional[dict]]:
+        return self.theta, None
+
+    def close(self) -> None:
+        pass
 
 
 def _collect_theta(agents: dict, coord: ServerCoordinator,
@@ -278,23 +283,61 @@ def _federated_snapshot(t: int, agents: dict, coord: ServerCoordinator,
                              sigma2_new=loss, loss=loss)
 
 
-def _fit_federated(data: VerticalDataset, cfg: FitConfig, theta0: ModelParameters,
-                   inspect: Optional[Callable]) -> FitResult:
-    layout, mask = data.layout, data.mask
-    eta = cfg.learning_rate if cfg.learning_rate is not None else plug_in_learning_rate(theta0)
+class _FederatedEngine:
+    """The client agents, their transport and the coordinator; one round trip
+    per iteration with a first-order coefficient step of size `eta`."""
 
-    agents = {}
-    for k in layout.clients():
-        agent = ClientAgent(data.view(k), layout, mask, eta)
-        agent.load_params(theta0.beta_block(layout, k), theta0.mu[k - 1],
-                          theta0.sigma_blocks[k - 1])
-        agents[k] = agent
+    def __init__(self, data: VerticalDataset, cfg: FitConfig,
+                 theta0: ModelParameters):
+        layout, mask = data.layout, data.mask
+        self.layout = layout
+        self.eta = (cfg.learning_rate if cfg.learning_rate is not None
+                    else plug_in_learning_rate(theta0))
+        self.agents = {}
+        for k in layout.clients():
+            agent = ClientAgent(data.view(k), layout, mask, self.eta)
+            agent.load_params(theta0.beta_block(layout, k), theta0.mu[k - 1],
+                              theta0.sigma_blocks[k - 1])
+            self.agents[k] = agent
+        schema = WireSchema(layout, mask)
+        transport_cls = {"inproc": InProcessTransport,
+                         "socket": SocketTransport}[cfg.transport]
+        self.transport = transport_cls(self.agents, schema,
+                                       trace_path=cfg.trace_path)
+        self.coord = ServerCoordinator(data.y, layout, mask, theta0.sigma2,
+                                       self.transport)
 
-    schema = WireSchema(layout, mask)
-    transport_cls = {"inproc": InProcessTransport, "socket": SocketTransport}[cfg.transport]
-    transport = transport_cls(agents, schema, trace_path=cfg.trace_path,
-                              byte_accounting=cfg.byte_accounting)
-    coord = ServerCoordinator(data.y, layout, mask, theta0.sigma2, transport)
+    def run_iteration(self, t: int, inspect: Optional[Callable]) -> tuple[float, float]:
+        loss = self.coord.run_iteration()
+        if inspect is not None:
+            inspect(_federated_snapshot(t, self.agents, self.coord, self.layout, loss))
+        # each client's step norm arrives in its last reply
+        return loss, math.sqrt(sum(step ** 2 for step in self.coord.last_beta_steps))
+
+    def end_iteration(self, best: bool, restore: bool,
+                      eta_scale: Optional[float]) -> None:
+        self.coord.end_iteration(best=best, restore=restore, eta_scale=eta_scale)
+
+    def finish(self) -> tuple[ModelParameters, Optional[dict]]:
+        self.coord.announce_convergence()
+        theta = _collect_theta(self.agents, self.coord, self.layout)
+        return theta, self.transport.counters.snapshot()
+
+    def close(self) -> None:
+        self.transport.close()
+
+
+def fit(data: VerticalDataset, cfg: FitConfig,
+        inspect: Optional[Callable] = None) -> FitResult:
+    """Run the configured engine to convergence and package the result.
+
+    A non-finite loss, or `cfg.divergence_patience` rises in a row, restores
+    the best iterate and halves the step, at most `_MAX_HALVINGS` times; an
+    engine without a step size (the oracle) stops there with "diverged".
+    """
+    theta0 = initialize(data, cfg)
+    engine = (_OracleEngine(data, theta0) if cfg.engine == "oracle"
+              else _FederatedEngine(data, cfg, theta0))
 
     losses: list[float] = []
     steps: list[float] = []
@@ -305,64 +348,48 @@ def _fit_federated(data: VerticalDataset, cfg: FitConfig, theta0: ModelParameter
 
     try:
         for t in range(cfg.max_iters):
-            loss = coord.run_iteration()
-            if inspect is not None:
-                inspect(_federated_snapshot(t, agents, coord, layout, loss))
+            loss, step = engine.run_iteration(t, inspect)
             losses.append(loss)
-            # each client's step norm arrives in its last reply
-            steps.append(math.sqrt(sum(step ** 2 for step in coord.last_beta_steps)))
+            steps.append(step)
 
             finite = math.isfinite(loss)
             is_best = finite and loss < best_loss
             if is_best:
                 best_loss = loss
-            trigger = not finite
+            restore = not finite
             if finite:
                 streak = streak + 1 if (prev is not None and loss > prev) else 0
-                trigger = streak >= cfg.divergence_patience
+                restore = streak >= cfg.divergence_patience
 
-            stop = False
-            restore, scale = False, None
-            if trigger:
-                restore = True
-                if halvings < cfg.max_halvings:
+            stop, scale = False, None
+            if restore:
+                if engine.eta is not None and halvings < _MAX_HALVINGS:
                     halvings += 1
                     scale = 0.5
                     streak = 0
                 else:
-                    converged, reason, stop = False, "diverged", True
+                    reason, stop = "diverged", True
             elif prev is not None and abs(loss - prev) < cfg.tol:
                 converged, reason, stop = True, "loss", True
-            elif steps[-1] < cfg.beta_stall_tol and _loss_quiet(loss, prev):
-                converged, reason, stop = False, "stalled", True
+            elif step < cfg.beta_stall_tol and _loss_quiet(loss, prev):
+                # frozen coefficients and a quiet loss: nothing left to move,
+                # but the tolerance itself never fired
+                reason, stop = "stalled", True
 
-            coord.end_iteration(best=is_best, restore=restore, eta_scale=scale)
-            if restore:
-                prev = None
-            else:
-                prev = loss
+            engine.end_iteration(best=is_best, restore=restore, eta_scale=scale)
+            prev = None if restore else loss
             if stop:
                 break
-        coord.announce_convergence()
-        theta = _collect_theta(agents, coord, layout)
-        comm = transport.counters.snapshot()
+        theta, comm = engine.finish()
     finally:
-        transport.close()
+        engine.close()
 
     return FitResult(theta=theta, loss_trace=np.asarray(losses),
                      iterations=len(losses), converged=converged, reason=reason,
-                     beta_step_trace=np.asarray(steps), eta=eta,
-                     eta_halvings=halvings, engine="federated",
-                     transport=cfg.transport, comm=comm)
-
-
-def fit(data: VerticalDataset, cfg: FitConfig,
-        inspect: Optional[Callable] = None) -> FitResult:
-    """Run the configured engine to convergence and package the result."""
-    theta0 = initialize(data, cfg)
-    if cfg.engine == "oracle":
-        return _fit_oracle(data, cfg, theta0, inspect)
-    return _fit_federated(data, cfg, theta0, inspect)
+                     beta_step_trace=np.asarray(steps), eta=engine.eta,
+                     eta_halvings=halvings, engine=cfg.engine,
+                     transport=cfg.transport if cfg.engine == "federated" else None,
+                     comm=comm)
 
 
 @dataclass(frozen=True)

@@ -284,8 +284,8 @@ class ServerCoordinator:
             self.best_sigma2 = self._sigma2_pre
         if restore:
             self.sigma2 = self.best_sigma2
-        payload: dict = {"event": "round_end", "loss": self.sigma2,
-                         "best": bool(best), "restore": bool(restore)}
+        payload: dict = {"event": "round_end", "best": bool(best),
+                         "restore": bool(restore)}
         if eta_scale is not None:
             payload["eta_scale"] = float(eta_scale)
         self._bcast(CONTROL, ROUND_CONTROL, payload)

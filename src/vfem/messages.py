@@ -55,8 +55,7 @@ _PAYLOAD_FIELDS = {
     ESTEP_LOCAL_FIT: {"fit": True, "mean": False, "quad": False},
     ESTEP_BROADCAST: {"sigma2": False, "denom": True, "resid": True},
     VARSTEP_SCALAR: {"value": False},
-    CONTROL: dict.fromkeys(("event", "loss", "best", "restore", "eta_scale"),
-                           False),
+    CONTROL: dict.fromkeys(("event", "best", "restore", "eta_scale"), False),
 }
 
 
@@ -229,9 +228,8 @@ class WireSchema:
             self._require(msg.sender == SERVER_ID, f"{kind}: server only")
             event = pay.get("event")
             self._require(event in CONTROL_EVENTS, f"unknown control event {event!r}")
-            for key in ("loss", "eta_scale"):
-                if key in pay:
-                    self._require_scalars(pay, (key,), kind)
+            if "eta_scale" in pay:
+                self._require_scalars(pay, ("eta_scale",), kind)
             for key in ("best", "restore"):
                 if key in pay:
                     self._require(isinstance(pay[key], (bool, np.bool_)),

@@ -23,6 +23,8 @@ from .messages import Message, WireSchema, decode, encode
 _MAX_HELLO = 32  # characters read for a connection's hello line
 # seconds between checks for failed client threads while waiting to accept
 _ACCEPT_POLL = 0.05
+# seconds a new connection has to send its hello line
+_HELLO_TIMEOUT = 5.0
 
 
 class ByteCounters:
@@ -62,11 +64,10 @@ class ByteCounters:
 
 class BaseTransport:
     def __init__(self, schema: WireSchema, num_clients: int,
-                 trace_path: Optional[str] = None, byte_accounting: bool = True):
+                 trace_path: Optional[str] = None):
         self.schema = schema
         self.num_clients = num_clients
         self.counters = ByteCounters(num_clients)
-        self.byte_accounting = byte_accounting
         self._trace_file = open(trace_path, "w") if trace_path else None
         self.drop_rules: list[Callable[[int, Message], bool]] = []
 
@@ -76,12 +77,9 @@ class BaseTransport:
 
     def _record(self, k: int, msg: Message, outgoing: bool, line: str | None = None) -> None:
         self.counters.messages += 1
-        if not (self.byte_accounting or self._trace_file):
-            return
         if line is None:
             line = encode(msg)
-        if self.byte_accounting:
-            self.counters.add(k, msg.kind, len(line.encode("utf-8")), outgoing)
+        self.counters.add(k, msg.kind, len(line.encode("utf-8")), outgoing)
         if self._trace_file:
             self._trace_file.write(line)
 
@@ -109,8 +107,8 @@ class InProcessTransport(BaseTransport):
     the addressed agent; its replies queue until the server collects them."""
 
     def __init__(self, agents: dict, schema: WireSchema,
-                 trace_path: Optional[str] = None, byte_accounting: bool = True):
-        super().__init__(schema, len(agents), trace_path, byte_accounting)
+                 trace_path: Optional[str] = None):
+        super().__init__(schema, len(agents), trace_path)
         self.agents = agents
         self._outboxes: dict[int, deque] = {k: deque() for k in agents}
 
@@ -142,11 +140,12 @@ class SocketTransport(BaseTransport):
     While waiting for the clients to connect, the server checks every
     `_ACCEPT_POLL` seconds whether a client thread has failed, so a client
     that cannot connect ends the fit with `ProtocolDesync` instead of
-    leaving it waiting forever."""
+    leaving it waiting forever. A connection that sends no hello within
+    `_HELLO_TIMEOUT` seconds ends it the same way."""
 
     def __init__(self, agents: dict, schema: WireSchema,
-                 trace_path: Optional[str] = None, byte_accounting: bool = True):
-        super().__init__(schema, len(agents), trace_path, byte_accounting)
+                 trace_path: Optional[str] = None):
+        super().__init__(schema, len(agents), trace_path)
         self.agents = agents
         self._listener = socket.create_server(("127.0.0.1", 0))
         host, port = self._listener.getsockname()
@@ -167,11 +166,12 @@ class SocketTransport(BaseTransport):
                 except socket.timeout:
                     self._check_errors()
                     continue
-                conn.settimeout(None)
+                conn.settimeout(_HELLO_TIMEOUT)
                 reader = conn.makefile("r", encoding="utf-8")
                 try:
                     conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                     k = self._read_hello(reader)
+                    conn.settimeout(None)
                 except BaseException:
                     reader.close()
                     conn.close()

@@ -74,8 +74,7 @@ def test_criterion_01_least_squares_reduction():
 
     worst_beta, worst_se = 0.0, 0.0
     for engine in ("oracle", "federated"):
-        res = fit(data, FitConfig(engine=engine, tol=1e-13, max_iters=3000,
-                                  byte_accounting=False))
+        res = fit(data, FitConfig(engine=engine, tol=1e-13, max_iters=3000))
         worst_beta = max(worst_beta,
                          float(np.linalg.norm(res.theta.beta - f.beta)))
         rep = run_inference(res.theta, data,
@@ -185,7 +184,7 @@ def test_criterion_05_convergence_geometry():
                                     beta=beta_star)
         errs = []
         fit(data, FitConfig(engine="federated", max_iters=120, tol=1e-12,
-                            learning_rate=0.3, byte_accounting=False),
+                            learning_rate=0.3),
             inspect=lambda s: errs.append(
                 np.linalg.norm(s.theta.beta - truth.params.beta)))
         errs = np.asarray(errs)

@@ -77,10 +77,3 @@ def test_heldout_mse_reported():
     train = data.subset(np.setdiff1d(np.arange(data.n), complete[:50]))
     res = run_baseline(BaselineKind.MEAN_IMPUTE, train, test=test)
     assert res.mse is not None and np.isfinite(res.mse)
-
-
-def test_federated_route_matches_direct_solution():
-    data, _ = make_instance(120, (2, 2), 0.3, seed=8)
-    direct = run_baseline(BaselineKind.MEAN_IMPUTE, data, engine="direct")
-    via_fed = run_baseline(BaselineKind.MEAN_IMPUTE, data, engine="federated")
-    assert np.linalg.norm(direct.beta - via_fed.beta) < 1e-6

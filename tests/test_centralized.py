@@ -198,8 +198,7 @@ class TestMStep:
         from vfem import fit
         data, _ = make_instance(500, (4, 3, 3), 0.3, seed=77)
         r1 = fit(data, FitConfig(engine="oracle", tol=1e-12))
-        r2 = fit(data, FitConfig(engine="federated", tol=1e-12, max_iters=4000,
-                                 byte_accounting=False))
+        r2 = fit(data, FitConfig(engine="federated", tol=1e-12, max_iters=4000))
         assert np.linalg.norm(r1.theta.beta - r2.theta.beta) < 1e-4
 
 

@@ -160,9 +160,3 @@ def test_montecarlo_and_benchmark_run(tmp_path, capsys):
     assert table.count("\n") == 3
     vfem_row = table.splitlines()[1].split(",")
     assert vfem_row[0] == "vfem" and vfem_row[5] != ""  # coverage column filled
-
-    code = main(["benchmark", "--sizes", "200,400", "--clients", "2,2",
-                 "--iters", "2", "--out", str(tmp_path / "bench.json")])
-    assert code == EXIT_OK
-    prof = json.loads((tmp_path / "bench.json").read_text())
-    assert prof["linear_fit"]["r2"] > 0.9

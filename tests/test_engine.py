@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from vfem import (
     plug_in_learning_rate,
     predict,
 )
+import vfem.engine as engine_module
 from vfem.errors import (
     ConfigError,
     DegenerateVariance,
@@ -103,8 +106,7 @@ class TestFit:
         data, _ = make_instance(150, (2, 2), 0.0, seed=4)
         x = data.full_design()
         beta_ls = np.linalg.solve(x.T @ x, x.T @ data.y)
-        res = fit(data, FitConfig(engine="federated", max_iters=2000, tol=1e-13,
-                                  byte_accounting=False))
+        res = fit(data, FitConfig(engine="federated", max_iters=2000, tol=1e-13))
         assert np.linalg.norm(res.theta.beta - beta_ls) < 1e-6
 
     def test_engines_share_stationary_point_with_missingness(self):
@@ -118,7 +120,7 @@ class TestFit:
             gen = GenConfig(n=n, layout=BlockLayout(dims), rho=rho, seed=seed)
             data, truth = generate(gen)
             r_fed = fit(data, FitConfig(engine="federated", max_iters=6000,
-                                        tol=1e-12, byte_accounting=False))
+                                        tol=1e-12))
             r_orc = fit(data, FitConfig(engine="oracle", tol=1e-12))
             assert np.linalg.norm(r_fed.theta.beta - r_orc.theta.beta) < 1e-4
 
@@ -186,8 +188,31 @@ class TestDivergenceGuard:
     def test_oversized_step_recovers_via_halving(self):
         data, _ = make_instance(200, (2, 2), 0.3, seed=14)
         res = fit(data, FitConfig(engine="federated", max_iters=1500, tol=1e-9,
-                                  learning_rate=5.0, divergence_patience=5,
-                                  byte_accounting=False))
+                                  learning_rate=5.0, divergence_patience=5))
         assert res.eta_halvings >= 1
         assert np.isfinite(res.loss_trace[res.loss_trace > 0][-1])
         assert res.converged
+
+    def test_rising_oracle_loss_restores_the_best_iterate(self, monkeypatch):
+        # the oracle has no step to halve: a loss that keeps rising ends the
+        # fit at its best iterate instead of running out the budget
+        real = engine_module.closed_form_m_step
+
+        def inflated(theta, data, cache):
+            new = real(theta, data, cache)
+            return dataclasses.replace(new, sigma2=10.0 * new.sigma2)
+
+        monkeypatch.setattr(engine_module, "closed_form_m_step", inflated)
+        data, _ = make_instance(200, (2, 2), 0.3, seed=14)
+        cfg = FitConfig(engine="oracle", init="cc-ols", max_iters=200)
+        snaps = []
+        res = fit(data, cfg, inspect=snaps.append)
+        assert res.reason == "diverged" and not res.converged
+        assert res.iterations <= cfg.divergence_patience + 1
+        assert np.all(np.diff(res.loss_trace) > 0)
+        best = snaps[int(np.argmin(res.loss_trace))].theta
+        assert np.array_equal(res.theta.beta, best.beta)
+        assert res.theta.sigma2 == best.sigma2
+        for got, want in zip(res.theta.mu + res.theta.sigma_blocks,
+                             best.mu + best.sigma_blocks):
+            assert np.array_equal(got, want)

@@ -48,7 +48,7 @@ def valid_messages():
         VARSTEP_SCALAR: Message(0, ROUND_VARSTEP, 2, VARSTEP_SCALAR,
                                 {"value": 0.5}),
         CONTROL: Message(0, "control", SERVER_ID, CONTROL,
-                         {"event": "round_end", "loss": 1.25, "best": True,
+                         {"event": "round_end", "best": True,
                           "restore": False, "eta_scale": 0.5}),
     }
 
@@ -220,7 +220,7 @@ def test_raw_covariate_block_rejected(schema):
                     sch.validate(bad)
                 with pytest.raises(SchemaViolation):
                     encode(bad)
-    assert slots == 11
+    assert slots == 10
 
     # packed into a vector slot, a block's bytes decode to a vector of
     # length m_k * p_k or n * p_k: a client's own block does not fit its
@@ -262,7 +262,6 @@ def test_non_finite_payload_rejected(schema):
                            (msgs[ESTEP_LOCAL_FIT], "mean"),
                            (msgs[ESTEP_LOCAL_FIT], "quad"),
                            (msgs[ESTEP_BROADCAST], "sigma2"),
-                           (msgs[CONTROL], "loss"),
                            (msgs[CONTROL], "eta_scale")):
             with pytest.raises(SchemaViolation):
                 sch.validate(with_payload(msg, **{field: value}))

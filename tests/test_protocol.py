@@ -104,7 +104,7 @@ class TestRounds:
     def test_noise_variance_stays_positive_across_iterations(self):
         data, _ = make_instance(120, (2, 2), 0.4, seed=31)
         res = fit(data, FitConfig(engine="federated", max_iters=100, tol=1e-300,
-                                  beta_stall_tol=0.0, byte_accounting=False))
+                                  beta_stall_tol=0.0))
         # an exact floating-point fixed point may stop the loop early
         assert res.iterations == 100 or res.loss_trace[-1] == res.loss_trace[-2]
         assert np.all(res.loss_trace > 0)
@@ -285,6 +285,37 @@ class TestHandshake:
         # and closing the transport has joined every client thread
         assert not any(th.is_alive() for th in transport._threads)
 
+    def test_silent_connection_ends_the_handshake(self, monkeypatch):
+        # client 1 connects and never says hello; the hello read must give up
+        monkeypatch.setattr(transport_module, "_HELLO_TIMEOUT", 0.2,
+                            raising=False)
+        opened, outcome = [], []
+
+        class SilentTransport(SocketTransport):
+            def _client_loop(self, k, agent, host, port):
+                opened.append(self)
+                if k != 1:
+                    return super()._client_loop(k, agent, host, port)
+                with socket.create_connection((host, port)) as sock, \
+                        sock.makefile("rb") as reader:
+                    reader.read()  # until the server hangs up
+
+        schema = WireSchema(BlockLayout((1, 1)), MissingMask(np.zeros((3, 2))))
+
+        def run():
+            try:
+                SilentTransport({1: None, 2: None}, schema)
+            except BaseException as err:
+                outcome.append(err)
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=10.0)
+        assert not runner.is_alive(), "server still waiting for a hello"
+        assert len(outcome) == 1 and isinstance(outcome[0], ProtocolDesync)
+        transport = opened[0]
+        assert transport._listener.fileno() == -1
+        assert not any(th.is_alive() for th in transport._threads)
 
     def test_client_that_cannot_connect_ends_the_fit(self, monkeypatch):
         # the failure lands in a client thread while the server waits to
