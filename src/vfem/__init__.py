@@ -5,6 +5,10 @@ split across clients that cannot share raw data and whole blocks are missing
 per sample. Provides the round-based federated estimator, a centralized
 closed-form oracle, sketch-based standard errors, synthetic data generation,
 baselines, and a Monte Carlo harness.
+
+`em_map(theta, pattern_moments(data), nuisance_free)` is the EM map the
+standard errors differentiate; it takes the per-pattern moments that
+`pattern_moments` builds once, not the dataset.
 """
 
 from . import errors
@@ -16,6 +20,7 @@ from .centralized import (
     estep,
     observed_loglik,
     observed_loss,
+    pattern_moments,
     q_gradient_beta,
     q_value,
 )
@@ -66,7 +71,7 @@ __all__ = [
     "closed_form_m_step", "conditional_moments", "em_map", "errors", "estep",
     "exact_statistics", "fit", "generate", "initialize", "make_dataset",
     "monte_carlo", "observed_loglik", "observed_loss", "ols",
-    "plug_in_learning_rate", "predict", "q_gradient_beta", "q_value",
-    "run_baseline", "run_inference", "sem_jacobian", "sketch_statistics",
-    "smes_like_config",
+    "pattern_moments", "plug_in_learning_rate", "predict", "q_gradient_beta",
+    "q_value", "run_baseline", "run_inference", "sem_jacobian",
+    "sketch_statistics", "smes_like_config",
 ]

@@ -123,18 +123,32 @@ def read_dataset(data_dir: str) -> tuple[VerticalDataset, dict]:
         block = np.zeros((n, layout.dim(k)))
         observed = np.zeros(n, dtype=bool)
         y_col = np.zeros(n) if k == 1 else None
+        width = len(expected)
         for i, row in enumerate(rows):
-            vals = row[1:] if k == 1 else row
-            if k == 1:
-                y_col[i] = float(row[0])
-            blanks = [v == "" for v in vals]
-            if all(blanks):
-                continue
-            if any(blanks):
+            if len(row) != width:
                 raise ConfigError(
-                    f"{path} row {i}: partial blanks violate block-missingness")
-            block[i] = [float(v) for v in vals]
+                    f"{path} row {i}: expected {width} cells, found {len(row)}")
+            vals = row[1:] if k == 1 else row
+            try:
+                if k == 1:
+                    y_col[i] = float(row[0])
+                if not any(vals):           # every cell blank: block missing
+                    continue
+                if not all(vals):
+                    raise ConfigError(
+                        f"{path} row {i}: partial blanks violate block-missingness")
+                block[i] = [float(v) for v in vals]
+            except ValueError:
+                if k == 1 and row[0] == "":
+                    raise ConfigError(f"{path} row {i}: blank response") from None
+                raise ConfigError(
+                    f"{path} row {i}: a cell of {row} is not a number") from None
             observed[i] = True
+        bad = ~np.isfinite(block).all(axis=1)
+        if y_col is not None:
+            bad |= ~np.isfinite(y_col)
+        if bad.any():
+            raise ConfigError(f"{path} row {int(np.argmax(bad))}: value is not finite")
         mask[:, k - 1] = ~observed
         blocks.append(block)
         if k == 1:

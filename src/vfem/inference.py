@@ -5,7 +5,9 @@ design by averaged CountSketches (clients only ever ship m x p_k
 projections, each computed in O(n p_k), so L replicates cost O(L n p)),
 assemble the conditional expectation of the complete-data information matrix
 from those statistics, estimate the EM map's rate matrix by forward
-differences, and combine them into the asymptotic covariance
+differences (d + 1 maps on per-pattern moments: O(n p^2) once, then
+O(G (p+2)^3) per map for G missingness patterns), and combine them into the
+asymptotic covariance
 
     V = I_oc^{-1} (I - Gamma)^{-1},
 
@@ -28,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .centralized import em_map, estep
+from .centralized import em_map, estep, pattern_moments
 from .data import BlockLayout, ModelParameters, VerticalDataset, repair_psd
 from .errors import ConfigError, NotAFixedPoint, SingularSystem
 
@@ -349,13 +351,15 @@ def sem_jacobian(theta_hat: ModelParameters, data: VerticalDataset,
     Entry (i, j) is (F_j(theta + h_i e_i) - F_j(theta)) / h_i with the
     per-coordinate step h_i = base_step * (1 + |theta_i|). The map uses the
     closed-form maximization; in 'beta' scope the nuisance parameters stay
-    pinned at their estimates.
+    pinned at their estimates. The per-pattern moments are built once, in
+    O(n p^2); each of the d + 1 maps then costs O(G (p+2)^3) for G patterns.
     """
     if base_step <= 0:
         raise ConfigError("step must be positive")
     nuisance_free = vectorizer.scope == "beta"
+    moments = pattern_moments(data)
     v0 = vectorizer.to_vector(theta_hat)
-    f0_params = em_map(theta_hat, data, nuisance_free=nuisance_free)
+    f0_params = em_map(theta_hat, moments, nuisance_free=nuisance_free)
     f0 = vectorizer.to_vector(f0_params)
     drift = np.abs(f0 - v0).max() if v0.size else 0.0
     if drift > fixed_point_tol:
@@ -370,7 +374,7 @@ def sem_jacobian(theta_hat: ModelParameters, data: VerticalDataset,
         pert = v0.copy()
         pert[i] += h_i
         theta_i = vectorizer.from_vector(pert, theta_hat)
-        f_i = vectorizer.to_vector(em_map(theta_i, data,
+        f_i = vectorizer.to_vector(em_map(theta_i, moments,
                                           nuisance_free=nuisance_free))
         gamma[i, :] = (f_i - f0) / h_i
     return gamma

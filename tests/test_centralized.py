@@ -11,12 +11,16 @@ from vfem import (
     ModelParameters,
     closed_form_m_step,
     conditional_moments,
+    em_map,
     initialize,
     observed_loglik,
     observed_loss,
+    pattern_moments,
     q_gradient_beta,
     q_value,
+    smes_like_config,
 )
+from vfem import generate, make_dataset
 from vfem.baselines import ols
 from vfem.centralized import estep
 from vfem.errors import DegenerateVariance, SingularCovariance
@@ -232,3 +236,82 @@ class TestObservedLoglik:
             theta = closed_form_m_step(theta, data)
         diffs = np.diff(values)
         assert np.all(diffs >= -1e-9)
+
+
+def map_gaps(data, theta, nuisance_free):
+    """Relative gaps, per parameter group, between `em_map` on the pattern
+    moments and the per-sample closed-form step."""
+    new = em_map(theta, pattern_moments(data), nuisance_free)
+    ref = closed_form_m_step(theta, data)
+    if nuisance_free:
+        ref = theta.replace(beta=ref.beta)
+    return {
+        "beta": rel_err(new.beta, ref.beta),
+        "mu": max(rel_err(a, b) for a, b in zip(new.mu, ref.mu)),
+        "sigma_blocks": max(rel_err(a, b) for a, b in
+                            zip(new.sigma_blocks, ref.sigma_blocks)),
+        "sigma2": rel_err(new.sigma2, ref.sigma2),
+    }
+
+
+def moved_theta(data, steps=2):
+    """A generic parameter point: a few closed-form steps from the start."""
+    theta = initialize(data, FitConfig())
+    for _ in range(steps):
+        theta = closed_form_m_step(theta, data)
+    return theta
+
+
+class TestEmMapFromPatternMoments:
+    @pytest.mark.parametrize("nuisance_free", [False, True])
+    def test_matches_per_sample_step_on_random_battery(self, nuisance_free):
+        from test_acceptance import random_battery
+        for n, dims, rho, seed in random_battery(np.random.default_rng(777), 20):
+            data, _ = make_instance(n, dims, rho, seed=seed, min_complete=2)
+            gaps = map_gaps(data, moved_theta(data), nuisance_free)
+            assert max(gaps.values()) <= 1e-12, (dims, seed, gaps)
+
+    @pytest.mark.parametrize("nuisance_free", [False, True])
+    def test_matches_per_sample_step_on_heavy_preset(self, nuisance_free):
+        data, _ = generate(smes_like_config(n=1000, seed=3))
+        assert len(data.mask.patterns()) > 10
+        gaps = map_gaps(data, moved_theta(data), nuisance_free)
+        assert max(gaps.values()) <= 1e-12, gaps
+
+    @pytest.mark.parametrize("nuisance_free", [False, True])
+    def test_matches_per_sample_step_without_missingness(self, nuisance_free):
+        data, _ = make_instance(500, (2, 3), 0.0, seed=4)
+        assert len(pattern_moments(data).missing) == 1
+        gaps = map_gaps(data, moved_theta(data), nuisance_free)
+        assert max(gaps.values()) <= 1e-12, gaps
+
+    @pytest.mark.parametrize("nuisance_free", [False, True])
+    def test_large_covariate_means_do_not_cancel(self, nuisance_free):
+        # every covariate shifted by +1e6: the centred moments keep the
+        # means, covariances and noise variance to 1e-9. The uncentred normal
+        # equations that both paths solve have condition number ~6e12, so two
+        # float64 solutions for beta differ by ~1e-4 whatever the method;
+        # beta is checked by its residual in the per-sample equations.
+        data, truth = make_instance(2000, (2, 2, 2), 0.3, seed=5)
+        shift = 1e6
+        blocks = [np.nan_to_num(data.view(k).x) + shift for k in data.layout.clients()]
+        data = make_dataset(data.layout, blocks, data.y, data.mask.indicators)
+        theta = truth.params.replace(mu=tuple(m + shift for m in truth.params.mu))
+        gaps = map_gaps(data, theta, nuisance_free)
+        assert max(gaps["mu"], gaps["sigma_blocks"], gaps["sigma2"]) <= 1e-9, gaps
+
+        cache = estep(theta, data)
+        gram = cache.x_tilde.T @ cache.x_tilde + cache.corrections
+        beta = em_map(theta, pattern_moments(data), nuisance_free).beta
+        residual = gram @ beta - cache.x_tilde.T @ data.y
+        backward = np.linalg.norm(residual) / (np.linalg.norm(gram) * np.linalg.norm(beta))
+        assert backward <= 1e-12
+
+    def test_degenerate_denominator_raises_on_both_paths(self, small_instance):
+        data, _ = small_instance
+        theta = initialize(data, FitConfig()).replace(
+            beta=np.zeros(data.layout.total_dim), sigma2=1e-13)
+        with pytest.raises(DegenerateVariance):
+            closed_form_m_step(theta, data)
+        with pytest.raises(DegenerateVariance):
+            em_map(theta, pattern_moments(data))

@@ -88,6 +88,18 @@ def test_fit_not_converged_exit_code(dataset_dir, tmp_path, capsys):
     assert code == EXIT_NOT_CONVERGED
 
 
+def test_fit_rejects_short_row(dataset_dir, tmp_path, capsys):
+    path = dataset_dir / "client_2.csv"
+    lines = path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if i and line.split(",")[0])
+    lines[row] = lines[row].split(",")[0]
+    path.write_text("\n".join(lines) + "\n")
+    code = main(["fit", "--data", str(dataset_dir), "--out", str(tmp_path / "f.json")])
+    assert code == EXIT_VALIDATION
+    assert f"client_2.csv row {row - 1}: expected 2 cells" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_fit_reports_deterministic(dataset_dir, tmp_path):
     outs = []
     for run in range(2):

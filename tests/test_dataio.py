@@ -51,3 +51,63 @@ def test_partial_blanks_rejected(tmp_path):
 def test_missing_manifest_rejected(tmp_path):
     with pytest.raises(ConfigError):
         read_dataset(str(tmp_path))
+
+
+def _write(tmp_path, dims=(2, 2)):
+    gen = GenConfig(n=20, layout=BlockLayout(dims), rho=0.3, seed=3)
+    data, _ = generate(gen)
+    write_dataset(str(tmp_path), data)
+    return data
+
+
+def _replace_observed_row(path, make_line):
+    """Rewrite the first data row whose last cell is filled; returns its
+    0-based row index."""
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines[1:], 1):
+        cells = line.split(",")
+        if cells[-1] != "":
+            lines[i] = make_line(cells)
+            path.write_text("\n".join(lines) + "\n")
+            return i - 1
+    raise AssertionError("no observed row")
+
+
+def test_short_row_rejected(tmp_path):
+    # a lone value used to be broadcast over the whole block: "a" read as [a, a]
+    _write(tmp_path)
+    row = _replace_observed_row(tmp_path / "client_2.csv", lambda c: c[0])
+    with pytest.raises(ConfigError, match=rf"client_2.csv row {row}: expected 2 cells"):
+        read_dataset(str(tmp_path))
+
+
+def test_long_row_rejected(tmp_path):
+    _write(tmp_path)
+    row = _replace_observed_row(tmp_path / "client_2.csv",
+                                lambda c: ",".join(c + ["1.5"]))
+    with pytest.raises(ConfigError, match=rf"client_2.csv row {row}: expected 2 cells"):
+        read_dataset(str(tmp_path))
+
+
+def test_non_numeric_cell_rejected(tmp_path):
+    _write(tmp_path)
+    row = _replace_observed_row(tmp_path / "client_2.csv",
+                                lambda c: ",".join(c[:-1] + ["abc"]))
+    with pytest.raises(ConfigError, match=rf"client_2.csv row {row}: .*not a number"):
+        read_dataset(str(tmp_path))
+
+
+def test_blank_response_rejected(tmp_path):
+    _write(tmp_path)
+    row = _replace_observed_row(tmp_path / "client_1.csv",
+                                lambda c: ",".join([""] + c[1:]))
+    with pytest.raises(ConfigError, match=rf"client_1.csv row {row}: blank response"):
+        read_dataset(str(tmp_path))
+
+
+def test_non_finite_cell_rejected(tmp_path):
+    _write(tmp_path)
+    row = _replace_observed_row(tmp_path / "client_2.csv",
+                                lambda c: ",".join(c[:-1] + ["inf"]))
+    with pytest.raises(ConfigError, match=rf"client_2.csv row {row}: value is not finite"):
+        read_dataset(str(tmp_path))

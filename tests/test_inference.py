@@ -12,6 +12,7 @@ from vfem import (
     ThetaVectorizer,
     assemble_information,
     asymptotic_covariance,
+    closed_form_m_step,
     exact_statistics,
     fit,
     q_value,
@@ -19,6 +20,7 @@ from vfem import (
     sem_jacobian,
     sketch_statistics,
 )
+from vfem import inference
 from vfem.centralized import estep
 from vfem.errors import NotAFixedPoint
 from vfem.inference import two_sided_p
@@ -240,6 +242,53 @@ class TestRateMatrix:
             means.append(np.diag(gamma)[2:4].mean())
             assert np.abs(np.linalg.eigvals(gamma)).max() < 1.0
         assert means[0] < means[1] < means[2]
+
+
+def per_sample_jacobian(theta_hat, data, vectorizer, base_step=1e-4,
+                        fixed_point_tol=1e-6):
+    """The rate matrix by the same forward differences, with every map a
+    per-sample E-step and closed-form M-step."""
+    nuisance_free = vectorizer.scope == "beta"
+
+    def em_step(theta):
+        new = closed_form_m_step(theta, data)
+        return vectorizer.to_vector(
+            theta.replace(beta=new.beta) if nuisance_free else new)
+
+    v0 = vectorizer.to_vector(theta_hat)
+    f0 = em_step(theta_hat)
+    assert np.abs(f0 - v0).max() <= fixed_point_tol
+    gamma = np.zeros((vectorizer.dim, vectorizer.dim))
+    for i in range(vectorizer.dim):
+        h_i = base_step * (1.0 + abs(float(v0[i])))
+        pert = v0.copy()
+        pert[i] += h_i
+        gamma[i, :] = (em_step(vectorizer.from_vector(pert, theta_hat)) - f0) / h_i
+    return gamma
+
+
+class TestRateMatrixFromPatternMoments:
+    @pytest.fixture(scope="class")
+    def default_fit(self):
+        data, _ = make_instance(3000, (2, 2, 2), 0.3, seed=1)
+        return data, tight_fit(data).theta
+
+    @pytest.mark.parametrize("scope", ["beta", "full"])
+    def test_matches_per_sample_jacobian(self, default_fit, scope):
+        data, theta = default_fit
+        vec = ThetaVectorizer(data.layout, scope=scope)
+        gamma = sem_jacobian(theta, data, vec)
+        assert np.abs(gamma - per_sample_jacobian(theta, data, vec)).max() <= 1e-8
+
+    @pytest.mark.parametrize("scope", ["beta", "full"])
+    def test_wald_table_matches_per_sample_jacobian(self, default_fit, scope,
+                                                    monkeypatch):
+        data, theta = default_fit
+        cfg = InferenceConfig(scope=scope)
+        report = run_inference(theta, data, cfg)
+        monkeypatch.setattr(inference, "sem_jacobian", per_sample_jacobian)
+        ref = run_inference(theta, data, cfg)
+        assert np.abs(report.std_errors / ref.std_errors - 1.0).max() <= 1e-8
 
 
 class TestCovariance:
