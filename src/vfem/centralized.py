@@ -239,11 +239,29 @@ def solve_normal_equations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(ridged, b)
 
 
+def _solve_about_means(scatter: np.ndarray, mean: np.ndarray, cross: np.ndarray,
+                       y_mean: float, n: int) -> np.ndarray:
+    """Solve the normal equations (scatter + n m m') beta = cross + n y_mean m
+    written about the column means m: `scatter` is the centred Gram plus the
+    corrections and `cross` the centred X'y. Large means would make the
+    uncentred matrix ill-conditioned; the centred one is solved instead, and
+    Sherman-Morrison adds the rank-one mean term back."""
+    cond = np.linalg.cond(scatter)
+    if not np.isfinite(cond) or cond > _COND_LIMIT:
+        # a constant covariate centres to a zero column, while the
+        # uncentred system may still be regular
+        return solve_normal_equations(scatter + n * np.outer(mean, mean),
+                                      cross + (n * y_mean) * mean)
+    beta_c, w = np.linalg.solve(scatter, np.column_stack([cross, mean])).T
+    return beta_c + w * (n * (y_mean - mean @ beta_c) / (1.0 + n * (mean @ w)))
+
+
 def closed_form_m_step(theta_t: ModelParameters, data: VerticalDataset,
                        cache: EStepCache | None = None) -> ModelParameters:
     """One full maximization step in closed form.
 
-    Coefficients solve the corrected normal equations; client means are
+    Coefficients solve the corrected normal equations, written about the
+    column means so that large covariate means do not cancel; client means are
     pseudo-complete column means; client covariances add the per-pattern
     conditional blocks; the noise variance averages squared residuals plus
     the conditional quadratic forms. All right-hand sides use the
@@ -253,8 +271,10 @@ def closed_form_m_step(theta_t: ModelParameters, data: VerticalDataset,
         cache = estep(theta_t, data)
     layout, n = data.layout, data.n
 
-    gram = cache.x_tilde.T @ cache.x_tilde + cache.corrections
-    beta_new = solve_normal_equations(gram, cache.x_tilde.T @ data.y)
+    x_mean, y_mean = cache.x_tilde.mean(axis=0), float(data.y.mean())
+    centered = cache.x_tilde - x_mean
+    beta_new = _solve_about_means(centered.T @ centered + cache.corrections, x_mean,
+                                  centered.T @ (data.y - y_mean), y_mean, n)
 
     mu_new, sig_new = [], []
     for k in layout.clients():
@@ -350,7 +370,7 @@ def em_map(theta: ModelParameters, moments: PatternMoments,
     columns are z plus their centre; a missing column is mu + u r / d_g with
     u = Sigma beta and r = a_g'z the mean-imputed residual. Every sum the
     maximization needs follows from the blocks of sum_g W_g S_g W_g' for a
-    stacked W_g = [A_g - mu; y; e; 1], with S_g = Z_g'Z_g.
+    stacked W_g = [A_g - mu; y - c_y; e; 1], with S_g = Z_g'Z_g.
 
     With `nuisance_free=True` only the coefficients move; means, covariances
     and the noise variance stay pinned (the known-nuisance setting).
@@ -383,18 +403,16 @@ def em_map(theta: ModelParameters, moments: PatternMoments,
     amat[:, :, p + 1] += observed * (moments.center - mu)
     ones = np.zeros(p + 2)
     ones[p + 1] = 1.0
-    y_row = np.zeros(p + 2)
-    y_row[p], y_row[p + 1] = 1.0, moments.center_y
-    e_row = y_row - beta @ amat - float(beta @ mu) * ones
+    y_row = np.zeros(p + 2)                    # y - c_y
+    y_row[p] = 1.0
+    e_row = y_row + (moments.center_y - float(beta @ mu)) * ones - beta @ amat
     w = np.concatenate([amat, np.broadcast_to(y_row, (len(d), 1, p + 2)),
                         e_row[:, None, :],
                         np.broadcast_to(ones, (len(d), 1, p + 2))], axis=1)
     sums = (w @ moments.scatter @ w.transpose(0, 2, 1)).sum(axis=0)
     scatter = sums[:p, :p]                     # sum of (x~ - mu)(x~ - mu)'
-    c_sum, y_sum = sums[:p, p + 2], sums[p, p + 2]
-    gram = (scatter + np.outer(mu, c_sum) + np.outer(c_sum, mu)
-            + n * np.outer(mu, mu))
-    x_y = sums[:p, p] + mu * y_sum
+    c_sum, y_sum = sums[:p, p + 2], sums[p, p + 2]   # sums of x~ - mu, y - c_y
+    x_mean = mu + c_sum / n
     e_sumsq = sums[p + 1, p + 1]
 
     # summed embedded conditional covariances: blockdiag(Sigma) on each
@@ -408,11 +426,14 @@ def em_map(theta: ModelParameters, moments: PatternMoments,
     quad = d - sigma2
     v4_sum = float(moments.counts @ (quad - quad * quad / d))
 
-    beta_new = solve_normal_equations(gram + corrections, x_y)
+    # recentred from mu to the column means of x~ and y
+    beta_new = _solve_about_means(
+        scatter - np.outer(c_sum, c_sum) / n + corrections, x_mean,
+        sums[:p, p] - c_sum * (y_sum / n), moments.center_y + y_sum / n, n)
     mu_new, sig_new = [], []
     for k in layout.clients():
         sl = layout.block_slice(k)
-        mu_new.append(mu[sl] + c_sum[sl] / n)
+        mu_new.append(x_mean[sl])
         sig_new.append(repair_psd((scatter[sl, sl] + corrections[sl, sl]) / n))
     sigma2_new = float((e_sumsq + v4_sum) / n)
     new = ModelParameters(beta=beta_new, mu=tuple(mu_new),

@@ -92,6 +92,7 @@ class MissingMask:
         m = m.copy()
         m.setflags(write=False)
         self.indicators = m
+        self._patterns: Optional[tuple] = None
 
     @property
     def n(self) -> int:
@@ -127,18 +128,22 @@ class MissingMask:
         """Group samples by their missing-client set.
 
         Returns (missing_ids, rows) pairs in a canonical (sorted) order; the
-        empty pattern (fully observed rows) is included when present.
+        empty pattern (fully observed rows) is included when present. The
+        indicators are read-only, so the grouping is computed once per mask
+        and its row arrays are read-only too.
         """
-        n, K = self.indicators.shape
-        weights = 1 << np.arange(K)
-        codes = self.indicators @ weights
-        out = []
-        for code in np.unique(codes):
-            rows = np.flatnonzero(codes == code)
-            key = tuple(int(k) + 1 for k in np.flatnonzero(self.indicators[rows[0]]))
-            out.append((key, rows))
-        out.sort(key=lambda kr: kr[0])
-        return out
+        if self._patterns is None:
+            weights = 1 << np.arange(self.num_clients)
+            codes = self.indicators @ weights
+            out = []
+            for code in np.unique(codes):
+                rows = np.flatnonzero(codes == code)
+                rows.setflags(write=False)
+                key = tuple(int(k) + 1 for k in np.flatnonzero(self.indicators[rows[0]]))
+                out.append((key, rows))
+            out.sort(key=lambda kr: kr[0])
+            self._patterns = tuple(out)
+        return list(self._patterns)
 
 
 @dataclass(frozen=True)

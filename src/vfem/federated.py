@@ -8,13 +8,13 @@ denominator d_g = sigma2 + sum of v1 over the clients missing in pattern g,
 and broadcasts (sigma2, d, r). The covariance is block-diagonal across
 clients, so everything after that is a closed form in what each party
 already holds: on a row of pattern g the pseudo-complete residual is
-e = sigma2 r / d_g (e = r on complete rows), a missing client's
-conditional-covariance projection is alpha_g = sigma2 Sigma_k beta_k / d_g,
-and the variance correction is sigma2 (d_g - sigma2) / d_g. Clients impute
-their missing blocks, take a first-order coefficient step and update their
-distributional parameters in closed form, then reply with the norm of the
-coefficient step; the server owns the response, the noise variance and the
-loss.
+e = sigma2 r / d_g (e = r on complete rows), a missing client's imputed
+block is mu_k + (r / d_g) Sigma_k beta_k, and the variance correction is
+sigma2 (d_g - sigma2) / d_g. A client's coefficient step and its mean and
+covariance updates read its observed rows' fixed centre and scatter, one
+product X_obs' e_obs and three sums over its missing rows: O(m_k p_k +
+n_mis + p_k^2) per iteration, and the imputed block is rebuilt only for
+inspection. The server owns the response, the noise variance and the loss.
 
 All updates within an iteration use the iteration-start snapshot. The
 coordinator never stores covariate-dimensional raw data, only the enumerated
@@ -23,7 +23,6 @@ statistics; Sigma_k beta_k never leaves its client.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -45,19 +44,10 @@ from .messages import (
 _D_FLOOR = 1e-12
 
 
-@dataclass
-class _Snapshot:
+class _Snapshot(NamedTuple):
     beta: np.ndarray
     mu: np.ndarray
     sigma: np.ndarray
-
-
-class _Pattern(NamedTuple):
-    """One missingness pattern a client is missing on (public metadata)."""
-
-    index: int               # position among the mask's non-empty patterns
-    rows: np.ndarray         # the pattern's samples
-    where: np.ndarray        # their positions within the client's missing rows
 
 
 def _row_patterns(n: int, nonempty: list) -> np.ndarray:
@@ -82,7 +72,6 @@ class ClientAgent:
     def __init__(self, view: ClientView, layout: BlockLayout, mask: MissingMask,
                  eta: float):
         self.k = view.client_index
-        self.layout = layout
         self.n = view.n
         self.eta = float(eta)
         self.dim = view.dim
@@ -90,22 +79,21 @@ class ClientAgent:
         self.obs_rows = mask.observed_rows(self.k)
         self.mis_rows = mask.missing_rows(self.k)
         self._x_obs = view.x[self.obs_rows]
+        self._center = self._x_obs.sum(axis=0) / max(self.obs_rows.size, 1)
+        centered = self._x_obs - self._center
+        self._obs_scatter = centered.T @ centered
 
         nonempty = [(key, rows) for key, rows in mask.patterns() if key]
-        self._patterns = [
-            _Pattern(g, rows, np.searchsorted(self.mis_rows, rows))
-            for g, (key, rows) in enumerate(nonempty) if self.k in key]
-        self._row_patterns = _row_patterns(self.n, nonempty)
+        row_patterns = _row_patterns(self.n, nonempty)
+        self._obs_patterns = row_patterns[self.obs_rows]
+        self._mis_patterns = row_patterns[self.mis_rows] - 1
 
         self.beta: np.ndarray | None = None
         self.mu: np.ndarray | None = None
         self.sigma: np.ndarray | None = None
-        self.x_tilde = np.zeros((self.n, self.dim))
-        self.x_tilde[self.obs_rows] = self._x_obs
 
-        self._u = np.zeros(self.dim)
-        self.last_alpha = np.zeros((0, self.dim))
-        self.last_gradient = np.zeros(self.dim)
+        # (sigma2, d, r, mu, u) of the last E-step; before one, x~ reads 0
+        self._last = (1.0, np.ones(len(nonempty)), np.zeros(self.n), 0.0, np.zeros(self.dim))
         self._pre_update: Optional[_Snapshot] = None
         self._best: Optional[_Snapshot] = None
 
@@ -117,6 +105,21 @@ class ClientAgent:
         self.beta = np.array(beta_k, dtype=float)
         self.mu = np.array(mu_k, dtype=float)
         self.sigma = np.array(sigma_k, dtype=float)
+
+    @property
+    def x_tilde(self) -> np.ndarray:
+        """The last E-step's (n, p_k) pseudo-complete block, for inspection."""
+        _sigma2, d, r, mu, u = self._last
+        out = np.empty((self.n, self.dim))
+        out[self.obs_rows] = self._x_obs
+        out[self.mis_rows] = mu + np.outer(r[self.mis_rows] / d[self._mis_patterns], u)
+        return out
+
+    @property
+    def last_alpha(self) -> np.ndarray:
+        """The last E-step's u sigma2 / d_g on each missing row, for inspection."""
+        sigma2, d, _r, _mu, u = self._last
+        return np.outer(sigma2 / d[self._mis_patterns], u)
 
     # -- message handling ---------------------------------------------------
 
@@ -156,29 +159,26 @@ class ClientAgent:
         sigma2 = float(msg.payload["sigma2"])
         d = np.asarray(msg.payload["denom"], dtype=float)
         r = np.asarray(msg.payload["resid"], dtype=float)
-        alpha = np.zeros((self.mis_rows.size, self.dim))
-        for p in self._patterns:
-            d_g = d[p.index]
-            self.x_tilde[p.rows] = self.mu + np.outer(r[p.rows] / d_g, self._u)
-            alpha[p.where] = self._u * (sigma2 / d_g)
-        self.last_alpha = alpha
-
-        e = _m_step_residuals(r, sigma2, d, self._row_patterns)
-        grad = (self.x_tilde.T @ e - alpha.sum(axis=0)) / self.n
-        self.last_gradient = grad
-
-        beta_old, mu_old, sigma_old = self.beta, self.mu, self.sigma
+        beta_old, mu_old, sigma_old, u = self.beta, self.mu, self.sigma, self._u
         self._pre_update = _Snapshot(beta_old.copy(), mu_old.copy(), sigma_old.copy())
+        self._last = (sigma2, d, r, mu_old, u)
+
+        # on a missing row x~ = mu + a u and e = sigma2 a, with a = r / d_g
+        d_mis = d[self._mis_patterns]
+        a = r[self.mis_rows] / d_mis
+        sum_a, sum_q = float(a.sum()), float(a @ a - (1.0 / d_mis).sum())  # q = a^2 - 1/d
+        e_obs = _m_step_residuals(r[self.obs_rows], sigma2, d, self._obs_patterns)
+        grad = (self._x_obs.T @ e_obs + sigma2 * (mu_old * sum_a + u * sum_q)) / self.n
+        self.last_gradient = grad
 
         self.beta = beta_old + self.eta * grad
         step = float(np.linalg.norm(self.beta - beta_old))
 
-        mu_new = self.x_tilde.mean(axis=0)
-        centered = self.x_tilde - mu_old
-        scatter = centered.T @ centered
-        for p in self._patterns:
-            scatter += p.rows.size * (sigma_old - np.outer(self._u, self._u) / d[p.index])
-        self.mu = mu_new
+        m_obs, m_mis = self.obs_rows.size, self.mis_rows.size
+        delta = mu_old - self._center
+        scatter = (self._obs_scatter + m_obs * np.outer(delta, delta)
+                   + sum_q * np.outer(u, u) + m_mis * sigma_old)
+        self.mu = (m_obs * self._center + m_mis * mu_old + u * sum_a) / self.n
         self.sigma = repair_psd(scatter / self.n)
 
         # the reply also tells the server the update is done
@@ -210,7 +210,6 @@ class ServerCoordinator:
                  sigma2: float, transport):
         self.y = np.asarray(y, dtype=float)
         self.layout = layout
-        self.mask = mask
         self.sigma2 = float(sigma2)
         self.transport = transport
         self.t = 0
@@ -219,6 +218,7 @@ class ServerCoordinator:
         self._has_complete = mask.complete_rows().size > 0
         nonempty = [(key, rows) for key, rows in mask.patterns() if key]
         self._keys = [key for key, _rows in nonempty]
+        self._counts = np.array([rows.size for _key, rows in nonempty], dtype=float)
         self._row_patterns = _row_patterns(self.n, nonempty)
         self._rows = {k: (mask.observed_rows(k), mask.missing_rows(k))
                       for k in layout.clients()}
@@ -271,10 +271,9 @@ class ServerCoordinator:
         # new noise variance and loss, from the same closed forms
         e = _m_step_residuals(r, sigma2, d, self._row_patterns)
         quad = d - sigma2
-        v4 = np.concatenate(([0.0], quad - quad * quad / d))[self._row_patterns]
         self.last_residuals = e
         self._sigma2_pre = sigma2
-        loss = float(np.mean(e ** 2 + v4))
+        loss = (float(e @ e) + float(self._counts @ (quad - quad * quad / d))) / self.n
         self.sigma2 = loss
         return loss
 

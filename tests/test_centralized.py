@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,28 @@ class TestGradient:
                        fd_beta_gradient(theta_t, data)) < 1e-6
 
 
+def exact_normal_solution(x, corrections, y):
+    """beta solving (x'x + corrections) beta = x'y, with x, y and the
+    corrections read as exact binary fractions and solved without rounding."""
+    scale = 2 ** 1100   # times any finite float64: an integer
+    cols = [[int(Fraction(float(v)) * scale) for v in col] for col in x.T]
+    y_int = [int(Fraction(float(v)) * scale) for v in y]
+    p = len(cols)
+    a = [[Fraction(sum(map(int.__mul__, cols[i], cols[j])), scale * scale)
+          + Fraction(float(corrections[i, j])) for j in range(p)] for i in range(p)]
+    b = [Fraction(sum(map(int.__mul__, cols[i], y_int)), scale * scale)
+         for i in range(p)]
+    for j in range(p):                   # Gaussian elimination, exact
+        for i in range(j + 1, p):
+            f = a[i][j] / a[j][j]
+            a[i] = [a_ic - f * a_jc for a_ic, a_jc in zip(a[i], a[j])]
+            b[i] -= f * b[j]
+    beta = [Fraction(0)] * p
+    for j in reversed(range(p)):
+        beta[j] = (b[j] - sum(a[j][c] * beta[c] for c in range(j + 1, p))) / a[j][j]
+    return np.array([float(v) for v in beta])
+
+
 class TestMStep:
     def test_no_missing_fixed_point_reproduces_least_squares(self):
         data, _ = make_instance(90, (2, 2), 0.0, seed=8)
@@ -204,6 +228,37 @@ class TestMStep:
         r1 = fit(data, FitConfig(engine="oracle", tol=1e-12))
         r2 = fit(data, FitConfig(engine="federated", tol=1e-12, max_iters=4000))
         assert np.linalg.norm(r1.theta.beta - r2.theta.beta) < 1e-4
+
+    def test_large_covariate_means_keep_beta_to_rounding(self):
+        # every covariate shifted by +1e6 and y consistently: the uncentred
+        # normal equations have condition number ~6e12, enough to cost an
+        # uncentred float64 solve ~5e-4 of beta, and a longdouble one ~1e-6.
+        # The reference solves the same system in exact rational arithmetic.
+        data, truth = make_instance(2000, (2, 2, 2), 0.3, seed=5)
+        shift = 1e6
+        blocks = [np.nan_to_num(data.view(k).x) + shift for k in data.layout.clients()]
+        y = data.y + shift * truth.params.beta.sum()
+        data = make_dataset(data.layout, blocks, y, data.mask.indicators)
+        theta = truth.params.replace(mu=tuple(m + shift for m in truth.params.mu))
+        cache = estep(theta, data)
+        gram = cache.x_tilde.T @ cache.x_tilde + cache.corrections
+        assert np.linalg.cond(gram) > 1e12
+        exact = exact_normal_solution(cache.x_tilde, cache.corrections, data.y)
+        assert rel_err(closed_form_m_step(theta, data, cache).beta, exact) <= 1e-10
+        assert rel_err(em_map(theta, pattern_moments(data)).beta, exact) <= 1e-10
+
+    def test_constant_covariate_column_solves_exactly(self):
+        # an intercept-like column centres to zero; beta still solves the
+        # uncentred system to rounding, with no ridge
+        data, _ = make_instance(500, (2, 2), (0.0, 0.3), seed=3)
+        blocks = [np.nan_to_num(v.x) for v in data.clients]
+        blocks[0][:, 0] = 1.0
+        data = make_dataset(data.layout, blocks, data.y + 2.0, data.mask.indicators)
+        theta = moved_theta(data)
+        cache = estep(theta, data)
+        exact = exact_normal_solution(cache.x_tilde, cache.corrections, data.y)
+        assert rel_err(closed_form_m_step(theta, data, cache).beta, exact) <= 1e-10
+        assert rel_err(em_map(theta, pattern_moments(data)).beta, exact) <= 1e-10
 
 
 class TestObservedLoss:
@@ -288,10 +343,9 @@ class TestEmMapFromPatternMoments:
     @pytest.mark.parametrize("nuisance_free", [False, True])
     def test_large_covariate_means_do_not_cancel(self, nuisance_free):
         # every covariate shifted by +1e6: the centred moments keep the
-        # means, covariances and noise variance to 1e-9. The uncentred normal
-        # equations that both paths solve have condition number ~6e12, so two
-        # float64 solutions for beta differ by ~1e-4 whatever the method;
-        # beta is checked by its residual in the per-sample equations.
+        # means, covariances and noise variance to 1e-9. Here beta is checked
+        # by its residual in the uncentred per-sample equations (condition
+        # number ~6e12); TestMStep checks it against an exact solve.
         data, truth = make_instance(2000, (2, 2, 2), 0.3, seed=5)
         shift = 1e6
         blocks = [np.nan_to_num(data.view(k).x) + shift for k in data.layout.clients()]

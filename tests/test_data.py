@@ -45,6 +45,20 @@ def test_mask_patterns_cover_all_rows():
     assert sorted(rows.tolist()) == list(range(40))
 
 
+def test_mask_patterns_are_computed_once_and_read_only():
+    rng = np.random.default_rng(1)
+    m = MissingMask(rng.random((50, 4)) < 0.4)
+    first, second = m.patterns(), m.patterns()
+    assert [key for key, _ in first] == [key for key, _ in second]
+    for (_, a), (_, b) in zip(first, second):
+        assert a is b
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    first.clear()   # the caller's list is its own
+    assert len(m.patterns()) == len(second)
+
+
 def test_client_view_poisons_masked_rows():
     x = np.arange(8.0).reshape(4, 2)
     view = ClientView(client_index=1, x=x, observed=np.array([1, 0, 1, 0], bool),

@@ -41,3 +41,14 @@ def test_default_infer_benchmark_run_is_correct():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0
+
+
+def test_pair_socket_benchmark_run_is_correct():
+    # the socket workload: two clients over loopback, run to convergence
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
+                           "pair-socket", "--seed", "1", "--seconds", "0.1",
+                           "--trace", "0"], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0

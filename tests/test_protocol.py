@@ -18,13 +18,18 @@ from vfem import (
     q_gradient_beta,
     smes_like_config,
 )
-from vfem.centralized import estep, observed_loss
+from vfem.centralized import closed_form_m_step, estep, observed_loss
+from vfem.data import repair_psd
 from vfem.errors import ProtocolDesync
 from vfem.federated import ClientAgent, ServerCoordinator
 from vfem.messages import (
+    CONTROL,
     ESTEP_BROADCAST,
     MESSAGE_KINDS,
+    ROUND_CONTROL,
+    ROUND_ESTEP,
     SERVER_ID,
+    Message,
     WireSchema,
     decode,
     encode,
@@ -46,6 +51,90 @@ def build_protocol(data, theta, eta=0.5, transport_cls=InProcessTransport,
     transport = transport_cls(agents, schema, **transport_kwargs)
     coord = ServerCoordinator(data.y, layout, mask, theta.sigma2, transport)
     return agents, coord, transport
+
+
+def per_sample_client_update(view, mask, eta, beta, mu, sigma, sigma2, d, r):
+    """One client update as first written: the full (n, p_k) pseudo-complete
+    block and its alpha rows, built by a loop over the patterns the client
+    misses. Returns the new (beta, mu, sigma) and the gradient."""
+    k, n = view.client_index, view.n
+    obs, mis = mask.observed_rows(k), mask.missing_rows(k)
+    nonempty = [(key, rows) for key, rows in mask.patterns() if key]
+    row_patterns = np.zeros(n, dtype=np.intp)
+    for g, (_key, rows) in enumerate(nonempty):
+        row_patterns[rows] = g + 1
+    u = sigma @ beta
+    x_tilde = np.zeros((n, view.dim))
+    x_tilde[obs] = view.x[obs]
+    alpha = np.zeros((mis.size, view.dim))
+    for g, (key, rows) in enumerate(nonempty):
+        if k in key:
+            x_tilde[rows] = mu + np.outer(r[rows] / d[g], u)
+            alpha[np.searchsorted(mis, rows)] = u * (sigma2 / d[g])
+    e = r * np.concatenate(([1.0], sigma2 / d))[row_patterns]
+    grad = (x_tilde.T @ e - alpha.sum(axis=0)) / n
+    centered = x_tilde - mu
+    scatter = centered.T @ centered
+    for g, (key, rows) in enumerate(nonempty):
+        if k in key:
+            scatter += rows.size * (sigma - np.outer(u, u) / d[g])
+    return (beta + eta * grad, x_tilde.mean(axis=0), repair_psd(scatter / n), grad)
+
+
+def shifted(data, truth, shift):
+    """Every covariate moved by `shift`, the response by shift * sum(beta)."""
+    blocks = [np.nan_to_num(data.view(k).x) + shift for k in data.layout.clients()]
+    y = data.y + shift * truth.params.beta.sum()
+    return make_dataset(data.layout, blocks, y, data.mask.indicators)
+
+
+def kernel_instances():
+    """Criterion 02's battery, the heavy preset, a client that misses no
+    rows, and rows that every client misses."""
+    from test_acceptance import random_battery
+    for n, dims, rho, seed in random_battery(np.random.default_rng(777), 20):
+        yield make_instance(n, dims, rho, seed=seed, min_complete=2)
+    yield generate(smes_like_config(n=1000, seed=3))
+    data, truth = make_instance(150, (2, 3, 2), 0.3, seed=61)
+    blocks = [np.nan_to_num(v.x) for v in data.clients]
+    ind = data.mask.indicators.copy()
+    ind[:, 1] = False
+    yield make_dataset(data.layout, blocks, data.y, ind), truth
+    ind = data.mask.indicators.copy()
+    ind[:12] = True
+    yield make_dataset(data.layout, blocks, data.y, ind), truth
+
+
+class TestClientKernel:
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    def test_update_matches_per_sample_reference(self, shift):
+        eta = 0.3
+        count = 0
+        for data, truth in kernel_instances():
+            data = shifted(data, truth, shift)
+            layout, mask = data.layout, data.mask
+            theta = initialize(data, FitConfig())
+            for _ in range(2):
+                theta = closed_form_m_step(theta, data)
+            cache = estep(theta, data)
+            d = np.array([g.d for g in cache.patterns if g.missing])
+            for k in layout.clients():
+                beta, mu, sigma = (theta.beta_block(layout, k), theta.mu[k - 1],
+                                   theta.sigma_blocks[k - 1])
+                agent = ClientAgent(data.view(k), layout, mask, eta)
+                agent.load_params(beta, mu, sigma)
+                agent.handle_message(Message(0, ROUND_CONTROL, SERVER_ID, CONTROL,
+                                             {"event": "round_begin"}))
+                agent.handle_message(Message(0, ROUND_ESTEP, SERVER_ID, ESTEP_BROADCAST,
+                                             {"sigma2": theta.sigma2, "denom": d,
+                                              "resid": cache.r}))
+                ref = per_sample_client_update(data.view(k), mask, eta, beta, mu,
+                                               sigma, theta.sigma2, d, cache.r)
+                got = (agent.beta, agent.mu, agent.sigma, agent.last_gradient)
+                for name, a, b in zip(("beta", "mu", "sigma", "grad"), got, ref):
+                    assert rel_err(a, b) <= 1e-12, (layout, k, name, rel_err(a, b))
+                count += 1
+        assert count > 60
 
 
 class TestRounds:
