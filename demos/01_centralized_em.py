@@ -13,7 +13,7 @@ from vfem import (
     FitConfig,
     GenConfig,
     closed_form_m_step,
-    conditional_moments,
+    estep,
     generate,
     initialize,
     observed_loglik,
@@ -28,16 +28,23 @@ print(f"n = {data.n}, clients = {layout.num_clients}, "
 for k in layout.clients():
     print(f"  client {k}: {data.mask.rate(k):.0%} of rows missing")
 
-# conditional moments for one partially observed sample
-i = int(data.mask.missing_rows(2)[0])
-missing = data.mask.missing_clients(i)
-observed = {k: data.view(k).x[i] for k in data.mask.observed_clients(i)}
+# conditional moments for one partially observed sample: the E-step works
+# per missingness pattern, and every row of a pattern shares its coupling
+# vector u = Sigma beta, its denominator d and its conditional covariance
 theta0 = initialize(data, FitConfig())
-mom = conditional_moments(theta0, layout, missing, observed, y_i=data.y[i])
+cache = estep(theta0, data)
+i = int(data.mask.missing_rows(2)[0])
+missing = next(key for key, rows in data.mask.patterns() if i in rows)
+group = next(g for g in cache.patterns if g.missing == missing)
+sigma_full = np.zeros((layout.total_dim, layout.total_dim))
+for k in layout.clients():
+    sigma_full[layout.block_slice(k), layout.block_slice(k)] = theta0.sigma_blocks[k - 1]
+marginal = sigma_full[np.ix_(group.cols, group.cols)]
+conditional = marginal - np.outer(group.u, group.u) / group.d
 print(f"\nsample {i} misses clients {missing}; conditional mean of the "
-      f"missing block:\n  {np.round(mom.mean, 3)}")
+      f"missing block:\n  {np.round(cache.x_tilde[i, group.cols], 3)}")
 print(f"conditional covariance shrinks the marginal one: trace "
-      f"{np.trace(mom.dense_cov()):.3f} vs {np.trace(mom.dense_marginal_cov()):.3f}")
+      f"{np.trace(conditional):.3f} vs {np.trace(marginal):.3f}")
 
 # iterate the closed-form update
 theta = theta0

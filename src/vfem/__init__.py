@@ -15,7 +15,6 @@ from . import errors
 from .baselines import BaselineKind, BaselineResult, OlsFit, ols, run_baseline
 from .centralized import (
     closed_form_m_step,
-    conditional_moments,
     em_map,
     estep,
     observed_loglik,
@@ -27,7 +26,6 @@ from .centralized import (
 from .data import (
     BlockLayout,
     ClientView,
-    ConditionalMoments,
     MissingMask,
     ModelParameters,
     VerticalDataset,
@@ -63,12 +61,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BaselineKind", "BaselineResult", "BlockLayout", "ClientView",
-    "ConditionalMoments", "FitConfig", "FitResult", "GenConfig", "GroundTruth",
+    "FitConfig", "FitResult", "GenConfig", "GroundTruth",
     "InferenceConfig", "InferenceReport", "IterationSnapshot", "MissingMask",
     "ModelParameters", "MonteCarloSpec", "MonteCarloSummary", "OlsFit",
     "PredictionResult", "SketchConfig", "SketchedStatistics", "ThetaVectorizer",
     "VerticalDataset", "assemble_information", "asymptotic_covariance",
-    "closed_form_m_step", "conditional_moments", "em_map", "errors", "estep",
+    "closed_form_m_step", "em_map", "errors", "estep",
     "exact_statistics", "fit", "generate", "initialize", "make_dataset",
     "monte_carlo", "observed_loglik", "observed_loss", "ols",
     "pattern_moments", "plug_in_learning_rate", "predict", "q_gradient_beta",

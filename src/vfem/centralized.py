@@ -1,11 +1,14 @@
-"""Centralized (single-machine) kernels: conditional moments, expected
+"""Centralized (single-machine) kernels: the E-step, the expected
 complete-data objective, its coefficient gradient, and the closed-form
 maximization step.
 
 These serve two roles: they are the lossless oracle the federated rounds are
 checked against, and they power the oracle engine that iterates the closed
-form directly. Per-sample work is vectorized over missingness patterns (there
-are at most 2^K of them).
+form directly. The E-step works per missingness pattern (there are at most
+2^K of them): every row of a pattern shares its denominator d_g, its
+coupling vector Sigma beta and its conditional covariance, so `estep`
+computes those once per `PatternGroup`, and one sample's conditional mean
+and covariance are read from its row of `x_tilde` and its group.
 
 `em_map`, the EM map that inference differentiates, runs on per-pattern
 sufficient statistics instead: `pattern_moments` sums them in O(n p^2) once,
@@ -18,47 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    BlockLayout,
-    ConditionalMoments,
-    ModelParameters,
-    VerticalDataset,
-    repair_psd,
-)
+from .data import BlockLayout, ModelParameters, VerticalDataset, repair_psd
 from .errors import DegenerateVariance, SingularCovariance, SingularSystem
 
 _D_FLOOR = 1e-12
 _COND_LIMIT = 1e14
-
-
-def conditional_moments(theta: ModelParameters, layout: BlockLayout,
-                        missing_clients, observed_blocks, y_i: float) -> ConditionalMoments:
-    """Moments of the missing blocks of one sample given its observed part and y.
-
-    mean  = mu_mis + u * (y - mu_y) / d
-    cov   = blockdiag(Sigma_k) - outer(u, u) / d
-    where u = blockdiag(Sigma_k) beta_mis and d = beta_mis' u + sigma2.
-    """
-    missing = tuple(sorted(int(k) for k in missing_clients))
-    if len(missing) == 0:
-        return ConditionalMoments((), np.zeros(0), np.zeros(0), float(theta.sigma2),
-                                  (), float(theta.sigma2))
-
-    blocks = tuple(theta.sigma_blocks[k - 1] for k in missing)
-    beta_mis = np.concatenate([theta.beta_block(layout, k) for k in missing])
-    mu_mis = np.concatenate([theta.mu[k - 1] for k in missing])
-    u = np.concatenate([theta.sigma_blocks[k - 1] @ theta.beta_block(layout, k)
-                        for k in missing])
-    d = float(beta_mis @ u + theta.sigma2)
-    if d <= _D_FLOOR:
-        raise DegenerateVariance(f"conditional denominator {d:.3e} <= {_D_FLOOR}")
-
-    mu_y = float(mu_mis @ beta_mis)
-    for k in sorted(set(layout.clients()) - set(missing)):
-        x_k = np.asarray(observed_blocks[k], dtype=float)
-        mu_y += float(x_k @ theta.beta_block(layout, k))
-    mean = mu_mis + u * ((float(y_i) - mu_y) / d)
-    return ConditionalMoments(missing, mean, u, d, blocks, float(theta.sigma2))
 
 
 @dataclass(frozen=True)
@@ -76,10 +43,6 @@ class PatternGroup:
     def count(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def q(self) -> int:
-        return self.cols.shape[0]
-
 
 @dataclass(frozen=True)
 class EStepCache:
@@ -88,7 +51,6 @@ class EStepCache:
     theta: ModelParameters
     x_tilde: np.ndarray       # (n, p) pseudo-complete design
     r: np.ndarray             # (n,) y minus mean-imputed fit
-    d: np.ndarray             # (n,) per-sample denominators (sigma2 if complete)
     e: np.ndarray             # (n,) y minus pseudo-complete fit
     v4: np.ndarray            # (n,) conditional-covariance quadratic forms
     corrections: np.ndarray   # (p, p) summed embedded conditional covariances
@@ -160,7 +122,7 @@ def estep(theta: ModelParameters, data: VerticalDataset) -> EStepCache:
         groups.append(PatternGroup(tuple(missing), rows, cols, u, d_g, v4_g))
 
     e = y - x_tilde @ beta
-    return EStepCache(theta, x_tilde, r, d, e, v4, corrections, tuple(groups))
+    return EStepCache(theta, x_tilde, r, e, v4, corrections, tuple(groups))
 
 
 def q_value(theta: ModelParameters, theta_t: ModelParameters,

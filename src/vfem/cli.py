@@ -154,7 +154,12 @@ def cmd_infer(args) -> int:
     cfg_vals = _merge_config(args, ["scope", "stats", "m", "replicates",
                                     "seed", "shared", "exact_within"])
     fit_obj = read_json(args.fit)
-    result = FitResult.from_json_dict(fit_obj["fit"])
+    try:
+        result = FitResult.from_json_dict(fit_obj["fit"])
+    except KeyError as err:
+        raise ConfigError(f"{args.fit}: missing key {err}") from None
+    except TypeError as err:
+        raise ConfigError(f"{args.fit}: malformed fit report: {err}") from None
     data, manifest = read_dataset(args.data)
     names = [nm for k in data.layout.clients()
              for nm in manifest["columns"][str(k)]]

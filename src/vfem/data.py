@@ -4,6 +4,10 @@ Clients are indexed 1..K throughout the public API; the first client holds
 the response vector and doubles as the coordinator. A sample is either fully
 observed or fully missing within a client's column block, and masked entries
 are stored as NaN so that any accidental read poisons the result.
+
+The kernels index samples per client (`MissingMask.observed_rows`,
+`missing_rows`) and per missingness pattern (`MissingMask.patterns()`, the
+rows grouped by the set of clients they miss), never one sample at a time.
 """
 
 from __future__ import annotations
@@ -62,16 +66,6 @@ class BlockLayout:
         s = self.block_slice(k)
         return np.arange(s.start, s.stop)
 
-    def split(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Split a length-p vector into per-client blocks."""
-        vec = np.asarray(vec)
-        if vec.shape[-1] != self.total_dim:
-            raise ValueError(f"expected last dim {self.total_dim}, got {vec.shape}")
-        return [vec[..., self.block_slice(k)] for k in self.clients()]
-
-    def concat(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        return np.concatenate([np.asarray(b, dtype=float) for b in blocks], axis=-1)
-
     def clients(self) -> range:
         return range(1, self.num_clients + 1)
 
@@ -101,16 +95,6 @@ class MissingMask:
     @property
     def num_clients(self) -> int:
         return self.indicators.shape[1]
-
-    def missing_clients(self, i: int) -> tuple[int, ...]:
-        return tuple(int(k) + 1 for k in np.flatnonzero(self.indicators[i]))
-
-    def observed_clients(self, i: int) -> tuple[int, ...]:
-        return tuple(int(k) + 1 for k in np.flatnonzero(~self.indicators[i]))
-
-    def q(self, i: int, layout: BlockLayout) -> int:
-        """Number of missing covariates for sample i."""
-        return int(sum(layout.dim(k) for k in self.missing_clients(i)))
 
     def missing_rows(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.indicators[:, k - 1])
@@ -186,9 +170,6 @@ class ClientView:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    def observed_x(self) -> np.ndarray:
-        return self.x[self.observed]
 
 
 @dataclass(frozen=True)
@@ -338,60 +319,3 @@ class ModelParameters:
         }
         data.update(kwargs)
         return ModelParameters(**data)
-
-
-@dataclass(frozen=True)
-class ConditionalMoments:
-    """Conditional distribution of a sample's missing blocks given the rest.
-
-    The conditional covariance is kept in factored form: block-diagonal
-    marginal blocks minus a rank-one coupling outer(u, u) / d, where
-    u stacks each missing client's (Sigma_k beta_k) and d is the marginal
-    response variance beta' Sigma beta + sigma2. Nothing is materialized
-    densely unless asked.
-    """
-
-    missing_clients: tuple[int, ...]
-    mean: np.ndarray              # (q,)
-    u: np.ndarray                 # (q,)
-    d: float
-    marginal_blocks: tuple[np.ndarray, ...]  # per missing client, (p_k, p_k)
-    sigma2: float
-
-    @property
-    def q(self) -> int:
-        return self.mean.shape[0]
-
-    def is_empty(self) -> bool:
-        return self.q == 0
-
-    def dense_cov(self) -> np.ndarray:
-        """Materialize the q x q conditional covariance (tests/small q only)."""
-        if self.q == 0:
-            return np.zeros((0, 0))
-        cov = _block_diag(self.marginal_blocks)
-        return cov - np.outer(self.u, self.u) / self.d
-
-    def dense_marginal_cov(self) -> np.ndarray:
-        return _block_diag(self.marginal_blocks) if self.q else np.zeros((0, 0))
-
-    def alpha(self) -> np.ndarray:
-        """Conditional covariance applied to the coefficients that built it.
-
-        For the matched coefficients, Sigma_cond beta = u - u (u'beta)/d
-        collapses to u * sigma2 / d because d = beta'u + sigma2.
-        """
-        if self.q == 0:
-            return np.zeros(0)
-        return self.u * (self.sigma2 / self.d)
-
-
-def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    q = sum(b.shape[0] for b in blocks)
-    out = np.zeros((q, q))
-    off = 0
-    for b in blocks:
-        m = b.shape[0]
-        out[off:off + m, off:off + m] = b
-        off += m
-    return out

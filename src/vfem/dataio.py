@@ -105,8 +105,14 @@ def read_dataset(data_dir: str) -> tuple[VerticalDataset, dict]:
         raise ConfigError(f"no manifest at {manifest_path}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    layout = BlockLayout(tuple(manifest["block_dims"]))
-    n = int(manifest["n"])
+    try:
+        layout = BlockLayout(tuple(manifest["block_dims"]))
+        n = int(manifest["n"])
+        columns = {k: manifest["columns"][str(k)] for k in layout.clients()}
+    except KeyError as err:
+        raise ConfigError(f"{manifest_path}: missing key {err}") from None
+    except TypeError as err:
+        raise ConfigError(f"{manifest_path}: malformed manifest: {err}") from None
 
     blocks, y, mask = [], None, np.zeros((n, layout.num_clients), dtype=bool)
     for k in layout.clients():
@@ -114,7 +120,7 @@ def read_dataset(data_dir: str) -> tuple[VerticalDataset, dict]:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            expected = (["y"] if k == 1 else []) + manifest["columns"][str(k)]
+            expected = (["y"] if k == 1 else []) + columns[k]
             if header != expected:
                 raise ConfigError(f"{path}: unexpected header {header}")
             rows = list(reader)

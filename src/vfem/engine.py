@@ -320,6 +320,9 @@ class _FederatedEngine:
 
     def finish(self) -> tuple[ModelParameters, Optional[dict]]:
         self.coord.announce_convergence()
+        # socket clients apply the last round_end (a restore, say) in their
+        # own threads; closing the transport joins them before theta is read
+        self.transport.close()
         theta = _collect_theta(self.agents, self.coord, self.layout)
         return theta, self.transport.counters.snapshot()
 

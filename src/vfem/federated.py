@@ -33,9 +33,6 @@ from .messages import (
     CONTROL,
     ESTEP_BROADCAST,
     ESTEP_LOCAL_FIT,
-    ROUND_CONTROL,
-    ROUND_ESTEP,
-    ROUND_VARSTEP,
     SERVER_ID,
     VARSTEP_SCALAR,
     Message,
@@ -150,7 +147,7 @@ class ClientAgent:
     def _begin_round(self) -> list[Message]:
         self._u = self.sigma @ self.beta
         self._phase = "estep_broadcast"
-        return [Message(self._t, ROUND_ESTEP, self.k, ESTEP_LOCAL_FIT,
+        return [Message(self._t, self.k, ESTEP_LOCAL_FIT,
                         {"fit": self._x_obs @ self.beta,
                          "mean": float(self.mu @ self.beta),
                          "quad": float(self.beta @ self._u)})]
@@ -183,8 +180,7 @@ class ClientAgent:
 
         # the reply also tells the server the update is done
         self._phase = "round_end"
-        return [Message(self._t, ROUND_VARSTEP, self.k, VARSTEP_SCALAR,
-                        {"value": step})]
+        return [Message(self._t, self.k, VARSTEP_SCALAR, {"value": step})]
 
     def _end_round(self, msg: Message) -> list[Message]:
         pay = msg.payload
@@ -227,10 +223,10 @@ class ServerCoordinator:
         self._sigma2_pre: float = self.sigma2
         self.best_sigma2: float = self.sigma2
 
-    def _bcast(self, kind: str, round_name: str, payload: dict) -> None:
+    def _bcast(self, kind: str, payload: dict) -> None:
         for k in self.layout.clients():
             self.transport.send_to_client(
-                k, Message(self.t, round_name, SERVER_ID, kind, dict(payload)))
+                k, Message(self.t, SERVER_ID, kind, dict(payload)))
 
     def _recv(self, k: int, kind: str) -> Message:
         msg = self.transport.recv_from_client(k)
@@ -244,7 +240,7 @@ class ServerCoordinator:
         """Drive one full iteration; returns the new loss value."""
         K = self.layout.num_clients
         sigma2 = self.sigma2
-        self._bcast(CONTROL, ROUND_CONTROL, {"event": "round_begin"})
+        self._bcast(CONTROL, {"event": "round_begin"})
 
         # local fits and quadratic forms up, (sigma2, d, r) down
         fit_bar = np.zeros(self.n)
@@ -260,8 +256,7 @@ class ServerCoordinator:
         if lowest <= _D_FLOOR:
             raise DegenerateVariance(f"conditional denominator {lowest:.3e}")
         r = self.y - fit_bar
-        self._bcast(ESTEP_BROADCAST, ROUND_ESTEP,
-                    {"sigma2": sigma2, "denom": d, "resid": r})
+        self._bcast(ESTEP_BROADCAST, {"sigma2": sigma2, "denom": d, "resid": r})
 
         # every client replies once its update is done
         self.last_beta_steps = [
@@ -287,8 +282,8 @@ class ServerCoordinator:
                          "restore": bool(restore)}
         if eta_scale is not None:
             payload["eta_scale"] = float(eta_scale)
-        self._bcast(CONTROL, ROUND_CONTROL, payload)
+        self._bcast(CONTROL, payload)
         self.t += 1
 
     def announce_convergence(self) -> None:
-        self._bcast(CONTROL, ROUND_CONTROL, {"event": "converged"})
+        self._bcast(CONTROL, {"event": "converged"})

@@ -35,6 +35,13 @@ from .data import BlockLayout, ModelParameters, VerticalDataset, repair_psd
 from .errors import ConfigError, NotAFixedPoint, SingularSystem
 
 _EIG_FLOOR = 1e-10
+# default replicate sizing of SketchConfig.resolve
+_SKETCH_DELTA = 100.0
+_LM_CAP = 4096
+# forward-difference step of the rate matrix, relative to 1 + |theta_i|
+_FD_STEP = 1e-4
+# largest move of the EM map at a point accepted as its fixed point
+_FIXED_POINT_TOL = 1e-6
 
 
 # -- parameter vectorization -------------------------------------------------
@@ -62,7 +69,6 @@ class ThetaVectorizer:
             raise ConfigError("need one name per coefficient")
         self.beta_names = list(beta_names)
         self.beta_slice = slice(0, p)
-        names = [f"beta[{nm}]" for nm in beta_names]
         if scope == "full":
             self.mu_slices, self.vech_slices = {}, {}
             self._tril = {}
@@ -70,21 +76,17 @@ class ThetaVectorizer:
             for k in layout.clients():
                 pk = layout.dim(k)
                 self.mu_slices[k] = slice(off, off + pk)
-                names += [f"mu{k}[{j + 1}]" for j in range(pk)]
                 off += pk
             for k in layout.clients():
                 pk = layout.dim(k)
                 rows, cols = np.tril_indices(pk)
                 self._tril[k] = (rows, cols)
                 self.vech_slices[k] = slice(off, off + rows.size)
-                names += [f"cov{k}[{a + 1},{b + 1}]" for a, b in zip(rows, cols)]
                 off += rows.size
             self.sigma2_index = off
-            names.append("sigma2")
             self.dim = off + 1
         else:
             self.dim = p
-        self.names = names
 
     def to_vector(self, theta: ModelParameters) -> np.ndarray:
         if self.scope == "beta":
@@ -122,13 +124,11 @@ class SketchConfig:
     """Sketch sizing and mode.
 
     `m` defaults to K * ceil(log n). The replicate count targets
-    L*m >= 8 K^2 n log(n) / delta, capped at `lm_cap` for desk scale.
+    L*m >= 8 K^2 n log(n) / 100, capped at 4096 for desk scale.
     """
 
     m: Optional[int] = None
     replicates: Optional[int] = None
-    delta: float = 100.0
-    lm_cap: int = 4096
     seed: int = 0
     shared: bool = True              # one sketch per replicate via seed broadcast
     exact_within_block: bool = True  # hybrid: local products computed exactly
@@ -144,8 +144,8 @@ class SketchConfig:
         m = max(1, int(m))
         if self.replicates is not None:
             return m, int(self.replicates)
-        target = 8.0 * num_clients ** 2 * n * math.log(n) / self.delta
-        lm = min(target, float(self.lm_cap))
+        target = 8.0 * num_clients ** 2 * n * math.log(n) / _SKETCH_DELTA
+        lm = min(target, float(_LM_CAP))
         return m, max(1, math.ceil(lm / m))
 
 
@@ -166,7 +166,6 @@ class SketchedStatistics:
     replicates: int
     shared: bool
     exact_within_block: bool
-    exact: bool = False
 
 
 def exact_statistics(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
@@ -178,8 +177,7 @@ def exact_statistics(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
     return SketchedStatistics(
         xx=x.T @ x, centered_xx=xc.T @ xc, xe=x.T @ residuals,
         xsum=x.sum(axis=0), centered_xsum=xc.sum(axis=0),
-        sketch_dim=0, replicates=0, shared=True, exact_within_block=True,
-        exact=True)
+        sketch_dim=0, replicates=0, shared=True, exact_within_block=True)
 
 
 def _count_sketch(seed: np.random.SeedSequence, n: int, m: int):
@@ -344,33 +342,31 @@ def assemble_information(stats: SketchedStatistics, theta: ModelParameters,
 # -- EM-map rate matrix ------------------------------------------------------
 
 def sem_jacobian(theta_hat: ModelParameters, data: VerticalDataset,
-                 vectorizer: ThetaVectorizer, base_step: float = 1e-4,
-                 fixed_point_tol: float = 1e-6) -> np.ndarray:
+                 vectorizer: ThetaVectorizer) -> np.ndarray:
     """Forward-difference Jacobian of the EM map at its fixed point.
 
     Entry (i, j) is (F_j(theta + h_i e_i) - F_j(theta)) / h_i with the
-    per-coordinate step h_i = base_step * (1 + |theta_i|). The map uses the
+    per-coordinate step h_i = 1e-4 (1 + |theta_i|). A point the map moves
+    by more than 1e-6 is not a fixed point and raises. The map uses the
     closed-form maximization; in 'beta' scope the nuisance parameters stay
     pinned at their estimates. The per-pattern moments are built once, in
     O(n p^2); each of the d + 1 maps then costs O(G (p+2)^3) for G patterns.
     """
-    if base_step <= 0:
-        raise ConfigError("step must be positive")
     nuisance_free = vectorizer.scope == "beta"
     moments = pattern_moments(data)
     v0 = vectorizer.to_vector(theta_hat)
     f0_params = em_map(theta_hat, moments, nuisance_free=nuisance_free)
     f0 = vectorizer.to_vector(f0_params)
     drift = np.abs(f0 - v0).max() if v0.size else 0.0
-    if drift > fixed_point_tol:
+    if drift > _FIXED_POINT_TOL:
         raise NotAFixedPoint(
-            f"EM map moves the point by {drift:.3e} (> {fixed_point_tol:g}); "
+            f"EM map moves the point by {drift:.3e} (> {_FIXED_POINT_TOL:g}); "
             f"tighten the fit tolerance before requesting standard errors")
 
     d = vectorizer.dim
     gamma = np.zeros((d, d))
     for i in range(d):
-        h_i = base_step * (1.0 + abs(float(v0[i])))
+        h_i = _FD_STEP * (1.0 + abs(float(v0[i])))
         pert = v0.copy()
         pert[i] += h_i
         theta_i = vectorizer.from_vector(pert, theta_hat)
@@ -529,8 +525,6 @@ class InferenceConfig:
     scope: str = "beta"              # 'beta' pins the nuisance parameters
     stats_mode: str = "sketch"       # 'sketch' or 'exact'
     sketch: SketchConfig = field(default_factory=SketchConfig)
-    fd_step: float = 1e-4
-    fixed_point_tol: float = 1e-6
     beta_names: Optional[list[str]] = None
 
     def __post_init__(self):
@@ -556,8 +550,7 @@ def run_inference(theta: ModelParameters, data: VerticalDataset,
     resid_sumsq = float(cache.e @ cache.e)
     info, repaired = assemble_information(stats, theta, cache.corrections,
                                           resid_sumsq, data.n, vec)
-    gamma = sem_jacobian(theta, data, vec, base_step=cfg.fd_step,
-                         fixed_point_tol=cfg.fixed_point_tol)
+    gamma = sem_jacobian(theta, data, vec)
     meta = {"sketch_dim": stats.sketch_dim, "replicates": stats.replicates,
             "shared": stats.shared, "exact_within_block": stats.exact_within_block}
     return asymptotic_covariance(info, gamma, theta, data.n, vec,

@@ -15,10 +15,12 @@ missingness pattern and the residuals (length n). The client replies with
 and close the iteration.
 
 Serialization is newline-delimited, self-describing JSON with a fixed key
-order. Float vectors travel packed, as the base64 text of their raw
-little-endian float64 bytes, about 10.7 bytes per float whatever the value.
-Scalars are written with 17 significant digits. Records therefore
-round-trip bit for bit and traces are byte-reproducible.
+order: `t` (the iteration), `from`, `kind` and `payload`; the kind alone
+fixes the step of the iteration a record belongs to. Float vectors travel
+packed, as the base64 text of their raw little-endian float64 bytes, about
+10.7 bytes per float whatever the value. Scalars are written with 17
+significant digits. Records therefore round-trip bit for bit and traces are
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ MESSAGE_KINDS = frozenset({ESTEP_LOCAL_FIT, ESTEP_BROADCAST, VARSTEP_SCALAR,
 
 CONTROL_EVENTS = frozenset({"round_begin", "round_end", "converged"})
 
-ROUND_ESTEP = "estep"
-ROUND_VARSTEP = "varstep"
-ROUND_CONTROL = "control"
-
 # payload fields of each kind in wire order; True marks a packed float
 # vector (see `_pack`), False a plain JSON value
 _PAYLOAD_FIELDS = {
@@ -62,7 +60,6 @@ _PAYLOAD_FIELDS = {
 @dataclass(frozen=True)
 class Message:
     t: int
-    round: str
     sender: int
     kind: str
     payload: dict
@@ -115,9 +112,8 @@ def encode(msg: Message) -> str:
             text = _pack(value) if packed else _encode_value(value)
             items.append(f'"{key}":{text}')
     body = "{" + ",".join(items) + "}"
-    return (f'{{"t":{int(msg.t)},"round":{json.dumps(msg.round)},'
-            f'"from":{int(msg.sender)},"kind":{json.dumps(msg.kind)},'
-            f'"payload":{body}}}\n')
+    return (f'{{"t":{int(msg.t)},"from":{int(msg.sender)},'
+            f'"kind":{json.dumps(msg.kind)},"payload":{body}}}\n')
 
 
 def _unpack(text: Any, what: str) -> np.ndarray:
@@ -144,9 +140,8 @@ def decode(line: str) -> Message:
         payload = obj["payload"]
         if not isinstance(payload, dict):
             raise TypeError("payload is not an object")
-        msg = Message(t=int(obj["t"]), round=str(obj["round"]),
-                      sender=int(obj["from"]), kind=str(obj["kind"]),
-                      payload=payload)
+        msg = Message(t=int(obj["t"]), sender=int(obj["from"]),
+                      kind=str(obj["kind"]), payload=payload)
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaViolation(f"malformed record: {err}") from None
     for field, packed in _PAYLOAD_FIELDS.get(msg.kind, {}).items():

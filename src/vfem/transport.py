@@ -28,36 +28,24 @@ _HELLO_TIMEOUT = 5.0
 
 
 class ByteCounters:
-    def __init__(self, num_clients: int):
-        self.to_client = {k: 0 for k in range(1, num_clients + 1)}
-        self.from_client = {k: 0 for k in range(1, num_clients + 1)}
+    def __init__(self):
         self.by_kind: dict[str, dict[str, int]] = {}
         self.messages = 0
 
-    def add(self, k: int, kind: str, nbytes: int, outgoing: bool) -> None:
-        (self.to_client if outgoing else self.from_client)[k] += nbytes
+    def add(self, kind: str, nbytes: int, outgoing: bool) -> None:
+        self.messages += 1
         per_kind = self.by_kind.setdefault(
             kind, {"to_clients": 0, "from_clients": 0})
         per_kind["to_clients" if outgoing else "from_clients"] += nbytes
 
-    @property
-    def total_to_clients(self) -> int:
-        return sum(self.to_client.values())
-
-    @property
-    def total_from_clients(self) -> int:
-        return sum(self.from_client.values())
-
-    @property
-    def total(self) -> int:
-        return self.total_to_clients + self.total_from_clients
-
     def snapshot(self) -> dict:
+        to_clients = sum(v["to_clients"] for v in self.by_kind.values())
+        from_clients = sum(v["from_clients"] for v in self.by_kind.values())
         return {
             "messages": self.messages,
-            "bytes_to_clients": self.total_to_clients,
-            "bytes_from_clients": self.total_from_clients,
-            "bytes_total": self.total,
+            "bytes_to_clients": to_clients,
+            "bytes_from_clients": from_clients,
+            "bytes_total": to_clients + from_clients,
             "bytes_by_kind": {kind: dict(v) for kind, v in sorted(self.by_kind.items())},
         }
 
@@ -67,7 +55,7 @@ class BaseTransport:
                  trace_path: Optional[str] = None):
         self.schema = schema
         self.num_clients = num_clients
-        self.counters = ByteCounters(num_clients)
+        self.counters = ByteCounters()
         self._trace_file = open(trace_path, "w") if trace_path else None
         self.drop_rules: list[Callable[[int, Message], bool]] = []
 
@@ -75,11 +63,10 @@ class BaseTransport:
         """Drop the first server->client send matching `rule` (fault testing)."""
         self.drop_rules.append(rule)
 
-    def _record(self, k: int, msg: Message, outgoing: bool, line: str | None = None) -> None:
-        self.counters.messages += 1
+    def _record(self, msg: Message, outgoing: bool, line: str | None = None) -> None:
         if line is None:
             line = encode(msg)
-        self.counters.add(k, msg.kind, len(line.encode("utf-8")), outgoing)
+        self.counters.add(msg.kind, len(line.encode("utf-8")), outgoing)
         if self._trace_file:
             self._trace_file.write(line)
 
@@ -116,7 +103,7 @@ class InProcessTransport(BaseTransport):
         self.schema.validate(msg)
         if self._should_drop(k, msg):
             return
-        self._record(k, msg, outgoing=True)
+        self._record(msg, outgoing=True)
         replies = self.agents[k].handle_message(msg)
         for reply in replies:
             self.schema.validate(reply)  # sender-side check
@@ -126,7 +113,7 @@ class InProcessTransport(BaseTransport):
         if not self._outboxes[k]:
             raise ProtocolDesync(f"no pending message from client {k}")
         msg = self._outboxes[k].popleft()
-        self._record(k, msg, outgoing=False)
+        self._record(msg, outgoing=False)
         return msg
 
 
@@ -230,7 +217,7 @@ class SocketTransport(BaseTransport):
         if self._should_drop(k, msg):
             return
         line = encode(msg)
-        self._record(k, msg, outgoing=True, line=line)
+        self._record(msg, outgoing=True, line=line)
         self._conns[k].sendall(line.encode("utf-8"))
 
     def recv_from_client(self, k: int) -> Message:
@@ -241,7 +228,7 @@ class SocketTransport(BaseTransport):
             raise ProtocolDesync(f"connection to client {k} closed mid-round")
         msg = decode(line)
         self.schema.validate(msg)
-        self._record(k, msg, outgoing=False, line=line)
+        self._record(msg, outgoing=False, line=line)
         return msg
 
     def close(self) -> None:

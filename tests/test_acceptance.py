@@ -41,7 +41,6 @@ from vfem.errors import InsufficientCompleteCases, SchemaViolation
 from vfem.messages import (
     ESTEP_LOCAL_FIT,
     MESSAGE_KINDS,
-    ROUND_ESTEP,
     Message,
     WireSchema,
     decode,
@@ -352,10 +351,10 @@ def test_criterion_10_privacy_schema_audit(tmp_path):
     # a raw covariate block cannot be serialized through the transport
     raw = data.view(1).x[data.mask.observed_rows(1)]
     with pytest.raises(SchemaViolation):
-        schema.validate(Message(0, ROUND_ESTEP, 1, ESTEP_LOCAL_FIT,
+        schema.validate(Message(0, 1, ESTEP_LOCAL_FIT,
                                 {"fit": raw}))
     with pytest.raises(SchemaViolation):
-        schema.validate(Message(0, ROUND_ESTEP, 1, "raw_upload", {"x": raw}))
+        schema.validate(Message(0, 1, "raw_upload", {"x": raw}))
     report(10, f"{len(lines)} traced records all in the closed vocabulary; "
                f"raw-block serialization rejected at validation")
 

@@ -12,7 +12,6 @@ from vfem import (
     FitConfig,
     ModelParameters,
     closed_form_m_step,
-    conditional_moments,
     em_map,
     initialize,
     observed_loglik,
@@ -33,13 +32,48 @@ def scalar_theta(beta=1.0, mu=0.0, var=1.0, sigma2=1.0):
                            sigma_blocks=(np.array([[var]]),), sigma2=sigma2)
 
 
+def dataset_of_rows(layout, rows):
+    """A dataset from (y, {client: block or None}) rows; None marks a
+    missing block."""
+    n = len(rows)
+    blocks = [np.zeros((n, layout.dim(k))) for k in layout.clients()]
+    mask = np.zeros((n, layout.num_clients), dtype=bool)
+    for i, (_y, cells) in enumerate(rows):
+        for k in layout.clients():
+            if cells.get(k) is None:
+                mask[i, k - 1] = True
+            else:
+                blocks[k - 1][i] = cells[k]
+    return make_dataset(layout, blocks, np.array([y for y, _ in rows]), mask)
+
+
+def conditional_block(cache, group):
+    """The conditional covariance of one pattern's missing blocks, as estep
+    accumulated it into the corrections; the datasets below have a single
+    non-empty pattern, so nothing else adds to those entries."""
+    return cache.corrections[np.ix_(group.cols, group.cols)] / group.count
+
+
+def missing_group(cache):
+    (group,) = [g for g in cache.patterns if g.missing]
+    return group
+
+
 class TestConditionalMoments:
+    """Hand-computed conditional moments, read from the pattern-level
+    E-step: a row's conditional mean is its row of x_tilde, and its
+    pattern's conditional covariance is that pattern's corrections block."""
+
     def test_fully_observed_sample_has_empty_moments(self):
         theta = scalar_theta()
-        mom = conditional_moments(theta, BlockLayout((1,)), [], {1: np.array([0.3])},
-                                  y_i=1.0)
-        assert mom.is_empty()
-        assert mom.mean.shape == (0,)
+        data = dataset_of_rows(BlockLayout((1,)), [(1.0, {1: [0.3]}), (2.0, {1: None})])
+        cache = estep(theta, data)
+        (complete,) = [g for g in cache.patterns if not g.missing]
+        assert complete.rows.tolist() == [0]
+        assert complete.cols.shape == (0,) and complete.v4 == 0.0
+        assert cache.x_tilde[0, 0] == 0.3
+        assert cache.v4[0] == 0.0
+        assert cache.e[0] == pytest.approx(1.0 - 0.3, abs=1e-15)
 
     def test_zero_coefficients_leave_marginals(self):
         # with beta zero on the missing block, y carries no information
@@ -48,18 +82,21 @@ class TestConditionalMoments:
                                 mu=(np.zeros(2), np.array([1.0, 2.0])),
                                 sigma_blocks=(np.eye(2), np.diag([2.0, 3.0])),
                                 sigma2=1.0)
-        mom = conditional_moments(theta, layout, [2], {1: np.array([1.0, 1.0])},
-                                  y_i=5.0)
-        assert np.allclose(mom.mean, [1.0, 2.0])
-        assert np.allclose(mom.dense_cov(), np.diag([2.0, 3.0]))
+        data = dataset_of_rows(layout, [(5.0, {1: [1.0, 1.0], 2: None}),
+                                        (0.0, {1: [0.0, 1.0], 2: [1.0, 1.0]})])
+        cache = estep(theta, data)
+        assert np.allclose(cache.x_tilde[0, 2:], [1.0, 2.0])
+        assert np.allclose(conditional_block(cache, missing_group(cache)),
+                           np.diag([2.0, 3.0]))
 
     def test_scalar_all_missing_case(self):
         # mu=0, var=1, beta=1, sigma2=1, y=2: mean 1.0, conditional var 0.5
-        mom = conditional_moments(scalar_theta(), BlockLayout((1,)), [1], {},
-                                  y_i=2.0)
-        assert mom.mean == pytest.approx(1.0, abs=1e-15)
-        assert mom.dense_cov()[0, 0] == pytest.approx(0.5, abs=1e-15)
-        assert mom.alpha()[0] == pytest.approx(0.5, abs=1e-15)
+        data = dataset_of_rows(BlockLayout((1,)), [(2.0, {1: None}), (1.0, {1: [1.0]})])
+        cache = estep(scalar_theta(), data)
+        group = missing_group(cache)
+        assert cache.x_tilde[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert conditional_block(cache, group)[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert cache.alpha(group)[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_nothing_observed_at_marginal_mean_response(self):
         # y at its marginal mean: the shrinkage term vanishes, mean = mu
@@ -69,13 +106,14 @@ class TestConditionalMoments:
                                 sigma_blocks=(np.eye(1), np.eye(2)),
                                 sigma2=0.7)
         mu_y = 0.5 * 1.0 + (1.0 * 2.0 + -1.0 * -1.0)
-        mom = conditional_moments(theta, layout, [1, 2], {}, y_i=mu_y)
-        assert np.allclose(mom.mean, [0.5, 1.0, -1.0], atol=1e-14)
+        data = dataset_of_rows(layout, [(mu_y, {1: None, 2: None})])
+        cache = estep(theta, data)
+        assert np.allclose(cache.x_tilde[0], [0.5, 1.0, -1.0], atol=1e-14)
 
     def test_degenerate_denominator_raises(self):
+        data = dataset_of_rows(BlockLayout((1,)), [(0.0, {1: None}), (1.0, {1: [1.0]})])
         with pytest.raises(DegenerateVariance):
-            conditional_moments(scalar_theta(beta=0.0, sigma2=1e-14),
-                                BlockLayout((1,)), [1], {}, y_i=0.0)
+            estep(scalar_theta(beta=0.0, sigma2=1e-14), data)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -94,13 +132,22 @@ class TestConditionalMoments:
                                 sigma_blocks=tuple(a_blocks),
                                 sigma2=float(rng.uniform(0.1, 2.0)))
         missing = [k for k in layout.clients() if rng.random() < 0.6]
-        observed = {k: rng.standard_normal(layout.dim(k))
-                    for k in layout.clients() if k not in missing}
-        mom = conditional_moments(theta, layout, missing, observed,
-                                  y_i=float(rng.standard_normal()))
-        if mom.q:
-            gap = mom.dense_marginal_cov() - mom.dense_cov()
-            assert np.linalg.eigvalsh(gap).min() >= -1e-10
+        if not missing:
+            missing = [int(rng.integers(1, len(dims) + 1))]
+        rows = [(float(rng.standard_normal()),
+                 {k: None if k in missing else rng.standard_normal(layout.dim(k))
+                  for k in layout.clients()})
+                for _ in range(int(rng.integers(1, 4)))]
+        cache = estep(theta, dataset_of_rows(layout, rows))
+        group = missing_group(cache)
+        marginal = np.zeros((group.cols.size, group.cols.size))
+        off = 0
+        for k in group.missing:
+            m = layout.dim(k)
+            marginal[off:off + m, off:off + m] = theta.sigma_blocks[k - 1]
+            off += m
+        gap = marginal - conditional_block(cache, group)
+        assert np.linalg.eigvalsh(gap).min() >= -1e-10
 
 
 class TestQFunction:

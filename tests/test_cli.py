@@ -100,6 +100,40 @@ def test_fit_rejects_short_row(dataset_dir, tmp_path, capsys):
     assert not (tmp_path / "f.json").exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.pop("columns"), "layout.json: missing key 'columns'"),
+    (lambda m: m.update(columns=[["x1_1", "x1_2"], ["x2_1", "x2_2"]]),
+     "layout.json: malformed manifest"),
+], ids=["no-columns", "columns-list"])
+def test_fit_rejects_malformed_manifest(dataset_dir, tmp_path, capsys, edit, message):
+    path = dataset_dir / "layout.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+    code = main(["fit", "--data", str(dataset_dir), "--out", str(tmp_path / "f.json")])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda fit: fit.pop("theta"), "fit.json: missing key 'theta'"),
+    (lambda fit: fit.update(theta=None), "fit.json: malformed fit report"),
+], ids=["no-theta", "null-theta"])
+def test_infer_rejects_malformed_fit_report(dataset_dir, tmp_path, capsys, edit,
+                                           message):
+    fit_path = tmp_path / "fit.json"
+    main(["fit", "--data", str(dataset_dir), "--tol", "1e-10", "--out", str(fit_path)])
+    report = json.loads(fit_path.read_text())
+    edit(report["fit"])
+    fit_path.write_text(json.dumps(report))
+    code = main(["infer", "--data", str(dataset_dir), "--fit", str(fit_path),
+                 "--out", str(tmp_path / "i.json")])
+    assert code == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "i.json").exists()
+
+
 def test_fit_reports_deterministic(dataset_dir, tmp_path):
     outs = []
     for run in range(2):

@@ -14,10 +14,7 @@ def test_layout_offsets_and_slices():
     assert layout.block_slice(2) == slice(2, 5)
     assert list(layout.block_columns(3)) == [5]
     assert layout.server_client == 1
-    vec = np.arange(6.0)
-    blocks = layout.split(vec)
-    assert [b.tolist() for b in blocks] == [[0, 1], [2, 3, 4], [5]]
-    assert np.array_equal(layout.concat(blocks), vec)
+    assert list(layout.stack_columns((1, 3))) == [0, 1, 5]
 
 
 def test_layout_rejects_bad_dims():
@@ -29,13 +26,11 @@ def test_layout_rejects_bad_dims():
 
 def test_mask_sets_partition_clients():
     m = MissingMask(np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=bool))
-    assert m.missing_clients(0) == (2,)
-    assert m.observed_clients(0) == (1, 3)
-    for i in range(3):
-        assert set(m.missing_clients(i)) | set(m.observed_clients(i)) == {1, 2, 3}
-        assert not set(m.missing_clients(i)) & set(m.observed_clients(i))
+    assert [(key, rows.tolist()) for key, rows in m.patterns()] == [
+        ((), [2]), ((1, 2), [1]), ((2,), [0])]
+    assert m.missing_rows(2).tolist() == [0, 1]
+    assert m.observed_rows(2).tolist() == [2]
     assert m.complete_rows().tolist() == [2]
-    assert m.q(1, BlockLayout((2, 3, 1))) == 5
 
 
 def test_mask_patterns_cover_all_rows():
@@ -97,10 +92,16 @@ def test_parameters_validate_covariances():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(1, 3))
 def test_mask_block_level_only(seed, k_dims, n_clients):
-    # any boolean matrix is a valid block mask; per-sample sets always partition
+    # any boolean matrix is a valid block mask; per client the observed and
+    # missing rows partition the samples, and a row's pattern key lists
+    # exactly the clients it misses
     rng = np.random.default_rng(seed)
     m = MissingMask(rng.random((10, n_clients)) < 0.5)
-    for i in range(10):
-        obs, mis = set(m.observed_clients(i)), set(m.missing_clients(i))
-        assert obs | mis == set(range(1, n_clients + 1))
+    for k in range(1, n_clients + 1):
+        obs, mis = set(m.observed_rows(k)), set(m.missing_rows(k))
+        assert obs | mis == set(range(10))
         assert not obs & mis
+    for key, rows in m.patterns():
+        for i in rows:
+            assert key == tuple(k for k in range(1, n_clients + 1)
+                                if m.indicators[i, k - 1])

@@ -167,7 +167,7 @@ class TestSketches:
         cfg = SketchConfig()
         m, L = cfg.resolve(800, 3)
         assert m == 3 * 7  # K * ceil(log n)
-        assert L >= 1 and m * L <= cfg.lm_cap + m
+        assert L >= 1 and m * L <= inference._LM_CAP + m
 
 
 class TestInformationMatrix:

@@ -11,8 +11,6 @@ from vfem.messages import (
     ESTEP_BROADCAST,
     ESTEP_LOCAL_FIT,
     MESSAGE_KINDS,
-    ROUND_ESTEP,
-    ROUND_VARSTEP,
     SERVER_ID,
     VARSTEP_SCALAR,
     Message,
@@ -40,21 +38,21 @@ def schema():
 def valid_messages():
     """One valid message of every kind for the fixture."""
     return {
-        ESTEP_LOCAL_FIT: Message(0, ROUND_ESTEP, 1, ESTEP_LOCAL_FIT,
+        ESTEP_LOCAL_FIT: Message(0, 1, ESTEP_LOCAL_FIT,
                                  {"fit": np.zeros(3), "mean": 0.5, "quad": 0.25}),
-        ESTEP_BROADCAST: Message(0, ROUND_ESTEP, SERVER_ID, ESTEP_BROADCAST,
+        ESTEP_BROADCAST: Message(0, SERVER_ID, ESTEP_BROADCAST,
                                  {"sigma2": 1.0, "denom": np.array([2.0, 1.5]),
                                   "resid": np.zeros(4)}),
-        VARSTEP_SCALAR: Message(0, ROUND_VARSTEP, 2, VARSTEP_SCALAR,
+        VARSTEP_SCALAR: Message(0, 2, VARSTEP_SCALAR,
                                 {"value": 0.5}),
-        CONTROL: Message(0, "control", SERVER_ID, CONTROL,
+        CONTROL: Message(0, SERVER_ID, CONTROL,
                          {"event": "round_end", "best": True,
                           "restore": False, "eta_scale": 0.5}),
     }
 
 
 def with_payload(msg, **changes):
-    return Message(msg.t, msg.round, msg.sender, msg.kind,
+    return Message(msg.t, msg.sender, msg.kind,
                    {**msg.payload, **changes})
 
 
@@ -64,7 +62,7 @@ def test_encode_decode_round_trip(schema):
     sch, layout, mask = schema
     edge = np.array([0.1, -0.0, 5e-324, 1.7976931348623157e308,
                      -1.7976931348623157e308, -2.5e-17, 3.0])
-    msg = Message(3, ROUND_ESTEP, 1, ESTEP_LOCAL_FIT,
+    msg = Message(3, 1, ESTEP_LOCAL_FIT,
                   {"fit": edge, "mean": -2.5e-17, "quad": 0.1})
     line = encode(msg)
     back = decode(line)
@@ -74,6 +72,7 @@ def test_encode_decode_round_trip(schema):
     assert back.payload["fit"].flags.writeable
     assert back.payload["mean"] == -2.5e-17 and back.payload["quad"] == 0.1
     assert encode(back) == line  # canonical form is stable
+    assert list(json.loads(line)) == ["t", "from", "kind", "payload"]
 
     # the broadcast's scalar and both vectors keep their bits
     bcast = with_payload(valid_messages()[ESTEP_BROADCAST], sigma2=0.1,
@@ -95,14 +94,14 @@ def test_packed_size_depends_only_on_length(m):
     rng = np.random.default_rng(m)
     sizes = set()
     for vec in (np.zeros(m), rng.standard_normal(m), np.full(m, 1 / 3)):
-        line = encode(Message(0, ROUND_ESTEP, 1, ESTEP_LOCAL_FIT, {"fit": vec}))
+        line = encode(Message(0, 1, ESTEP_LOCAL_FIT, {"fit": vec}))
         field = line[line.index('"fit":') + len('"fit":'):-len("}}\n")]
         sizes.add(len(field.encode("utf-8")))
     assert sizes == {4 * math.ceil(8 * m / 3) + 2}
 
 
 def test_malformed_records_rejected():
-    good = encode(Message(0, "control", SERVER_ID, CONTROL,
+    good = encode(Message(0, SERVER_ID, CONTROL,
                           {"event": "round_begin"}))
     decode(good)
     for line in ("nope", "[1]", good.replace('"t":0', '"t":"zero"'),
@@ -114,7 +113,7 @@ def test_malformed_records_rejected():
 
     # an array field takes packed base64 strings and nothing else
     msgs = valid_messages()
-    vec_msg = Message(0, ROUND_ESTEP, 1, ESTEP_LOCAL_FIT, {"fit": np.ones(2)})
+    vec_msg = Message(0, 1, ESTEP_LOCAL_FIT, {"fit": np.ones(2)})
     packed2 = json.loads(encode(vec_msg))["payload"]["fit"]
     bad_arrays = [
         (vec_msg, "fit", [1.0, 1.0]),                # a JSON number list
@@ -153,7 +152,7 @@ def test_every_kind_is_enumerated(schema):
                              VARSTEP_SCALAR}
     assert set(valid_messages()) == MESSAGE_KINDS
     for kind in RETIRED_KINDS:
-        msg = Message(0, ROUND_ESTEP, 1, kind, {"value": 1.0})
+        msg = Message(0, 1, kind, {"value": 1.0})
         with pytest.raises(SchemaViolation):
             sch.validate(msg)
         with pytest.raises(SchemaViolation):
@@ -165,11 +164,11 @@ def test_vector_payload_length_enforced(schema):
     sch, layout, mask = schema
     ok = valid_messages()[ESTEP_LOCAL_FIT]
     sch.validate(ok)
-    sch.validate(Message(0, ROUND_ESTEP, 2, ESTEP_LOCAL_FIT,
+    sch.validate(Message(0, 2, ESTEP_LOCAL_FIT,
                          {**ok.payload, "fit": np.zeros(1)}))
     for sender, length in ((1, 2), (1, 4), (2, 3), (2, 0)):
         with pytest.raises(SchemaViolation):
-            sch.validate(Message(0, ROUND_ESTEP, sender, ESTEP_LOCAL_FIT,
+            sch.validate(Message(0, sender, ESTEP_LOCAL_FIT,
                                  {**ok.payload, "fit": np.zeros(length)}))
     for resid in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
         with pytest.raises(SchemaViolation):
@@ -184,10 +183,10 @@ def test_local_fit_v2_form_rejected(schema):
     for sender in (1, 2):
         assert mask.observed_rows(sender).size < mask.n
         with pytest.raises(SchemaViolation):
-            sch.validate(Message(0, ROUND_ESTEP, sender, ESTEP_LOCAL_FIT,
+            sch.validate(Message(0, sender, ESTEP_LOCAL_FIT,
                                  {"fit": np.zeros(mask.n)}))
         with pytest.raises(SchemaViolation):
-            sch.validate(Message(0, ROUND_ESTEP, sender, ESTEP_LOCAL_FIT,
+            sch.validate(Message(0, sender, ESTEP_LOCAL_FIT,
                                  {"fit": np.zeros(mask.n), "mean": 0.5,
                                   "quad": 0.25}))
     ok = valid_messages()[ESTEP_LOCAL_FIT]
@@ -195,7 +194,7 @@ def test_local_fit_v2_form_rejected(schema):
         partial = dict(ok.payload)
         del partial[field]
         with pytest.raises(SchemaViolation):
-            sch.validate(Message(0, ROUND_ESTEP, 1, ESTEP_LOCAL_FIT, partial))
+            sch.validate(Message(0, 1, ESTEP_LOCAL_FIT, partial))
 
 
 def test_raw_covariate_block_rejected(schema):
@@ -228,7 +227,7 @@ def test_raw_covariate_block_rejected(schema):
     fit = msgs[ESTEP_LOCAL_FIT]
     for k in layout.clients():
         for block in blocks[k]:
-            flat = Message(0, ROUND_ESTEP, k, ESTEP_LOCAL_FIT,
+            flat = Message(0, k, ESTEP_LOCAL_FIT,
                            {**fit.payload, "fit": block.ravel()})
             back = decode(encode(flat))
             assert back.payload["fit"].tobytes() == block.tobytes()
@@ -243,9 +242,9 @@ def test_raw_covariate_block_rejected(schema):
 def test_unknown_kind_and_fields_rejected(schema):
     sch, *_ = schema
     with pytest.raises(SchemaViolation):
-        sch.validate(Message(0, "estep", 1, "covariate_dump", {"x": [1.0]}))
+        sch.validate(Message(0, 1, "covariate_dump", {"x": [1.0]}))
     with pytest.raises(SchemaViolation):
-        encode(Message(0, ROUND_VARSTEP, 1, VARSTEP_SCALAR,
+        encode(Message(0, 1, VARSTEP_SCALAR,
                        {"value": 1.0, "extra": [1, 2]}))
     for msg in valid_messages().values():
         with pytest.raises(SchemaViolation):
@@ -255,7 +254,7 @@ def test_unknown_kind_and_fields_rejected(schema):
 def test_non_finite_payload_rejected(schema):
     sch, *_ = schema
     with pytest.raises(SchemaViolation):
-        encode(Message(0, ROUND_VARSTEP, 1, VARSTEP_SCALAR, {"value": np.inf}))
+        encode(Message(0, 1, VARSTEP_SCALAR, {"value": np.inf}))
     msgs = valid_messages()
     for value in ("1.0", True, [1.0], None, np.nan, -np.inf):
         for msg, field in ((msgs[VARSTEP_SCALAR], "value"),
@@ -278,7 +277,7 @@ def test_non_finite_payload_rejected(schema):
             encode(msg)
     for fit in ([0.0, np.nan, 0.0, 0.0], np.array([0.0, 0.0, -np.inf, 0.0])):
         with pytest.raises(SchemaViolation):
-            encode(Message(0, ROUND_ESTEP, 1, ESTEP_LOCAL_FIT, {"fit": fit}))
+            encode(Message(0, 1, ESTEP_LOCAL_FIT, {"fit": fit}))
     # a step norm is never negative
     with pytest.raises(SchemaViolation):
         sch.validate(with_payload(msgs[VARSTEP_SCALAR], value=-0.5))
@@ -297,7 +296,7 @@ def test_varstep_scalars_one_per_pattern(schema):
                     {"patterns": [(1, 2), (2,)], "vals": np.array([0.5, 0.25])},
                     {"value": 0.5, "vals": np.array([0.5, 0.25])}):
         with pytest.raises(SchemaViolation):
-            sch.validate(Message(0, ROUND_VARSTEP, 2, VARSTEP_SCALAR, payload))
+            sch.validate(Message(0, 2, VARSTEP_SCALAR, payload))
 
 
 def test_broadcast_denominators_one_per_pattern(schema):
@@ -319,19 +318,19 @@ def test_broadcast_only_from_server(schema):
     msgs = valid_messages()
     for kind in (ESTEP_BROADCAST, CONTROL):
         with pytest.raises(SchemaViolation):
-            sch.validate(Message(0, ROUND_ESTEP, 1, kind, msgs[kind].payload))
+            sch.validate(Message(0, 1, kind, msgs[kind].payload))
     # and the clients' kinds only from clients 1..K
     for kind in (ESTEP_LOCAL_FIT, VARSTEP_SCALAR):
         for sender in (SERVER_ID, 3):
             with pytest.raises(SchemaViolation):
-                sch.validate(Message(0, ROUND_ESTEP, sender, kind,
+                sch.validate(Message(0, sender, kind,
                                      msgs[kind].payload))
 
 
 def test_control_events_closed(schema):
     sch, *_ = schema
-    sch.validate(Message(0, "control", SERVER_ID, CONTROL,
+    sch.validate(Message(0, SERVER_ID, CONTROL,
                          {"event": "round_begin"}))
     with pytest.raises(SchemaViolation):
-        sch.validate(Message(0, "control", SERVER_ID, CONTROL,
+        sch.validate(Message(0, SERVER_ID, CONTROL,
                              {"event": "upload_raw_data"}))

@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -26,8 +27,6 @@ from vfem.messages import (
     CONTROL,
     ESTEP_BROADCAST,
     MESSAGE_KINDS,
-    ROUND_CONTROL,
-    ROUND_ESTEP,
     SERVER_ID,
     Message,
     WireSchema,
@@ -123,9 +122,9 @@ class TestClientKernel:
                                    theta.sigma_blocks[k - 1])
                 agent = ClientAgent(data.view(k), layout, mask, eta)
                 agent.load_params(beta, mu, sigma)
-                agent.handle_message(Message(0, ROUND_CONTROL, SERVER_ID, CONTROL,
+                agent.handle_message(Message(0, SERVER_ID, CONTROL,
                                              {"event": "round_begin"}))
-                agent.handle_message(Message(0, ROUND_ESTEP, SERVER_ID, ESTEP_BROADCAST,
+                agent.handle_message(Message(0, SERVER_ID, ESTEP_BROADCAST,
                                              {"sigma2": theta.sigma2, "denom": d,
                                               "resid": cache.r}))
                 ref = per_sample_client_update(data.view(k), mask, eta, beta, mu,
@@ -237,6 +236,33 @@ class TestTransports:
         assert np.array_equal(res_a.loss_trace, res_b.loss_trace)
         assert res_a.comm["bytes_total"] == res_b.comm["bytes_total"]
         assert res_a.comm["messages"] == res_b.comm["messages"]
+
+    def test_socket_and_inproc_agree_on_a_diverged_fit(self, monkeypatch):
+        # the fit ends with a restore in its last round_end, which a socket
+        # client applies in its own thread; slowing that thread shows whether
+        # theta is read only after the clients are done
+        data, _ = make_instance(200, (2, 2), 0.3, seed=14)
+        cfg = dict(engine="federated", learning_rate=1000.0,
+                   divergence_patience=3, max_iters=1500, tol=1e-9)
+        res_a = fit(data, FitConfig(transport="inproc", **cfg))
+        assert res_a.reason == "diverged" and res_a.eta_halvings == 8
+
+        end_round = ClientAgent._end_round
+
+        def slow_end_round(agent, msg):
+            if msg.payload.get("restore"):
+                time.sleep(0.2)
+            return end_round(agent, msg)
+
+        monkeypatch.setattr(ClientAgent, "_end_round", slow_end_round)
+        res_b = fit(data, FitConfig(transport="socket", **cfg))
+        assert res_b.reason == "diverged"
+        assert np.array_equal(res_a.loss_trace, res_b.loss_trace)
+        assert np.array_equal(res_a.theta.beta, res_b.theta.beta)
+        for a, b in zip(res_a.theta.mu + res_a.theta.sigma_blocks,
+                        res_b.theta.mu + res_b.theta.sigma_blocks):
+            assert np.array_equal(a, b)
+        assert res_a.theta.sigma2 == res_b.theta.sigma2
 
     def test_socket_connections_disable_nagle(self, monkeypatch):
         # both ends write records back to back; with Nagle's algorithm each
