@@ -2,17 +2,18 @@
 complete-data objective, its coefficient gradient, and the closed-form
 maximization step.
 
-These serve two roles: they are the lossless oracle the federated rounds are
-checked against, and they power the oracle engine that iterates the closed
-form directly. The E-step works per missingness pattern (there are at most
-2^K of them): every row of a pattern shares its denominator d_g, its
-coupling vector Sigma beta and its conditional covariance, so `estep`
-computes those once per `PatternGroup`, and one sample's conditional mean
-and covariance are read from its row of `x_tilde` and its group.
+These per-sample kernels are the lossless reference the federated rounds and
+the oracle engine are checked against. The E-step works per missingness
+pattern (there are at most 2^K of them): every row of a pattern shares its
+denominator d_g, its coupling vector Sigma beta and its conditional
+covariance, so `estep` computes those once per `PatternGroup`, and one
+sample's conditional mean and covariance are read from its row of `x_tilde`
+and its group.
 
-`em_map`, the EM map that inference differentiates, runs on per-pattern
-sufficient statistics instead: `pattern_moments` sums them in O(n p^2) once,
-and each map then costs O(G (p+2)^3) for G patterns, independent of n.
+`em_map`, the EM map that the oracle engine iterates and inference
+differentiates, runs on per-pattern sufficient statistics instead:
+`pattern_moments` sums them in O(n p^2) once, and each map then costs
+O(G (p+2)^3) for G patterns, independent of n.
 """
 
 from __future__ import annotations

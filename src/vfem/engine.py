@@ -3,12 +3,13 @@ convergence handling, and prediction.
 
 Each engine evaluates the same EM fixed-point map. The federated engine runs
 one protocol round trip per iteration with a first-order coefficient step;
-the oracle engine applies the closed-form maximization to pooled data. The
-loop in `fit` owns everything else, once for both: the loss and step traces,
-the tolerance and stall stops, the divergence guard and the result. Both
-engines monitor the same loss (mean squared residual plus the
-conditional-covariance corrections) and stop when successive losses differ
-by less than the tolerance.
+the oracle engine iterates `em_map` on per-pattern moments built once per
+fit, so an iteration costs O(G (p+2)^3) whatever n is. The loop in `fit`
+owns everything else, once for both: the loss and step traces, the
+tolerance and stall stops, the divergence guard and the result. Both engines
+monitor the same loss (mean squared residual plus the conditional-covariance
+corrections) and stop when successive losses differ by less than the
+tolerance.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .centralized import (
-    EStepCache,
-    closed_form_m_step,
-    estep,
-    observed_loss,
-    q_gradient_beta,
-)
+from .centralized import em_map, pattern_moments
 from .data import BlockLayout, ModelParameters, VerticalDataset, repair_psd
 from .errors import (
     ConfigError,
@@ -131,16 +126,17 @@ class FitResult:
 
 @dataclass(frozen=True)
 class IterationSnapshot:
-    """Per-iteration internals exposed for lockstep verification."""
+    """Per-iteration internals exposed for lockstep verification. Only the
+    federated engine fills `x_tilde`, `e`, `alpha` and `grad`; the oracle
+    leaves them None."""
 
     t: int
     theta: ModelParameters           # iteration-start parameters
-    x_tilde: np.ndarray
-    e: np.ndarray
-    alpha: dict                      # client -> (rows, (len(rows), p_k) array)
-    grad: np.ndarray                 # exact objective gradient, length p
-    sigma2_new: float
-    loss: float
+    sigma2_new: float                # the iteration's loss
+    x_tilde: Optional[np.ndarray] = None
+    e: Optional[np.ndarray] = None
+    alpha: Optional[dict] = None     # client -> (rows, (len(rows), p_k) array)
+    grad: Optional[np.ndarray] = None    # exact objective gradient, length p
 
 
 def initialize(data: VerticalDataset, cfg: FitConfig) -> ModelParameters:
@@ -201,44 +197,26 @@ def _loss_quiet(loss: float, prev: Optional[float]) -> bool:
     return prev is not None and abs(loss - prev) <= 1e-8 * max(1.0, abs(loss))
 
 
-def _oracle_snapshot(t: int, theta: ModelParameters, cache: EStepCache,
-                     data: VerticalDataset, loss: float) -> IterationSnapshot:
-    layout = data.layout
-    alpha: dict = {}
-    for k in layout.clients():
-        rows = data.mask.missing_rows(k)
-        arr = np.zeros((rows.size, layout.dim(k)))
-        for g in cache.patterns:
-            if k in g.missing:
-                off = sum(layout.dim(j) for j in g.missing if j < k)
-                a_slice = cache.alpha(g)[off:off + layout.dim(k)]
-                where = np.searchsorted(rows, g.rows)
-                arr[where] = a_slice
-        alpha[k] = (rows, arr)
-    grad = q_gradient_beta(theta, data, cache)
-    return IterationSnapshot(t=t, theta=theta, x_tilde=cache.x_tilde.copy(),
-                             e=cache.e.copy(), alpha=alpha, grad=grad,
-                             sigma2_new=loss, loss=loss)
-
-
 class _OracleEngine:
-    """The closed-form EM map on pooled data. It has no step size to halve."""
+    """The closed-form EM map, `em_map` on the data's per-pattern moments;
+    the per-sample `estep` and `closed_form_m_step` stay as its reference.
+    It has no step size to halve."""
 
     eta = None
 
     def __init__(self, data: VerticalDataset, theta0: ModelParameters):
-        self.data = data
+        self._moments = pattern_moments(data)
         self.theta = theta0
         self._start = self._best = theta0
 
     def run_iteration(self, t: int, inspect: Optional[Callable]) -> tuple[float, float]:
         """One EM step; returns the loss at the iteration-start parameters
-        and the norm of the coefficient step."""
-        cache = estep(self.theta, self.data)
-        loss = observed_loss(cache.e, cache.v4)
+        (the noise variance the map returns) and the norm of the coefficient
+        step."""
+        theta_new = em_map(self.theta, self._moments)
+        loss = theta_new.sigma2
         if inspect is not None:
-            inspect(_oracle_snapshot(t, self.theta, cache, self.data, loss))
-        theta_new = closed_form_m_step(self.theta, self.data, cache)
+            inspect(IterationSnapshot(t=t, theta=self.theta, sigma2_new=loss))
         step = float(np.linalg.norm(theta_new.beta - self.theta.beta))
         self._start, self.theta = self.theta, theta_new
         return loss, step
@@ -280,7 +258,7 @@ def _federated_snapshot(t: int, agents: dict, coord: ServerCoordinator,
     return IterationSnapshot(t=t, theta=theta_pre, x_tilde=x_tilde,
                              e=coord.last_residuals.copy(), alpha=alpha,
                              grad=grad_printed / coord._sigma2_pre,
-                             sigma2_new=loss, loss=loss)
+                             sigma2_new=loss)
 
 
 class _FederatedEngine:

@@ -108,9 +108,8 @@ def _split_train_test(data, rng: np.random.Generator, fraction: float):
     return data.subset(train_rows), data.subset(test_rows)
 
 
-def _run_method(method: str, train, test, truth, spec: MonteCarloSpec):
+def _run_method(method: str, train, test, spec: MonteCarloSpec):
     """Returns (beta_hat, se_or_None, mse_or_None); NaN outside support."""
-    p = train.layout.total_dim
     if method == "vfem":
         res = fit(train, spec.fit)
         se = None
@@ -146,12 +145,12 @@ def monte_carlo(spec: MonteCarloSpec) -> MonteCarloSummary:
     for rep, child in enumerate(root.spawn(spec.reps)):
         rep_seed = int(child.generate_state(1)[0] % (2 ** 31))
         gen_cfg = replace(spec.gen, seed=rep_seed)
-        data, truth = generate(gen_cfg)
+        data, _ = generate(gen_cfg)
         split_rng = np.random.default_rng(child.spawn(1)[0])
         train, test = _split_train_test(data, split_rng, spec.test_fraction)
         for method in spec.methods:
             try:
-                beta_hat, se, mse = _run_method(method, train, test, truth, spec)
+                beta_hat, se, mse = _run_method(method, train, test, spec)
             except VfemError as err:
                 errors[method].append(f"rep {rep}: {err}")
                 continue

@@ -196,13 +196,13 @@ class TestDivergenceGuard:
     def test_rising_oracle_loss_restores_the_best_iterate(self, monkeypatch):
         # the oracle has no step to halve: a loss that keeps rising ends the
         # fit at its best iterate instead of running out the budget
-        real = engine_module.closed_form_m_step
+        real = engine_module.em_map
 
-        def inflated(theta, data, cache):
-            new = real(theta, data, cache)
+        def inflated(theta, moments):
+            new = real(theta, moments)
             return dataclasses.replace(new, sigma2=10.0 * new.sigma2)
 
-        monkeypatch.setattr(engine_module, "closed_form_m_step", inflated)
+        monkeypatch.setattr(engine_module, "em_map", inflated)
         data, _ = make_instance(200, (2, 2), 0.3, seed=14)
         cfg = FitConfig(engine="oracle", init="cc-ols", max_iters=200)
         snaps = []

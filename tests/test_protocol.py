@@ -224,6 +224,32 @@ class TestLockstep:
                             cache.alpha(g)[off:off + data.layout.dim(k)]
                 assert rel_err(arr, ref, floor=1e-12) < 1e-10
 
+    def test_oracle_iterations_match_per_sample_kernels(self):
+        # the oracle iterates em_map on per-pattern moments; every iteration
+        # must still be the per-sample E-step and closed-form maximization
+        from test_acceptance import random_battery
+        instances = [make_instance(n, dims, rho, seed=seed, min_complete=2)
+                     for n, dims, rho, seed
+                     in random_battery(np.random.default_rng(777), 4)]
+        instances.append(generate(smes_like_config(n=300, seed=3)))
+        for data, _ in instances:
+            snaps = []
+            res = fit(data, FitConfig(engine="oracle", max_iters=6, tol=1e-300),
+                      inspect=snaps.append)
+            assert res.reason == "max_iters" and len(snaps) == 6
+            nexts = [s.theta for s in snaps[1:]] + [res.theta]
+            for snap, nxt in zip(snaps, nexts):
+                cache = estep(snap.theta, data)
+                loss = observed_loss(cache.e, cache.v4)
+                assert abs(snap.sigma2_new - loss) <= 1e-12 * loss
+                central = closed_form_m_step(snap.theta, data, cache)
+                assert rel_err(nxt.beta, central.beta) < 1e-10
+                for k in data.layout.clients():
+                    assert rel_err(nxt.mu[k - 1], central.mu[k - 1]) < 1e-10
+                    assert rel_err(nxt.sigma_blocks[k - 1],
+                                   central.sigma_blocks[k - 1]) < 1e-10
+                assert abs(nxt.sigma2 - central.sigma2) < 1e-10 * central.sigma2
+
 
 class TestTransports:
     def test_socket_and_inproc_agree_exactly(self):
