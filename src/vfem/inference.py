@@ -1,7 +1,8 @@
 """Standard errors for the converged fit.
 
-Pipeline: approximate the cross-product statistics of the pseudo-complete
-design by averaged CountSketches (clients only ever ship m x p_k
+Pipeline: read the cross-product statistics of the pseudo-complete design
+off one Gram matrix, that of the rows [X~ - 1 mu', e, 1 per client], which
+averaged CountSketches estimate (clients only ever ship m x (p_k + 1)
 projections, each computed in O(n p_k), so L replicates cost O(L n p)),
 assemble the conditional expectation of the complete-data information matrix
 from those statistics, estimate the EM map's rate matrix by forward
@@ -154,7 +155,8 @@ class SketchedStatistics:
     """Cross-product summaries of the pseudo-complete design.
 
     xx ~ X~'X~, centered_xx ~ Xc'Xc with Xc = X~ - 1 mu', xe ~ X~'e,
-    xsum ~ X~'1, centered_xsum ~ Xc'1.
+    xsum ~ X~'1, centered_xsum ~ Xc'1: all blocks of the Gram of the rows
+    [Xc, e, 1 per client], lifted by the means for the uncentred ones.
     """
 
     xx: np.ndarray
@@ -168,32 +170,48 @@ class SketchedStatistics:
     exact_within_block: bool
 
 
+def _gram_statistics(gram: np.ndarray, mu_blocks: list[np.ndarray],
+                     **meta) -> SketchedStatistics:
+    """All five statistics from the Gram of the rows [X~ - 1 mu', e, 1 per
+    client]. The centred products are its blocks; the uncentred ones lift
+    each centred row j by mu_j times its client's ones row, which adds the
+    mean terms back instead of cancelling them."""
+    mu = np.concatenate(mu_blocks)
+    p = mu.size
+    cols = np.arange(p)
+    ones = p + 1 + np.repeat(np.arange(len(mu_blocks)),
+                             [mu_k.size for mu_k in mu_blocks])
+    lift = np.eye(gram.shape[0])
+    lift[cols, ones] = mu
+    full = lift @ gram @ lift.T
+    full = 0.5 * (full + full.T)
+    return SketchedStatistics(
+        xx=full[:p, :p], centered_xx=gram[:p, :p], xe=full[:p, p],
+        xsum=full[cols, ones], centered_xsum=gram[cols, ones], **meta)
+
+
+def _gram_rows(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
+               mu_blocks: list[np.ndarray]) -> np.ndarray:
+    """The rows [X~ - 1 mu', e, 1 per client] as a (p + 1 + K, n) array."""
+    return np.vstack([(blk - mu_k).T for blk, mu_k in zip(pseudo_blocks, mu_blocks)]
+                     + [residuals, np.ones((len(pseudo_blocks), len(residuals)))])
+
+
 def exact_statistics(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
                      mu_blocks: list[np.ndarray]) -> SketchedStatistics:
-    """The same statistics computed directly (oracle / no-sketch path)."""
-    x = np.concatenate(pseudo_blocks, axis=1)
-    mu = np.concatenate(mu_blocks)
-    xc = x - mu
-    return SketchedStatistics(
-        xx=x.T @ x, centered_xx=xc.T @ xc, xe=x.T @ residuals,
-        xsum=x.sum(axis=0), centered_xsum=xc.sum(axis=0),
-        sketch_dim=0, replicates=0, shared=True, exact_within_block=True)
+    """The same statistics from the unsketched Gram (S = I; oracle path)."""
+    rows = _gram_rows(pseudo_blocks, residuals, mu_blocks)
+    return _gram_statistics(rows @ rows.T, mu_blocks, sketch_dim=0, replicates=0,
+                            shared=True, exact_within_block=True)
 
 
 def _count_sketch(seed: np.random.SeedSequence, n: int, m: int):
     """Draw one CountSketch S (m x n): sample i goes to bucket h(i) with sign
-    s(i). Returns (h, s, S 1)."""
+    s(i). Returns (h, s)."""
     rng = np.random.default_rng(seed)
     h = rng.integers(m, size=n)
     s = rng.integers(2, size=n) * 2.0 - 1.0
-    return h, s, np.bincount(h, weights=s, minlength=m)
-
-
-def _project(sketch, block: np.ndarray, m: int) -> np.ndarray:
-    """S @ block in O(n p): per column, the signed sums of each bucket."""
-    h, s, _ = sketch
-    return np.stack([np.bincount(h, weights=s * col, minlength=m)
-                     for col in block.T], axis=1)
+    return h, s
 
 
 def sketch_statistics(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
@@ -201,66 +219,42 @@ def sketch_statistics(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
                       cfg: SketchConfig) -> SketchedStatistics:
     """Replicate-averaged CountSketches of the design cross-products.
 
-    Per replicate each client projects its pseudo-complete block X_k and the
-    ones vector with a CountSketch S (E[S'S] = I) and ships S X_k (m x p_k)
-    and S 1; centered projections are S X_k - (S 1) mu_k'. A projection
-    costs O(n p_k), so the statistics cost O(L n p) with no (m, n) matrix.
-    In shared mode all clients and the server derive the same S from the
-    broadcast seed: cross-client blocks and the residual product
-    (S X~)'(S e) are unbiased. In private mode each client draws its own S
-    and the server sketches e with an independent one, so cross-client
+    Per replicate each client projects its rows of the Gram (X_k - 1 mu_k'
+    and its ones row) with a CountSketch S (E[S'S] = I) and ships the
+    m x (p_k + 1) projection; the server projects e. A projection is a
+    signed bucket sum, O(n p_k), so the statistics cost O(L n p) with no
+    (m, n) matrix, and the average Gram of the projections estimates the
+    Gram of the rows. In shared mode all clients and the server derive the
+    same S from the broadcast seed: cross-client blocks and the residual
+    product (S X~)'(S e) are unbiased. In private mode each client draws its
+    own S and the server sketches e with an independent one, so cross-client
     blocks and xe shrink toward zero, their expectation under independent
-    sketches.
+    sketches. Hybrid mode replaces each client's own diagonal block of the
+    averaged Gram (its covariates and ones row) by the exact block.
     """
-    n = pseudo_blocks[0].shape[0]
+    n = len(residuals)
     K = layout.num_clients
-    p = layout.total_dim
     m, L = cfg.resolve(n, K)
-    e = np.asarray(residuals, dtype=float)[:, None]
-    mu = np.concatenate(mu_blocks)
-    owner = np.repeat(np.arange(K), [layout.dim(k) for k in layout.clients()])
-
-    xx = np.zeros((p, p))
-    cxx = np.zeros((p, p))
-    xe = np.zeros(p)
-    xsum = np.zeros(p)
-    cxsum = np.zeros(p)
-
+    rows = _gram_rows(pseudo_blocks, residuals, mu_blocks)
+    # the sketch of each row: its client's, and the server's (K) for e
+    owner = np.concatenate([np.repeat(np.arange(K), layout.client_dims),
+                            [K], np.arange(K)])
+    sketch_of = np.zeros_like(owner) if cfg.shared else owner
+    gram = np.zeros((owner.size, owner.size))
     for child in np.random.SeedSequence(cfg.seed).spawn(L):
-        if cfg.shared:
-            sketches = [_count_sketch(child, n, m)] * (K + 1)
-        else:
-            sketches = [_count_sketch(sub, n, m) for sub in child.spawn(K + 1)]
-        sa = np.concatenate([_project(sk, blk, m)
-                             for sk, blk in zip(sketches, pseudo_blocks)], axis=1)
-        s1 = np.stack([ones for _, _, ones in sketches[:K]], axis=1)[:, owner]
-        sb = sa - s1 * mu
-        xx += sa.T @ sa
-        cxx += sb.T @ sb
-        xe += sa.T @ _project(sketches[K], e, m)[:, 0]
-        xsum += (sa * s1).sum(axis=0)
-        cxsum += (sb * s1).sum(axis=0)
-
-    xx = 0.5 * (xx + xx.T) / L
-    cxx = 0.5 * (cxx + cxx.T) / L
-    xe /= L
-    xsum /= L
-    cxsum /= L
-
+        draws = [child] if cfg.shared else child.spawn(K + 1)
+        h, s = zip(*(_count_sketch(sub, n, m) for sub in draws))
+        proj = np.stack([np.bincount(h[g], weights=s[g] * row, minlength=m)
+                         for g, row in zip(sketch_of, rows)])
+        gram += proj @ proj.T
+    gram /= L
     if cfg.exact_within_block:
-        for k in layout.clients():
-            sl = layout.block_slice(k)
-            blk = pseudo_blocks[k - 1]
-            xx[sl, sl] = blk.T @ blk
-            centered = blk - mu_blocks[k - 1]
-            cxx[sl, sl] = centered.T @ centered
-            xsum[sl] = blk.sum(axis=0)
-            cxsum[sl] = centered.sum(axis=0)
-
-    return SketchedStatistics(xx=xx, centered_xx=cxx, xe=xe, xsum=xsum,
-                              centered_xsum=cxsum, sketch_dim=m, replicates=L,
-                              shared=cfg.shared,
-                              exact_within_block=cfg.exact_within_block)
+        for k in range(K):
+            own = np.flatnonzero(owner == k)
+            gram[np.ix_(own, own)] = rows[own] @ rows[own].T
+    return _gram_statistics(gram, mu_blocks, sketch_dim=m, replicates=L,
+                            shared=cfg.shared,
+                            exact_within_block=cfg.exact_within_block)
 
 
 # -- information matrix ------------------------------------------------------

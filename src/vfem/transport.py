@@ -66,7 +66,8 @@ class BaseTransport:
     def _record(self, msg: Message, outgoing: bool, line: str | None = None) -> None:
         if line is None:
             line = encode(msg)
-        self.counters.add(msg.kind, len(line.encode("utf-8")), outgoing)
+        nbytes = len(line) if line.isascii() else len(line.encode("utf-8"))
+        self.counters.add(msg.kind, nbytes, outgoing)
         if self._trace_file:
             self._trace_file.write(line)
 

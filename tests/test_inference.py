@@ -15,10 +15,12 @@ from vfem import (
     closed_form_m_step,
     exact_statistics,
     fit,
+    generate,
     q_value,
     run_inference,
     sem_jacobian,
     sketch_statistics,
+    smes_like_config,
 )
 from vfem import inference
 from vfem.centralized import estep
@@ -159,8 +161,12 @@ class TestSketches:
         st = sketch_statistics(blocks, cache.e, mus, data.layout,
                                SketchConfig(m=4, replicates=2, seed=9,
                                             exact_within_block=True))
-        assert np.allclose(st.xx[0:2, 0:2], exact.xx[0:2, 0:2])
-        assert np.allclose(st.xx[2:4, 2:4], exact.xx[2:4, 2:4])
+        for sl in (slice(0, 2), slice(2, 4)):
+            assert np.allclose(st.xx[sl, sl], exact.xx[sl, sl])
+            assert np.allclose(st.centered_xx[sl, sl], exact.centered_xx[sl, sl])
+            assert np.allclose(st.xsum[sl], exact.xsum[sl])
+            assert np.allclose(st.centered_xsum[sl], exact.centered_xsum[sl],
+                               atol=1e-10 * np.linalg.norm(exact.xsum))
         assert not np.allclose(st.xx[0:2, 2:4], exact.xx[0:2, 2:4])
 
     def test_default_sizing_follows_sample_count(self):
@@ -168,6 +174,102 @@ class TestSketches:
         m, L = cfg.resolve(800, 3)
         assert m == 3 * 7  # K * ceil(log n)
         assert L >= 1 and m * L <= inference._LM_CAP + m
+
+
+def five_accumulator_sketch_statistics(pseudo_blocks, residuals, mu_blocks,
+                                       layout, cfg):
+    """The sketched statistics accumulated field by field: per replicate the
+    uncentred projections S X_k, the projected ones vectors S 1 and the
+    centred projections S X_k - (S 1) mu_k', with the exact within-client
+    fields written over the averages in hybrid mode."""
+    n = pseudo_blocks[0].shape[0]
+    K, p = layout.num_clients, layout.total_dim
+    m, L = cfg.resolve(n, K)
+    mu = np.concatenate(mu_blocks)
+    owner = np.repeat(np.arange(K), layout.client_dims)
+
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        h = rng.integers(m, size=n)
+        s = rng.integers(2, size=n) * 2.0 - 1.0
+        return h, s, np.bincount(h, weights=s, minlength=m)
+
+    def project(sketch, block):
+        h, s, _ = sketch
+        return np.stack([np.bincount(h, weights=s * col, minlength=m)
+                         for col in block.T], axis=1)
+
+    xx, cxx = np.zeros((p, p)), np.zeros((p, p))
+    xe, xsum, cxsum = np.zeros(p), np.zeros(p), np.zeros(p)
+    for child in np.random.SeedSequence(cfg.seed).spawn(L):
+        if cfg.shared:
+            sketches = [draw(child)] * (K + 1)
+        else:
+            sketches = [draw(sub) for sub in child.spawn(K + 1)]
+        sa = np.concatenate([project(sk, blk)
+                             for sk, blk in zip(sketches, pseudo_blocks)], axis=1)
+        s1 = np.stack([ones for _, _, ones in sketches[:K]], axis=1)[:, owner]
+        sb = sa - s1 * mu
+        xx += sa.T @ sa
+        cxx += sb.T @ sb
+        xe += sa.T @ project(sketches[K], residuals[:, None])[:, 0]
+        xsum += (sa * s1).sum(axis=0)
+        cxsum += (sb * s1).sum(axis=0)
+    xx, cxx = 0.5 * (xx + xx.T) / L, 0.5 * (cxx + cxx.T) / L
+    xe, xsum, cxsum = xe / L, xsum / L, cxsum / L
+    if cfg.exact_within_block:
+        for k in layout.clients():
+            sl = layout.block_slice(k)
+            blk = pseudo_blocks[k - 1]
+            centered = blk - mu_blocks[k - 1]
+            xx[sl, sl], cxx[sl, sl] = blk.T @ blk, centered.T @ centered
+            xsum[sl], cxsum[sl] = blk.sum(axis=0), centered.sum(axis=0)
+    return dict(xx=xx, centered_xx=cxx, xe=xe, xsum=xsum, centered_xsum=cxsum)
+
+
+class TestOneGram:
+    """Every statistic is a block of one Gram matrix; sketching it must give
+    the same numbers as accumulating each statistic on its own."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        from test_acceptance import random_battery
+        out = [make_instance(n, dims, rho, seed=seed, min_complete=2)[0]
+               for n, dims, rho, seed
+               in random_battery(np.random.default_rng(777), 5)]
+        out.append(generate(smes_like_config(n=600, seed=3))[0])
+        return [(data,) + stats_inputs(fit(data, FitConfig(engine="oracle")).theta,
+                                       data)
+                for data in out]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("hybrid", [True, False])
+    def test_matches_five_accumulators(self, instances, shared, hybrid):
+        for data, cache, blocks, mus in instances:
+            cfg = SketchConfig(m=6, replicates=9, seed=21, shared=shared,
+                               exact_within_block=hybrid)
+            st = sketch_statistics(blocks, cache.e, mus, data.layout, cfg)
+            ref = five_accumulator_sketch_statistics(blocks, cache.e, mus,
+                                                     data.layout, cfg)
+            for name in ("xx", "centered_xx", "xe"):
+                assert rel_err(getattr(st, name), ref[name]) < 1e-12
+            scale = np.linalg.norm(ref["xsum"])
+            for name in ("xsum", "centered_xsum"):
+                assert np.linalg.norm(getattr(st, name) - ref[name]) < 1e-12 * scale
+
+    def test_exact_statistics_keep_large_means(self, instances):
+        for data, cache, blocks, mus in instances:
+            blocks = [blk + 1e3 for blk in blocks]
+            mus = [mu + 1e3 for mu in mus]
+            st = exact_statistics(blocks, cache.e, mus)
+            x = np.concatenate(blocks, axis=1)
+            xc = x - np.concatenate(mus)
+            assert rel_err(st.xx, x.T @ x) < 1e-12
+            assert rel_err(st.centered_xx, xc.T @ xc) < 1e-12
+            assert rel_err(st.xe, x.T @ cache.e) < 1e-12
+            scale = np.linalg.norm(x.sum(axis=0))
+            assert np.linalg.norm(st.xsum - x.sum(axis=0)) < 1e-12 * scale
+            assert np.linalg.norm(st.centered_xsum - xc.sum(axis=0)) < 1e-12 * scale
 
 
 class TestInformationMatrix:
