@@ -58,6 +58,8 @@ class FitConfig:
             raise ConfigError("tolerance must be positive")
         if self.learning_rate is not None and not (self.learning_rate > 0):
             raise ConfigError("learning rate must be positive")
+        if self.divergence_patience < 1:
+            raise ConfigError("divergence_patience must be at least 1")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}")
         if self.transport not in TRANSPORTS:
@@ -221,8 +223,7 @@ class _OracleEngine:
         self._start, self.theta = self.theta, theta_new
         return loss, step
 
-    def end_iteration(self, best: bool, restore: bool,
-                      eta_scale: Optional[float]) -> None:
+    def end_iteration(self, best: bool, restore: bool) -> None:
         if best:
             self._best = self._start
         if restore:
@@ -292,14 +293,13 @@ class _FederatedEngine:
         # each client's step norm arrives in its last reply
         return loss, math.sqrt(sum(step ** 2 for step in self.coord.last_beta_steps))
 
-    def end_iteration(self, best: bool, restore: bool,
-                      eta_scale: Optional[float]) -> None:
-        self.coord.end_iteration(best=best, restore=restore, eta_scale=eta_scale)
+    def end_iteration(self, best: bool, restore: bool) -> None:
+        self.coord.end_iteration(best=best, restore=restore)
 
     def finish(self) -> tuple[ModelParameters, Optional[dict]]:
         self.coord.announce_convergence()
-        # socket clients apply the last round_end (a restore, say) in their
-        # own threads; closing the transport joins them before theta is read
+        # socket clients apply the last verdict in their own threads; closing
+        # the transport joins them before theta is read
         self.transport.close()
         theta = _collect_theta(self.agents, self.coord, self.layout)
         return theta, self.transport.counters.snapshot()
@@ -342,11 +342,11 @@ def fit(data: VerticalDataset, cfg: FitConfig,
                 streak = streak + 1 if (prev is not None and loss > prev) else 0
                 restore = streak >= cfg.divergence_patience
 
-            stop, scale = False, None
+            stop = False
             if restore:
+                # every restore halves the step, even a diverged fit's last one
                 if engine.eta is not None and halvings < _MAX_HALVINGS:
                     halvings += 1
-                    scale = 0.5
                     streak = 0
                 else:
                     reason, stop = "diverged", True
@@ -357,7 +357,7 @@ def fit(data: VerticalDataset, cfg: FitConfig,
                 # but the tolerance itself never fired
                 reason, stop = "stalled", True
 
-            engine.end_iteration(best=is_best, restore=restore, eta_scale=scale)
+            engine.end_iteration(best=is_best, restore=restore)
             prev = None if restore else loss
             if stop:
                 break

@@ -17,8 +17,10 @@ n_mis + p_k^2) per iteration, and the imputed block is rebuilt only for
 inspection. The server owns the response, the noise variance and the loss.
 
 All updates within an iteration use the iteration-start snapshot. The
-coordinator never stores covariate-dimensional raw data, only the enumerated
-statistics; Sigma_k beta_k never leaves its client.
+server's verdict on an iteration rides on the `control` record that opens
+the next one, or on `converged`. The coordinator never stores
+covariate-dimensional raw data, only the enumerated statistics;
+Sigma_k beta_k never leaves its client.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .data import BlockLayout, ClientView, MissingMask, repair_psd
 from .errors import DegenerateVariance, ProtocolDesync
 from .messages import (
     CONTROL,
+    CONTROL_EVENTS,
     ESTEP_BROADCAST,
     ESTEP_LOCAL_FIT,
     SERVER_ID,
@@ -129,20 +132,30 @@ class ClientAgent:
     def handle_message(self, msg: Message) -> list[Message]:
         if msg.kind == CONTROL:
             event = msg.payload.get("event")
-            if event == "round_begin":
-                self._check(msg, CONTROL, "round_begin")
-                return self._begin_round()
-            if event == "round_end":
-                self._check(msg, CONTROL, "round_end")
-                return self._end_round(msg)
+            if event not in CONTROL_EVENTS:
+                raise ProtocolDesync(f"client {self.k}: unknown control event {event!r}")
+            self._check(msg, CONTROL, "round_begin")
+            self._apply_verdict(msg.payload)
             if event == "converged":
                 self._phase = "done"
                 return []
-            raise ProtocolDesync(f"client {self.k}: unknown control event {event!r}")
+            return self._begin_round()
         if msg.kind == ESTEP_BROADCAST:
             self._check(msg, ESTEP_BROADCAST, "estep_broadcast")
             return self._on_estep_broadcast(msg)
         raise ProtocolDesync(f"client {self.k}: unexpected kind {msg.kind!r}")
+
+    def _apply_verdict(self, pay: dict) -> None:
+        """The server's verdict on the last iteration: its start is the best
+        iterate so far, or the best iterate comes back with half the step."""
+        if pay.get("best"):
+            self._best = self._pre_update
+        if pay.get("restore"):
+            snap = self._best or self._pre_update
+            if snap is None:
+                raise ProtocolDesync(f"client {self.k}: restore before any update")
+            self.beta, self.mu, self.sigma = (a.copy() for a in snap)
+            self.eta *= 0.5
 
     def _begin_round(self) -> list[Message]:
         self._u = self.sigma @ self.beta
@@ -178,25 +191,12 @@ class ClientAgent:
         self.mu = (m_obs * self._center + m_mis * mu_old + u * sum_a) / self.n
         self.sigma = repair_psd(scatter / self.n)
 
-        # the reply also tells the server the update is done
-        self._phase = "round_end"
-        return [Message(self._t, self.k, VARSTEP_SCALAR, {"value": step})]
-
-    def _end_round(self, msg: Message) -> list[Message]:
-        pay = msg.payload
-        if pay.get("eta_scale") is not None:
-            self.eta *= float(pay["eta_scale"])
-        if pay.get("best"):
-            self._best = self._pre_update
-        if pay.get("restore"):
-            snap = self._best or self._pre_update
-            if snap is not None:
-                self.beta = snap.beta.copy()
-                self.mu = snap.mu.copy()
-                self.sigma = snap.sigma.copy()
+        # the reply also tells the server the update is done; the verdict on
+        # this iteration comes with the record that opens the next one
+        reply = Message(self._t, self.k, VARSTEP_SCALAR, {"value": step})
         self._t += 1
         self._phase = "round_begin"
-        return []
+        return [reply]
 
 
 class ServerCoordinator:
@@ -222,6 +222,7 @@ class ServerCoordinator:
         self.last_beta_steps: list[float] = []
         self._sigma2_pre: float = self.sigma2
         self.best_sigma2: float = self.sigma2
+        self._verdict = {"best": False, "restore": False}
 
     def _bcast(self, kind: str, payload: dict) -> None:
         for k in self.layout.clients():
@@ -240,7 +241,7 @@ class ServerCoordinator:
         """Drive one full iteration; returns the new loss value."""
         K = self.layout.num_clients
         sigma2 = self.sigma2
-        self._bcast(CONTROL, {"event": "round_begin"})
+        self._bcast(CONTROL, {"event": "round_begin", **self._verdict})
 
         # local fits and quadratic forms up, (sigma2, d, r) down
         fit_bar = np.zeros(self.n)
@@ -272,18 +273,16 @@ class ServerCoordinator:
         self.sigma2 = loss
         return loss
 
-    def end_iteration(self, best: bool = False, restore: bool = False,
-                      eta_scale: float | None = None) -> None:
+    def end_iteration(self, best: bool = False, restore: bool = False) -> None:
+        """Apply the verdict on this iteration to the noise variance now; the
+        clients get it on the record that opens the next round, or on
+        `converged`."""
         if best:
             self.best_sigma2 = self._sigma2_pre
         if restore:
             self.sigma2 = self.best_sigma2
-        payload: dict = {"event": "round_end", "best": bool(best),
-                         "restore": bool(restore)}
-        if eta_scale is not None:
-            payload["eta_scale"] = float(eta_scale)
-        self._bcast(CONTROL, payload)
+        self._verdict = {"best": bool(best), "restore": bool(restore)}
         self.t += 1
 
     def announce_convergence(self) -> None:
-        self._bcast(CONTROL, {"event": "converged"})
+        self._bcast(CONTROL, {"event": "converged", **self._verdict})

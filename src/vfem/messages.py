@@ -11,8 +11,11 @@ One iteration is one statistics round trip per client. Up goes
 two scalars, mu_k' beta_k and beta_k' Sigma_k beta_k. Down comes
 `estep_broadcast`: the noise variance, one denominator per non-empty
 missingness pattern and the residuals (length n). The client replies with
-`varstep_scalar`, the norm of its coefficient step; `control` records open
-and close the iteration.
+`varstep_scalar`, the norm of its coefficient step. A `control` record
+opens each iteration and carries the server's verdict on the one before:
+whether its start was the best iterate so far (`best`) and whether to
+restore the best iterate with half the step (`restore`). `converged`
+carries the last verdict and ends the fit.
 
 Serialization is newline-delimited, self-describing JSON with a fixed key
 order: `t` (the iteration), `from`, `kind` and `payload`; the kind alone
@@ -45,7 +48,7 @@ CONTROL = "control"
 MESSAGE_KINDS = frozenset({ESTEP_LOCAL_FIT, ESTEP_BROADCAST, VARSTEP_SCALAR,
                            CONTROL})
 
-CONTROL_EVENTS = frozenset({"round_begin", "round_end", "converged"})
+CONTROL_EVENTS = frozenset({"round_begin", "converged"})
 
 # payload fields of each kind in wire order; True marks a packed float
 # vector (see `_pack`), False a plain JSON value
@@ -53,7 +56,7 @@ _PAYLOAD_FIELDS = {
     ESTEP_LOCAL_FIT: {"fit": True, "mean": False, "quad": False},
     ESTEP_BROADCAST: {"sigma2": False, "denom": True, "resid": True},
     VARSTEP_SCALAR: {"value": False},
-    CONTROL: dict.fromkeys(("event", "best", "restore", "eta_scale"), False),
+    CONTROL: dict.fromkeys(("event", "best", "restore"), False),
 }
 
 
@@ -223,8 +226,6 @@ class WireSchema:
             self._require(msg.sender == SERVER_ID, f"{kind}: server only")
             event = pay.get("event")
             self._require(event in CONTROL_EVENTS, f"unknown control event {event!r}")
-            if "eta_scale" in pay:
-                self._require_scalars(pay, ("eta_scale",), kind)
             for key in ("best", "restore"):
                 if key in pay:
                     self._require(isinstance(pay[key], (bool, np.bool_)),

@@ -15,7 +15,7 @@ from __future__ import annotations
 import socket
 import threading
 from collections import deque
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import ProtocolDesync
 from .messages import Message, WireSchema, decode, encode
@@ -57,11 +57,6 @@ class BaseTransport:
         self.num_clients = num_clients
         self.counters = ByteCounters()
         self._trace_file = open(trace_path, "w") if trace_path else None
-        self.drop_rules: list[Callable[[int, Message], bool]] = []
-
-    def inject_drop(self, rule: Callable[[int, Message], bool]) -> None:
-        """Drop the first server->client send matching `rule` (fault testing)."""
-        self.drop_rules.append(rule)
 
     def _record(self, msg: Message, outgoing: bool, line: str | None = None) -> None:
         if line is None:
@@ -70,13 +65,6 @@ class BaseTransport:
         self.counters.add(msg.kind, nbytes, outgoing)
         if self._trace_file:
             self._trace_file.write(line)
-
-    def _should_drop(self, k: int, msg: Message) -> bool:
-        for rule in list(self.drop_rules):
-            if rule(k, msg):
-                self.drop_rules.remove(rule)
-                return True
-        return False
 
     def send_to_client(self, k: int, msg: Message) -> None:
         raise NotImplementedError
@@ -102,8 +90,6 @@ class InProcessTransport(BaseTransport):
 
     def send_to_client(self, k: int, msg: Message) -> None:
         self.schema.validate(msg)
-        if self._should_drop(k, msg):
-            return
         self._record(msg, outgoing=True)
         replies = self.agents[k].handle_message(msg)
         for reply in replies:
@@ -121,9 +107,9 @@ class InProcessTransport(BaseTransport):
 class SocketTransport(BaseTransport):
     """One loopback TCP connection per client, one thread per client agent.
 
-    Both ends set TCP_NODELAY: the server writes two records back to back
-    with no reply in between (round_end, round_begin), which Nagle's
-    algorithm and delayed ACKs would stall by tens of milliseconds.
+    Both ends set TCP_NODELAY: every record is a whole message its peer is
+    waiting for, so holding its last segment back to coalesce it with later
+    writes can only delay the round.
 
     While waiting for the clients to connect, the server checks every
     `_ACCEPT_POLL` seconds whether a client thread has failed, so a client
@@ -215,8 +201,6 @@ class SocketTransport(BaseTransport):
     def send_to_client(self, k: int, msg: Message) -> None:
         self._check_errors()
         self.schema.validate(msg)
-        if self._should_drop(k, msg):
-            return
         line = encode(msg)
         self._record(msg, outgoing=True, line=line)
         self._conns[k].sendall(line.encode("utf-8"))

@@ -38,6 +38,9 @@ class TestFitConfig:
             FitConfig(engine="mystery")
         with pytest.raises(ConfigError):
             FitConfig(init="warm")
+        for patience in (0, -1):
+            with pytest.raises(ConfigError):
+                FitConfig(divergence_patience=patience)
 
 
 class TestInitialize:

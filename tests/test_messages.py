@@ -46,8 +46,8 @@ def valid_messages():
         VARSTEP_SCALAR: Message(0, 2, VARSTEP_SCALAR,
                                 {"value": 0.5}),
         CONTROL: Message(0, SERVER_ID, CONTROL,
-                         {"event": "round_end", "best": True,
-                          "restore": False, "eta_scale": 0.5}),
+                         {"event": "round_begin", "best": True,
+                          "restore": False}),
     }
 
 
@@ -219,7 +219,7 @@ def test_raw_covariate_block_rejected(schema):
                     sch.validate(bad)
                 with pytest.raises(SchemaViolation):
                     encode(bad)
-    assert slots == 10
+    assert slots == 9
 
     # packed into a vector slot, a block's bytes decode to a vector of
     # length m_k * p_k or n * p_k: a client's own block does not fit its
@@ -260,8 +260,7 @@ def test_non_finite_payload_rejected(schema):
         for msg, field in ((msgs[VARSTEP_SCALAR], "value"),
                            (msgs[ESTEP_LOCAL_FIT], "mean"),
                            (msgs[ESTEP_LOCAL_FIT], "quad"),
-                           (msgs[ESTEP_BROADCAST], "sigma2"),
-                           (msgs[CONTROL], "eta_scale")):
+                           (msgs[ESTEP_BROADCAST], "sigma2")):
             with pytest.raises(SchemaViolation):
                 sch.validate(with_payload(msg, **{field: value}))
     bad = [
@@ -331,6 +330,13 @@ def test_control_events_closed(schema):
     sch, *_ = schema
     sch.validate(Message(0, SERVER_ID, CONTROL,
                          {"event": "round_begin"}))
+    for payload in ({"event": "upload_raw_data"}, {"event": "round_end"}):
+        with pytest.raises(SchemaViolation):
+            sch.validate(Message(0, SERVER_ID, CONTROL, payload))
+    # a restore always halves the step, so no step scale travels
+    scaled = Message(0, SERVER_ID, CONTROL,
+                     {"event": "round_begin", "restore": True, "eta_scale": 0.5})
     with pytest.raises(SchemaViolation):
-        sch.validate(Message(0, SERVER_ID, CONTROL,
-                             {"event": "upload_raw_data"}))
+        sch.validate(scaled)
+    with pytest.raises(SchemaViolation):
+        encode(scaled)

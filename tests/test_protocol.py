@@ -198,6 +198,38 @@ class TestRounds:
         assert np.all(res.loss_trace > 0)
 
 
+def replay_with_guard(data, cfg):
+    """The fit replayed with the centralized kernels and the divergence guard
+    of `engine.fit`: the best iterate is the lowest-loss iteration start, and
+    a non-finite loss or `divergence_patience` rises in a row restore it and
+    halve the step, at most 8 times. Returns the loss trace, the final
+    parameters, the number of halvings and the stop reason."""
+    theta = initialize(data, cfg)
+    eta = cfg.learning_rate
+    best, best_loss = theta, np.inf
+    losses, prev, streak, halvings = [], None, 0, 0
+    for _ in range(cfg.max_iters):
+        cache = estep(theta, data)
+        loss = observed_loss(cache.e, cache.v4)
+        losses.append(loss)
+        grad = q_gradient_beta(theta, data, cache)
+        start, theta = theta, closed_form_m_step(theta, data, cache).replace(
+            beta=theta.beta + eta * theta.sigma2 * grad)
+        if loss < best_loss:
+            best, best_loss = start, loss
+        streak = streak + 1 if prev is not None and loss > prev else 0
+        if not np.isfinite(loss) or streak >= cfg.divergence_patience:
+            theta = best
+            if halvings == 8:
+                return losses, theta, halvings, "diverged"
+            eta, halvings, streak, prev = eta / 2, halvings + 1, 0, None
+        elif prev is not None and abs(loss - prev) < cfg.tol:
+            return losses, theta, halvings, "loss"
+        else:
+            prev = loss
+    return losses, theta, halvings, "max_iters"
+
+
 class TestLockstep:
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     def test_every_iteration_matches_centralized_kernels(self, transport):
@@ -223,6 +255,29 @@ class TestLockstep:
                         ref[np.searchsorted(rows, g.rows)] = \
                             cache.alpha(g)[off:off + data.layout.dim(k)]
                 assert rel_err(arr, ref, floor=1e-12) < 1e-10
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("rate, patience, reason, halvings",
+                             [(5.0, 5, "loss", 2), (1000.0, 3, "diverged", 8)],
+                             ids=["recovers", "diverges"])
+    def test_restores_match_centralized_replay(self, transport, rate, patience,
+                                               reason, halvings):
+        data, _ = make_instance(200, (2, 2), 0.3, seed=14)
+        cfg = FitConfig(engine="federated", transport=transport,
+                        learning_rate=rate, divergence_patience=patience,
+                        max_iters=1500, tol=1e-9)
+        res = fit(data, cfg)
+        losses, theta, ref_halvings, ref_reason = replay_with_guard(data, cfg)
+        assert (res.reason, res.eta_halvings) == (reason, halvings)
+        assert (ref_reason, ref_halvings) == (reason, halvings)
+        assert res.iterations == len(losses)
+        assert rel_err(res.loss_trace, losses) < 1e-10
+        assert rel_err(res.theta.beta, theta.beta) < 1e-10
+        for k in data.layout.clients():
+            assert rel_err(res.theta.mu[k - 1], theta.mu[k - 1]) < 1e-10
+            assert rel_err(res.theta.sigma_blocks[k - 1],
+                           theta.sigma_blocks[k - 1]) < 1e-10
+        assert abs(res.theta.sigma2 - theta.sigma2) < 1e-10 * theta.sigma2
 
     def test_oracle_iterations_match_per_sample_kernels(self):
         # the oracle iterates em_map on per-pattern moments; every iteration
@@ -264,23 +319,23 @@ class TestTransports:
         assert res_a.comm["messages"] == res_b.comm["messages"]
 
     def test_socket_and_inproc_agree_on_a_diverged_fit(self, monkeypatch):
-        # the fit ends with a restore in its last round_end, which a socket
-        # client applies in its own thread; slowing that thread shows whether
-        # theta is read only after the clients are done
+        # the fit ends with a restore in the verdict on "converged", which a
+        # socket client applies in its own thread; slowing that thread shows
+        # whether theta is read only after the clients are done
         data, _ = make_instance(200, (2, 2), 0.3, seed=14)
         cfg = dict(engine="federated", learning_rate=1000.0,
                    divergence_patience=3, max_iters=1500, tol=1e-9)
         res_a = fit(data, FitConfig(transport="inproc", **cfg))
         assert res_a.reason == "diverged" and res_a.eta_halvings == 8
 
-        end_round = ClientAgent._end_round
+        apply_verdict = ClientAgent._apply_verdict
 
-        def slow_end_round(agent, msg):
-            if msg.payload.get("restore"):
+        def slow_apply_verdict(agent, pay):
+            if pay.get("restore"):
                 time.sleep(0.2)
-            return end_round(agent, msg)
+            return apply_verdict(agent, pay)
 
-        monkeypatch.setattr(ClientAgent, "_end_round", slow_end_round)
+        monkeypatch.setattr(ClientAgent, "_apply_verdict", slow_apply_verdict)
         res_b = fit(data, FitConfig(transport="socket", **cfg))
         assert res_b.reason == "diverged"
         assert np.array_equal(res_a.loss_trace, res_b.loss_trace)
@@ -291,8 +346,8 @@ class TestTransports:
         assert res_a.theta.sigma2 == res_b.theta.sigma2
 
     def test_socket_connections_disable_nagle(self, monkeypatch):
-        # both ends write records back to back; with Nagle's algorithm each
-        # second write waits for the peer's delayed ACK
+        # every record is a whole message its peer waits for; Nagle's
+        # algorithm could only hold its last segment back
         clients = []
         connect = socket.create_connection
 
@@ -349,13 +404,14 @@ class TestTransports:
         assert res.comm["bytes_total"] / (n * res.iterations) <= 1024
 
     def test_one_round_trip_per_iteration(self):
-        # per client and iteration: round_begin, the local fit, the
-        # broadcast, the step reply and round_end; then one "converged"
+        # per client and iteration: round_begin (with the verdict on the
+        # iteration before), the local fit, the broadcast and the step reply;
+        # then one "converged"
         data, _ = generate(smes_like_config(n=600, seed=3))
         K = data.layout.num_clients
         res = fit(data, FitConfig(engine="federated", max_iters=4, tol=1e-300))
         assert res.iterations == 4
-        assert res.comm["messages"] == 5 * K * res.iterations + K
+        assert res.comm["messages"] == 4 * K * res.iterations + K
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     def test_bytes_by_kind_add_up_to_the_trace(self, tmp_path, transport):
@@ -487,7 +543,13 @@ class TestDesync:
         data, _ = make_instance(40, (2, 2), 0.3, seed=5)
         theta = initialize(data, FitConfig())
         agents, coord, transport = build_protocol(data, theta)
-        transport.inject_drop(lambda k, m: m.kind == ESTEP_BROADCAST and k == 2)
+        send = transport.send_to_client
+
+        def drop_broadcast_to_client_2(k, msg):
+            if not (msg.kind == ESTEP_BROADCAST and k == 2):
+                send(k, msg)
+
+        transport.send_to_client = drop_broadcast_to_client_2
         with pytest.raises(ProtocolDesync):
             coord.run_iteration()
 
