@@ -6,9 +6,11 @@ per sample. Provides the round-based federated estimator, a centralized
 closed-form oracle, sketch-based standard errors, synthetic data generation,
 baselines, and a Monte Carlo harness.
 
-`em_map(theta, pattern_moments(data), nuisance_free)` is the EM map the
-standard errors differentiate; it takes the per-pattern moments that
-`pattern_moments` builds once, not the dataset.
+`em_map(theta, pattern_moments(data))` is the EM map the standard errors
+differentiate; it takes the per-pattern moments that `pattern_moments`
+builds once, not the dataset. `ThetaVectorizer` owns the coordinates it is
+differentiated in: beta alone (the rest pinned) or the full parameter, with
+covariance blocks as lower triangles and their duplication matrices.
 """
 
 from . import errors

@@ -324,8 +324,7 @@ def pattern_moments(data: VerticalDataset) -> PatternMoments:
         center=center, center_y=center_y, scatter=scatter)
 
 
-def em_map(theta: ModelParameters, moments: PatternMoments,
-           nuisance_free: bool = False) -> ModelParameters:
+def em_map(theta: ModelParameters, moments: PatternMoments) -> ModelParameters:
     """One application of the EM fixed-point map, the same update as
     `closed_form_m_step` but from per-pattern moments: O(G (p+2)^3).
 
@@ -335,8 +334,8 @@ def em_map(theta: ModelParameters, moments: PatternMoments,
     maximization needs follows from the blocks of sum_g W_g S_g W_g' for a
     stacked W_g = [A_g - mu; y - c_y; e; 1], with S_g = Z_g'Z_g.
 
-    With `nuisance_free=True` only the coefficients move; means, covariances
-    and the noise variance stay pinned (the known-nuisance setting).
+    Every parameter moves; a caller that pins the nuisance parameters (the
+    beta scope of `inference.ThetaVectorizer`) reads the coefficients only.
     """
     layout = moments.layout
     p = layout.total_dim
@@ -399,11 +398,8 @@ def em_map(theta: ModelParameters, moments: PatternMoments,
         mu_new.append(x_mean[sl])
         sig_new.append(repair_psd((scatter[sl, sl] + corrections[sl, sl]) / n))
     sigma2_new = float((e_sumsq + v4_sum) / n)
-    new = ModelParameters(beta=beta_new, mu=tuple(mu_new),
-                          sigma_blocks=tuple(sig_new), sigma2=sigma2_new)
-    if nuisance_free:
-        return theta.replace(beta=new.beta)
-    return new
+    return ModelParameters(beta=beta_new, mu=tuple(mu_new),
+                           sigma_blocks=tuple(sig_new), sigma2=sigma2_new)
 
 
 def observed_loglik(theta: ModelParameters, data: VerticalDataset) -> float:

@@ -70,6 +70,10 @@ class FitConfig:
 
 @dataclass
 class FitResult:
+    """Outcome of `fit`. `eta` is the starting step of the federated engine
+    (None for the oracle); after `eta_halvings` = h halvings by the
+    divergence guard, the clients step with `eta / 2**h`."""
+
     theta: ModelParameters
     loss_trace: np.ndarray
     iterations: int

@@ -50,10 +50,14 @@ _FIXED_POINT_TOL = 1e-6
 class ThetaVectorizer:
     """Flatten parameters to a d-vector and back.
 
-    Covariance blocks are parameterized by their lower triangles (one
-    coordinate per distinct entry); perturbing an off-diagonal coordinate
-    moves the two mirrored entries together. Duplicate coordinates would
-    make the rate-matrix system singular.
+    In 'beta' scope the coordinates are the coefficients alone, and
+    `from_vector` pins every other parameter at its template's value. In
+    'full' scope they add the means, each covariance block's lower triangle
+    vech(Sigma_k) (one coordinate per distinct entry; perturbing an
+    off-diagonal coordinate moves the two mirrored entries together, since
+    duplicate coordinates would make the rate-matrix system singular) and
+    the noise variance. `duplication[k]` is the duplication matrix D_k with
+    vec(Sigma_k) = D_k vech(Sigma_k).
     """
 
     def __init__(self, layout: BlockLayout, scope: str = "full",
@@ -72,7 +76,7 @@ class ThetaVectorizer:
         self.beta_slice = slice(0, p)
         if scope == "full":
             self.mu_slices, self.vech_slices = {}, {}
-            self._tril = {}
+            self._tril, self.duplication = {}, {}
             off = p
             for k in layout.clients():
                 pk = layout.dim(k)
@@ -81,7 +85,10 @@ class ThetaVectorizer:
             for k in layout.clients():
                 pk = layout.dim(k)
                 rows, cols = np.tril_indices(pk)
-                self._tril[k] = (rows, cols)
+                coord = np.arange(rows.size)
+                dup = np.zeros((pk * pk, rows.size))
+                dup[rows * pk + cols, coord] = dup[cols * pk + rows, coord] = 1.0
+                self._tril[k], self.duplication[k] = (rows, cols), dup
                 self.vech_slices[k] = slice(off, off + rows.size)
                 off += rows.size
             self.sigma2_index = off
@@ -101,21 +108,18 @@ class ThetaVectorizer:
 
     def from_vector(self, vec: np.ndarray,
                     template: ModelParameters) -> ModelParameters:
-        if self.scope == "beta":
-            return template.replace(beta=np.asarray(vec, dtype=float))
         vec = np.asarray(vec, dtype=float)
-        beta = vec[self.beta_slice]
-        mu = tuple(vec[self.mu_slices[k]] for k in self.layout.clients())
-        blocks = []
-        for k in self.layout.clients():
-            pk = self.layout.dim(k)
-            rows, cols = self._tril[k]
-            s = np.zeros((pk, pk))
-            s[rows, cols] = vec[self.vech_slices[k]]
-            s = s + np.tril(s, -1).T
-            blocks.append(s)
-        return ModelParameters(beta=beta, mu=mu, sigma_blocks=tuple(blocks),
-                               sigma2=float(vec[self.sigma2_index]))
+        if self.scope == "beta":
+            return template.replace(beta=vec)
+        clients = self.layout.clients()
+        return ModelParameters(
+            beta=vec[self.beta_slice],
+            mu=tuple(vec[self.mu_slices[k]] for k in clients),
+            sigma_blocks=tuple(
+                (self.duplication[k] @ vec[self.vech_slices[k]]).reshape(
+                    self.layout.dim(k), self.layout.dim(k))
+                for k in clients),
+            sigma2=float(vec[self.sigma2_index]))
 
 
 # -- sketched statistics -----------------------------------------------------
@@ -259,71 +263,51 @@ def sketch_statistics(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
 
 # -- information matrix ------------------------------------------------------
 
-def _sym_basis(pk: int, a: int, b: int) -> np.ndarray:
-    basis = np.zeros((pk, pk))
-    basis[a, b] = 1.0
-    basis[b, a] = 1.0
-    return basis
-
-
 def assemble_information(stats: SketchedStatistics, theta: ModelParameters,
                          corrections: np.ndarray, resid_sumsq: float, n: int,
                          vectorizer: ThetaVectorizer) -> tuple[np.ndarray, bool]:
     """Per-sample information matrix at `theta` from summary statistics.
 
-    The coefficient block is (X~'X~ + sum of embedded conditional
-    covariances) / (n sigma2); the remaining Gaussian blocks follow from
-    differentiating the expected complete-data objective twice (validated
-    against finite differences in the test suite). Indefinite results from
-    sketch noise are clamped, with the repair flagged.
+    The coefficient block is (X~'X~ + C) / (n sigma2), C the summed embedded
+    conditional covariances. In 'full' scope the other blocks follow from
+    differentiating the expected complete-data objective twice. For client
+    k, with A = Sigma_k^{-1}, S = Xc_k'Xc_k + C_kk (centred at mu_k),
+    B = A S A, t the centred column sum and D_k the vectorizer's duplication
+    matrix, they are in closed form:
+
+        mu-mu     A
+        mu-vech   (v' kron A) D_k,                     v = A t / n
+        vech-vech D_k' (A kron B / n - A kron A / 2) D_k
+
+    (validated against finite differences in the test suite). Indefinite
+    results from sketch noise are clamped, with the repair flagged.
     """
     layout = vectorizer.layout
     beta, sigma2 = theta.beta, theta.sigma2
     c_mat = corrections
-    beta_block = (stats.xx + c_mat) / (n * sigma2)
-
-    if vectorizer.scope == "beta":
-        info = 0.5 * (beta_block + beta_block.T)
-    else:
-        d = vectorizer.dim
-        info = np.zeros((d, d))
-        bsl = vectorizer.beta_slice
-        info[bsl, bsl] = beta_block
+    d, p = vectorizer.dim, layout.total_dim
+    bsl = vectorizer.beta_slice
+    info = np.zeros((d, d))
+    info[bsl, bsl] = (stats.xx + c_mat) / (n * sigma2)
+    if d > p:
         s2 = vectorizer.sigma2_index
         cross = (stats.xe - c_mat @ beta) / (n * sigma2 ** 2)
         info[bsl, s2] = cross
         info[s2, bsl] = cross
         expected_rss = resid_sumsq + float(beta @ c_mat @ beta)
         info[s2, s2] = -0.5 / sigma2 ** 2 + expected_rss / (n * sigma2 ** 3)
-
         for k in layout.clients():
-            pk = layout.dim(k)
-            sig = theta.sigma_blocks[k - 1]
-            sig_inv = np.linalg.inv(sig)
-            musl = vectorizer.mu_slices[k]
-            info[musl, musl] = sig_inv
-
-            bsl_k = layout.block_slice(k)
-            t_k = stats.centered_xsum[bsl_k]
-            s_hat = stats.centered_xx[bsl_k, bsl_k] + c_mat[bsl_k, bsl_k]
-            w = sig_inv @ s_hat
-
-            rows, cols = vectorizer._tril[k]
-            vsl = vectorizer.vech_slices[k]
-            projected = [sig_inv @ _sym_basis(pk, a, b)
-                         for a, b in zip(rows, cols)]
-            for j, p_ab in enumerate(projected):
-                info[musl, vsl.start + j] = (p_ab @ sig_inv @ t_k) / n
-                info[vsl.start + j, musl] = info[musl, vsl.start + j]
-            for j1, p_ab in enumerate(projected):
-                pw = p_ab @ w
-                for j2 in range(j1, len(projected)):
-                    p_cd = projected[j2]
-                    val = -0.5 * np.trace(p_cd @ p_ab)
-                    val += 0.5 * (np.trace(p_cd @ pw) + np.trace(p_ab @ p_cd @ w)) / n
-                    info[vsl.start + j1, vsl.start + j2] = val
-                    info[vsl.start + j2, vsl.start + j1] = val
-        info = 0.5 * (info + info.T)
+            sl = layout.block_slice(k)
+            musl, vsl = vectorizer.mu_slices[k], vectorizer.vech_slices[k]
+            dup = vectorizer.duplication[k]
+            a = np.linalg.inv(theta.sigma_blocks[k - 1])
+            b = a @ (stats.centered_xx[sl, sl] + c_mat[sl, sl]) @ a
+            v = a @ stats.centered_xsum[sl] / n
+            info[musl, musl] = a
+            info[musl, vsl] = np.kron(v, a) @ dup
+            info[vsl, musl] = info[musl, vsl].T
+            info[vsl, vsl] = dup.T @ (np.kron(a, b) / n - 0.5 * np.kron(a, a)) @ dup
+    info = 0.5 * (info + info.T)
 
     vals, vecs = np.linalg.eigh(info)
     repaired = bool(vals.min() < _EIG_FLOOR)
@@ -341,17 +325,17 @@ def sem_jacobian(theta_hat: ModelParameters, data: VerticalDataset,
 
     Entry (i, j) is (F_j(theta + h_i e_i) - F_j(theta)) / h_i with the
     per-coordinate step h_i = 1e-4 (1 + |theta_i|). A point the map moves
-    by more than 1e-6 is not a fixed point and raises. The map uses the
-    closed-form maximization; in 'beta' scope the nuisance parameters stay
-    pinned at their estimates. The per-pattern moments are built once, in
-    O(n p^2); each of the d + 1 maps then costs O(G (p+2)^3) for G patterns.
+    by more than 1e-6 is not a fixed point and raises. The map is
+    `em_map(theta, moments)`, read in the vectorizer's coordinates: in
+    'beta' scope the perturbed point pins the nuisance parameters at their
+    estimates and only the mapped coefficients are kept. The per-pattern
+    moments are built once, in O(n p^2); each of the d + 1 maps then costs
+    O(G (p+2)^3) for G patterns.
     """
-    nuisance_free = vectorizer.scope == "beta"
     moments = pattern_moments(data)
     v0 = vectorizer.to_vector(theta_hat)
-    f0_params = em_map(theta_hat, moments, nuisance_free=nuisance_free)
-    f0 = vectorizer.to_vector(f0_params)
-    drift = np.abs(f0 - v0).max() if v0.size else 0.0
+    f0 = vectorizer.to_vector(em_map(theta_hat, moments))
+    drift = np.abs(f0 - v0).max()
     if drift > _FIXED_POINT_TOL:
         raise NotAFixedPoint(
             f"EM map moves the point by {drift:.3e} (> {_FIXED_POINT_TOL:g}); "
@@ -364,8 +348,7 @@ def sem_jacobian(theta_hat: ModelParameters, data: VerticalDataset,
         pert = v0.copy()
         pert[i] += h_i
         theta_i = vectorizer.from_vector(pert, theta_hat)
-        f_i = vectorizer.to_vector(em_map(theta_i, moments,
-                                          nuisance_free=nuisance_free))
+        f_i = vectorizer.to_vector(em_map(theta_i, moments))
         gamma[i, :] = (f_i - f0) / h_i
     return gamma
 
@@ -476,7 +459,7 @@ def asymptotic_covariance(info: np.ndarray, gamma: np.ndarray,
     """V = info^{-1} (I - Gamma)^{-1}; Wald table for the coefficients."""
     d = info.shape[0]
     eigvals = np.linalg.eigvals(gamma)
-    rho = float(np.abs(eigvals).max()) if d else 0.0
+    rho = float(np.abs(eigvals).max())
     system = (np.eye(d) - gamma) @ info
     cond = np.linalg.cond(system)
     if not np.isfinite(cond) or cond > 1e14:
@@ -516,7 +499,7 @@ def asymptotic_covariance(info: np.ndarray, gamma: np.ndarray,
 
 @dataclass
 class InferenceConfig:
-    scope: str = "beta"              # 'beta' pins the nuisance parameters
+    scope: str = "beta"              # 'beta': beta alone, the rest pinned
     stats_mode: str = "sketch"       # 'sketch' or 'exact'
     sketch: SketchConfig = field(default_factory=SketchConfig)
     beta_names: Optional[list[str]] = None

@@ -81,6 +81,26 @@ def test_fit_infer_pipeline(dataset_dir, tmp_path, capsys):
     assert (tmp_path / "infer.csv").exists()
 
 
+def test_infer_full_scope(tmp_path):
+    data_dir, fit_path = tmp_path / "data", tmp_path / "fit.json"
+    assert main(["generate", "--n", "400", "--clients", "2,1,3", "--rho", "0.3",
+                 "--seed", "5", "--out", str(data_dir)]) == EXIT_OK
+    assert main(["fit", "--data", str(data_dir), "--engine", "federated",
+                 "--tol", "1e-9", "--out", str(fit_path)]) == EXIT_OK
+    reports = {}
+    for scope in ("beta", "full"):
+        out = tmp_path / f"infer_{scope}.json"
+        assert main(["infer", "--data", str(data_dir), "--fit", str(fit_path),
+                     "--out", str(out), "--scope", scope,
+                     "--stats", "exact"]) == EXIT_OK
+        reports[scope] = json.loads(out.read_text())
+    full = reports["full"]
+    assert full["scope"] == "full"
+    se = np.asarray(full["std_errors"])
+    assert se.shape == (6,) and np.all(np.isfinite(se)) and np.all(se > 0)
+    assert full["estimates"] == reports["beta"]["estimates"]
+
+
 def test_fit_not_converged_exit_code(dataset_dir, tmp_path, capsys):
     code = main(["fit", "--data", str(dataset_dir), "--engine", "federated",
                  "--max-iters", "2", "--tol", "1e-14",

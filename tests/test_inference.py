@@ -65,6 +65,18 @@ class TestVectorizer:
         assert sig[1, 0] == pytest.approx(truth.params.sigma_blocks[0][1, 0] + 0.01)
         assert sig[0, 1] == sig[1, 0]
 
+    def test_beta_scope_pins_the_nuisance(self):
+        data, truth = make_instance(200, (2, 3), 0.3, seed=3)
+        theta = truth.params
+        moved = closed_form_m_step(theta, data)
+        vec = ThetaVectorizer(data.layout, scope="beta")
+        back = vec.from_vector(vec.to_vector(moved), theta)
+        assert np.array_equal(back.beta, moved.beta)
+        for k in data.layout.clients():
+            assert np.array_equal(back.mu[k - 1], theta.mu[k - 1])
+            assert np.array_equal(back.sigma_blocks[k - 1], theta.sigma_blocks[k - 1])
+        assert back.sigma2 == theta.sigma2
+
 
 class TestSketches:
     def test_zero_design_gives_zero_statistics(self):
@@ -272,7 +284,72 @@ class TestOneGram:
             assert np.linalg.norm(st.centered_xsum - xc.sum(axis=0)) < 1e-12 * scale
 
 
+def loop_information(stats, theta, corrections, resid_sumsq, n, vectorizer):
+    """Full-scope information by one symmetric basis matrix E_ab per
+    lower-triangle coordinate and one trace per pair of coordinates."""
+    layout = vectorizer.layout
+    beta, sigma2 = theta.beta, theta.sigma2
+    d, p = vectorizer.dim, layout.total_dim
+    info = np.zeros((d, d))
+    info[:p, :p] = (stats.xx + corrections) / (n * sigma2)
+    s2 = vectorizer.sigma2_index
+    info[:p, s2] = info[s2, :p] = (stats.xe - corrections @ beta) / (n * sigma2 ** 2)
+    expected_rss = resid_sumsq + float(beta @ corrections @ beta)
+    info[s2, s2] = -0.5 / sigma2 ** 2 + expected_rss / (n * sigma2 ** 3)
+    for k in layout.clients():
+        pk = layout.dim(k)
+        sig_inv = np.linalg.inv(theta.sigma_blocks[k - 1])
+        musl, vsl = vectorizer.mu_slices[k], vectorizer.vech_slices[k]
+        info[musl, musl] = sig_inv
+        sl = layout.block_slice(k)
+        t_k = stats.centered_xsum[sl]
+        w = sig_inv @ (stats.centered_xx[sl, sl] + corrections[sl, sl])
+        projected = []
+        for a, b in zip(*np.tril_indices(pk)):
+            basis = np.zeros((pk, pk))
+            basis[a, b] = basis[b, a] = 1.0
+            projected.append(sig_inv @ basis)
+        for j1, p_ab in enumerate(projected):
+            col = vsl.start + j1
+            info[musl, col] = info[col, musl] = (p_ab @ sig_inv @ t_k) / n
+            for j2, p_cd in enumerate(projected):
+                info[col, vsl.start + j2] = (
+                    -0.5 * np.trace(p_cd @ p_ab)
+                    + 0.5 * (np.trace(p_cd @ p_ab @ w)
+                             + np.trace(p_ab @ p_cd @ w)) / n)
+    return 0.5 * (info + info.T)
+
+
 class TestInformationMatrix:
+    @pytest.fixture(scope="class")
+    def instances(self):
+        from test_acceptance import random_battery
+        out = [make_instance(n, dims, rho, seed=seed, min_complete=2)[0]
+               for n, dims, rho, seed
+               in random_battery(np.random.default_rng(777), 5)]
+        out.append(generate(smes_like_config(n=1000, seed=3))[0])
+        out.append(make_instance(500, (1, 3, 4), 0.3, seed=21,
+                                 sigma=("equicorrelated", 0.5))[0])
+        return [(data,) + stats_inputs(
+                    fit(data, FitConfig(engine="oracle", max_iters=300)).theta, data)
+                for data in out]
+
+    def test_closed_form_blocks_match_the_coordinate_loop(self, instances):
+        for data, cache, blocks, mus in instances:
+            theta = cache.theta
+            stats = exact_statistics(blocks, cache.e, mus)
+            args = (stats, theta, cache.corrections, float(cache.e @ cache.e),
+                    data.n)
+            full = ThetaVectorizer(data.layout, scope="full")
+            info, repaired = assemble_information(*args, full)
+            assert not repaired
+            assert rel_err(info, loop_information(*args, full)) < 1e-12
+            beta_info, beta_repaired = assemble_information(
+                *args, ThetaVectorizer(data.layout, scope="beta"))
+            assert not beta_repaired
+            p = data.layout.total_dim
+            assert np.array_equal(beta_info, info[:p, :p])
+
     def test_full_blocks_match_finite_differences(self):
         data, _ = make_instance(120, (2, 2), (0.3, 0.2), seed=9,
                                 sigma=("equicorrelated", 0.4))
@@ -350,12 +427,9 @@ def per_sample_jacobian(theta_hat, data, vectorizer, base_step=1e-4,
                         fixed_point_tol=1e-6):
     """The rate matrix by the same forward differences, with every map a
     per-sample E-step and closed-form M-step."""
-    nuisance_free = vectorizer.scope == "beta"
 
     def em_step(theta):
-        new = closed_form_m_step(theta, data)
-        return vectorizer.to_vector(
-            theta.replace(beta=new.beta) if nuisance_free else new)
+        return vectorizer.to_vector(closed_form_m_step(theta, data))
 
     v0 = vectorizer.to_vector(theta_hat)
     f0 = em_step(theta_hat)

@@ -269,6 +269,7 @@ class TestLockstep:
         res = fit(data, cfg)
         losses, theta, ref_halvings, ref_reason = replay_with_guard(data, cfg)
         assert (res.reason, res.eta_halvings) == (reason, halvings)
+        assert res.eta == cfg.learning_rate    # the starting step, not eta / 2**h
         assert (ref_reason, ref_halvings) == (reason, halvings)
         assert res.iterations == len(losses)
         assert rel_err(res.loss_trace, losses) < 1e-10
