@@ -133,13 +133,15 @@ class FitResult:
 @dataclass(frozen=True)
 class IterationSnapshot:
     """Per-iteration internals exposed for lockstep verification. Only the
-    federated engine fills `x_tilde`, `e`, `alpha` and `grad`; the oracle
-    leaves them None."""
+    federated engine fills `moments`, `e`, `alpha` and `grad`; the oracle
+    leaves them None. No party forms a client's pseudo-complete block on
+    the rows it misses, so the snapshot holds each client's own moments of
+    that block, not the block."""
 
     t: int
     theta: ModelParameters           # iteration-start parameters
     sigma2_new: float                # the iteration's loss
-    x_tilde: Optional[np.ndarray] = None
+    moments: Optional[dict] = None   # client -> its `ClientMoments`
     e: Optional[np.ndarray] = None
     alpha: Optional[dict] = None     # client -> (rows, (len(rows), p_k) array)
     grad: Optional[np.ndarray] = None    # exact objective gradient, length p
@@ -256,11 +258,11 @@ def _federated_snapshot(t: int, agents: dict, coord: ServerCoordinator,
     sig_pre = tuple(agents[k]._pre_update.sigma.copy() for k in layout.clients())
     theta_pre = ModelParameters(beta=beta_pre, mu=mu_pre, sigma_blocks=sig_pre,
                                 sigma2=coord._sigma2_pre)
-    x_tilde = np.concatenate([agents[k].x_tilde for k in layout.clients()], axis=1)
+    moments = {k: agents[k].last_moments for k in layout.clients()}
     alpha = {k: (agents[k].mis_rows.copy(), agents[k].last_alpha.copy())
              for k in layout.clients()}
     grad_printed = np.concatenate([agents[k].last_gradient for k in layout.clients()])
-    return IterationSnapshot(t=t, theta=theta_pre, x_tilde=x_tilde,
+    return IterationSnapshot(t=t, theta=theta_pre, moments=moments,
                              e=coord.last_residuals.copy(), alpha=alpha,
                              grad=grad_printed / coord._sigma2_pre,
                              sigma2_new=loss)

@@ -4,17 +4,20 @@ One iteration is one statistics round trip per client. Each client uploads
 its fit on the rows it observes, the scalar mu_k' beta_k that stands in for
 that fit on the rows it misses, and the quadratic form
 v1_k = beta_k' Sigma_k beta_k. The server forms the residuals r and one
-denominator d_g = sigma2 + sum of v1 over the clients missing in pattern g,
-and broadcasts (sigma2, d, r). The covariance is block-diagonal across
-clients, so everything after that is a closed form in what each party
-already holds: on a row of pattern g the pseudo-complete residual is
-e = sigma2 r / d_g (e = r on complete rows), a missing client's imputed
-block is mu_k + (r / d_g) Sigma_k beta_k, and the variance correction is
-sigma2 (d_g - sigma2) / d_g. A client's coefficient step and its mean and
-covariance updates read its observed rows' fixed centre and scatter, one
-product X_obs' e_obs and three sums over its missing rows: O(m_k p_k +
-n_mis + p_k^2) per iteration, and the imputed block is rebuilt only for
-inspection. The server owns the response, the noise variance and the loss.
+denominator d_g = sigma2 + sum of v1 over the clients missing in pattern g.
+The covariance is block-diagonal across clients, so everything after that
+is a closed form in what each party already holds: on a row of pattern g
+the pseudo-complete residual is e = sigma2 r / d_g (e = r on complete rows),
+a missing client's imputed block is mu_k + a Sigma_k beta_k with
+a = r / d_g, and the variance correction is sigma2 (d_g - sigma2) / d_g. A
+client's coefficient step and its mean and covariance updates read its
+observed rows' fixed centre and scatter, one product X_obs' e_obs and two
+sums over its missing rows, of a and of a^2 - 1 / d_g. So the server sends
+each client its own record: (sigma2, d), r on the rows that client observes
+and those two sums, which the server takes over the rows it misses. No
+client receives a per-sample value on a row it does not hold, and a client
+update costs O(m_k p_k + p_k^2) per iteration. The server owns the
+response, the noise variance and the loss.
 
 All updates within an iteration use the iteration-start snapshot. The
 server's verdict on an iteration rides on the `control` record that opens
@@ -48,6 +51,17 @@ class _Snapshot(NamedTuple):
     beta: np.ndarray
     mu: np.ndarray
     sigma: np.ndarray
+
+
+class ClientMoments(NamedTuple):
+    """What one client update formed, for inspection: the column sum of its
+    pseudo-complete block, that block's scatter about the iteration-start
+    mean plus the summed conditional covariances (before the PSD repair),
+    and the two sums over its missing rows it was sent."""
+    colsum: np.ndarray
+    scatter: np.ndarray
+    sum_a: float
+    sum_q: float
 
 
 def _row_patterns(n: int, nonempty: list) -> np.ndarray:
@@ -92,8 +106,9 @@ class ClientAgent:
         self.mu: np.ndarray | None = None
         self.sigma: np.ndarray | None = None
 
-        # (sigma2, d, r, mu, u) of the last E-step; before one, x~ reads 0
-        self._last = (1.0, np.ones(len(nonempty)), np.zeros(self.n), 0.0, np.zeros(self.dim))
+        # (sigma2, d, u) of the last E-step; before one, alpha reads 0
+        self._last = (1.0, np.ones(len(nonempty)), np.zeros(self.dim))
+        self.last_moments: Optional[ClientMoments] = None
         self._pre_update: Optional[_Snapshot] = None
         self._best: Optional[_Snapshot] = None
 
@@ -107,27 +122,19 @@ class ClientAgent:
         self.sigma = np.array(sigma_k, dtype=float)
 
     @property
-    def x_tilde(self) -> np.ndarray:
-        """The last E-step's (n, p_k) pseudo-complete block, for inspection."""
-        _sigma2, d, r, mu, u = self._last
-        out = np.empty((self.n, self.dim))
-        out[self.obs_rows] = self._x_obs
-        out[self.mis_rows] = mu + np.outer(r[self.mis_rows] / d[self._mis_patterns], u)
-        return out
-
-    @property
     def last_alpha(self) -> np.ndarray:
         """The last E-step's u sigma2 / d_g on each missing row, for inspection."""
-        sigma2, d, _r, _mu, u = self._last
+        sigma2, d, u = self._last
         return np.outer(sigma2 / d[self._mis_patterns], u)
 
     # -- message handling ---------------------------------------------------
 
     def _check(self, msg: Message, kind: str, phase: str) -> None:
-        if self._phase != phase or msg.kind != kind or msg.t != self._t:
+        if (self._phase != phase or msg.kind != kind or msg.t != self._t
+                or msg.to != self.k):
             raise ProtocolDesync(
                 f"client {self.k} expected {phase!r} at t={self._t}, "
-                f"got kind={msg.kind!r} t={msg.t}")
+                f"got kind={msg.kind!r} t={msg.t} to={msg.to}")
 
     def handle_message(self, msg: Message) -> list[Message]:
         if msg.kind == CONTROL:
@@ -166,18 +173,18 @@ class ClientAgent:
                          "quad": float(self.beta @ self._u)})]
 
     def _on_estep_broadcast(self, msg: Message) -> list[Message]:
-        sigma2 = float(msg.payload["sigma2"])
-        d = np.asarray(msg.payload["denom"], dtype=float)
-        r = np.asarray(msg.payload["resid"], dtype=float)
+        pay = msg.payload
+        sigma2 = float(pay["sigma2"])
+        d = np.asarray(pay["denom"], dtype=float)
+        r_obs = np.asarray(pay["resid"], dtype=float)
+        sum_a, sum_q = float(pay["sum_a"]), float(pay["sum_q"])
         beta_old, mu_old, sigma_old, u = self.beta, self.mu, self.sigma, self._u
         self._pre_update = _Snapshot(beta_old.copy(), mu_old.copy(), sigma_old.copy())
-        self._last = (sigma2, d, r, mu_old, u)
+        self._last = (sigma2, d, u)
 
-        # on a missing row x~ = mu + a u and e = sigma2 a, with a = r / d_g
-        d_mis = d[self._mis_patterns]
-        a = r[self.mis_rows] / d_mis
-        sum_a, sum_q = float(a.sum()), float(a @ a - (1.0 / d_mis).sum())  # q = a^2 - 1/d
-        e_obs = _m_step_residuals(r[self.obs_rows], sigma2, d, self._obs_patterns)
+        # on a missing row x~ = mu + a u and e = sigma2 a, with a = r / d_g;
+        # those rows enter only through sum a and sum (a^2 - 1 / d_g)
+        e_obs = _m_step_residuals(r_obs, sigma2, d, self._obs_patterns)
         grad = (self._x_obs.T @ e_obs + sigma2 * (mu_old * sum_a + u * sum_q)) / self.n
         self.last_gradient = grad
 
@@ -188,8 +195,10 @@ class ClientAgent:
         delta = mu_old - self._center
         scatter = (self._obs_scatter + m_obs * np.outer(delta, delta)
                    + sum_q * np.outer(u, u) + m_mis * sigma_old)
-        self.mu = (m_obs * self._center + m_mis * mu_old + u * sum_a) / self.n
+        colsum = m_obs * self._center + m_mis * mu_old + u * sum_a
+        self.mu = colsum / self.n
         self.sigma = repair_psd(scatter / self.n)
+        self.last_moments = ClientMoments(colsum, scatter, sum_a, sum_q)
 
         # the reply also tells the server the update is done; the verdict on
         # this iteration comes with the record that opens the next one
@@ -218,16 +227,21 @@ class ServerCoordinator:
         self._row_patterns = _row_patterns(self.n, nonempty)
         self._rows = {k: (mask.observed_rows(k), mask.missing_rows(k))
                       for k in layout.clients()}
+        self._mis_patterns = {k: self._row_patterns[missing] - 1
+                              for k, (_observed, missing) in self._rows.items()}
         self.last_residuals: np.ndarray | None = None
         self.last_beta_steps: list[float] = []
         self._sigma2_pre: float = self.sigma2
         self.best_sigma2: float = self.sigma2
         self._verdict = {"best": False, "restore": False}
 
+    def _send(self, k: int, kind: str, payload: dict) -> None:
+        self.transport.send_to_client(
+            k, Message(self.t, SERVER_ID, kind, payload, to=k))
+
     def _bcast(self, kind: str, payload: dict) -> None:
         for k in self.layout.clients():
-            self.transport.send_to_client(
-                k, Message(self.t, SERVER_ID, kind, dict(payload)))
+            self._send(k, kind, dict(payload))
 
     def _recv(self, k: int, kind: str) -> Message:
         msg = self.transport.recv_from_client(k)
@@ -243,7 +257,8 @@ class ServerCoordinator:
         sigma2 = self.sigma2
         self._bcast(CONTROL, {"event": "round_begin", **self._verdict})
 
-        # local fits and quadratic forms up, (sigma2, d, r) down
+        # local fits and quadratic forms up; (sigma2, d), r on the client's
+        # observed rows and its two sums over the rows it misses down
         fit_bar = np.zeros(self.n)
         v1 = np.zeros(K)
         for k in self.layout.clients():
@@ -257,7 +272,14 @@ class ServerCoordinator:
         if lowest <= _D_FLOOR:
             raise DegenerateVariance(f"conditional denominator {lowest:.3e}")
         r = self.y - fit_bar
-        self._bcast(ESTEP_BROADCAST, {"sigma2": sigma2, "denom": d, "resid": r})
+        for k in self.layout.clients():
+            observed, missing = self._rows[k]
+            d_mis = d[self._mis_patterns[k]]
+            a = r[missing] / d_mis
+            self._send(k, ESTEP_BROADCAST,
+                       {"sigma2": sigma2, "denom": d, "resid": r[observed],
+                        "sum_a": float(a.sum()),
+                        "sum_q": float(a @ a - (1.0 / d_mis).sum())})
 
         # every client replies once its update is done
         self.last_beta_steps = [

@@ -244,12 +244,19 @@ def sketch_statistics(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
     owner = np.concatenate([np.repeat(np.arange(K), layout.client_dims),
                             [K], np.arange(K)])
     sketch_of = np.zeros_like(owner) if cfg.shared else owner
+    data_rows = layout.total_dim + 1    # the rows before the ones rows
+    ones_sketches = set(sketch_of[data_rows:].tolist())
     gram = np.zeros((owner.size, owner.size))
     for child in np.random.SeedSequence(cfg.seed).spawn(L):
         draws = [child] if cfg.shared else child.spawn(K + 1)
         h, s = zip(*(_count_sketch(sub, n, m) for sub in draws))
+        # a ones row projects to its sketch's signed bucket counts, so the
+        # K identical ones rows of shared mode are one projection
+        ones = {g: np.bincount(h[g], weights=s[g], minlength=m)
+                for g in ones_sketches}
         proj = np.stack([np.bincount(h[g], weights=s[g] * row, minlength=m)
-                         for g, row in zip(sketch_of, rows)])
+                         for g, row in zip(sketch_of[:data_rows], rows[:data_rows])]
+                        + [ones[g] for g in sketch_of[data_rows:]])
         gram += proj @ proj.T
     gram /= L
     if cfg.exact_within_block:

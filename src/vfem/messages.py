@@ -9,17 +9,21 @@ variant: sends are validated, so an attempt to smuggle an (m_k, p_k) or
 One iteration is one statistics round trip per client. Up goes
 `estep_local_fit`: the client's fit on its observed rows (length m_k) and
 two scalars, mu_k' beta_k and beta_k' Sigma_k beta_k. Down comes
-`estep_broadcast`: the noise variance, one denominator per non-empty
-missingness pattern and the residuals (length n). The client replies with
-`varstep_scalar`, the norm of its coefficient step. A `control` record
-opens each iteration and carries the server's verdict on the one before:
-whether its start was the best iterate so far (`best`) and whether to
-restore the best iterate with half the step (`restore`). `converged`
-carries the last verdict and ends the fit.
+`estep_broadcast`, one record per client: the noise variance, one
+denominator per non-empty missingness pattern, the residuals on the rows
+that client observes (length m_k) and two sums over the rows it misses, of
+a = r / d_g and of a^2 - 1 / d_g. No client receives a per-sample value on
+a row it does not hold. The client replies with `varstep_scalar`, the norm
+of its coefficient step. A `control` record opens each iteration and
+carries the server's verdict on the one before: whether its start was the
+best iterate so far (`best`) and whether to restore the best iterate with
+half the step (`restore`). `converged` carries the last verdict and ends
+the fit.
 
 Serialization is newline-delimited, self-describing JSON with a fixed key
-order: `t` (the iteration), `from`, `kind` and `payload`; the kind alone
-fixes the step of the iteration a record belongs to. Float vectors travel
+order: `t` (the iteration), `from`, `to` (the receiving client, 0 on a
+client's record to the server), `kind` and `payload`; the kind alone fixes
+the step of the iteration a record belongs to. Float vectors travel
 packed, as the base64 text of their raw little-endian float64 bytes, about
 10.7 bytes per float whatever the value. Scalars are written with 17
 significant digits. Records therefore round-trip bit for bit and traces are
@@ -54,7 +58,8 @@ CONTROL_EVENTS = frozenset({"round_begin", "converged"})
 # vector (see `_pack`), False a plain JSON value
 _PAYLOAD_FIELDS = {
     ESTEP_LOCAL_FIT: {"fit": True, "mean": False, "quad": False},
-    ESTEP_BROADCAST: {"sigma2": False, "denom": True, "resid": True},
+    ESTEP_BROADCAST: {"sigma2": False, "denom": True, "resid": True,
+                      "sum_a": False, "sum_q": False},
     VARSTEP_SCALAR: {"value": False},
     CONTROL: dict.fromkeys(("event", "best", "restore"), False),
 }
@@ -66,6 +71,7 @@ class Message:
     sender: int
     kind: str
     payload: dict
+    to: int = SERVER_ID  # the receiving client; 0 on a client's record
 
 
 def _fmt_float(v: float) -> str:
@@ -115,7 +121,7 @@ def encode(msg: Message) -> str:
             text = _pack(value) if packed else _encode_value(value)
             items.append(f'"{key}":{text}')
     body = "{" + ",".join(items) + "}"
-    return (f'{{"t":{int(msg.t)},"from":{int(msg.sender)},'
+    return (f'{{"t":{int(msg.t)},"from":{int(msg.sender)},"to":{int(msg.to)},'
             f'"kind":{json.dumps(msg.kind)},"payload":{body}}}\n')
 
 
@@ -144,7 +150,7 @@ def decode(line: str) -> Message:
         if not isinstance(payload, dict):
             raise TypeError("payload is not an object")
         msg = Message(t=int(obj["t"]), sender=int(obj["from"]),
-                      kind=str(obj["kind"]), payload=payload)
+                      kind=str(obj["kind"]), payload=payload, to=int(obj["to"]))
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaViolation(f"malformed record: {err}") from None
     for field, packed in _PAYLOAD_FIELDS.get(msg.kind, {}).items():
@@ -176,16 +182,17 @@ class WireSchema:
 
     The layout and missingness pattern are common knowledge; covariate
     values are not. Every validator pins payload shapes to quantities
-    derivable from that public metadata alone: a client's fit has one entry
-    per row it observes, the residuals one per sample, and the denominators
-    one per non-empty missingness pattern, in `MissingMask.patterns()`
-    order. Every other payload field is a scalar.
+    derivable from that public metadata alone: a client's fit, and the
+    residuals sent to it, have one entry per row it observes, and the
+    denominators one per non-empty missingness pattern, in
+    `MissingMask.patterns()` order. Every other payload field is a scalar.
+    A server record names one client 1..K as its recipient, and a client's
+    record names none (0).
     """
 
     def __init__(self, layout: BlockLayout, mask: MissingMask):
         self.layout = layout
         self.mask = mask
-        self.n = mask.n
         self._num_patterns = sum(1 for key, _rows in mask.patterns() if key)
         self._observed = {k: mask.observed_rows(k).size for k in layout.clients()}
 
@@ -206,6 +213,11 @@ class WireSchema:
         extra = set(pay) - set(_PAYLOAD_FIELDS[kind])
         self._require(not extra, f"{kind}: unexpected payload fields {sorted(extra)}")
         from_client = 1 <= msg.sender <= self.layout.num_clients
+        if from_client:
+            self._require(msg.to == SERVER_ID, f"{kind}: a client writes to the server")
+        else:
+            self._require(1 <= msg.to <= self.layout.num_clients,
+                          f"{kind}: bad recipient {msg.to!r}")
 
         if kind == ESTEP_LOCAL_FIT:
             self._require(from_client, f"{kind}: bad sender")
@@ -213,9 +225,9 @@ class WireSchema:
             self._require_scalars(pay, ("mean", "quad"), kind)
         elif kind == ESTEP_BROADCAST:
             self._require(msg.sender == SERVER_ID, f"{kind}: server only")
-            self._require_scalars(pay, ("sigma2",), kind)
+            self._require_scalars(pay, ("sigma2", "sum_a", "sum_q"), kind)
             denom = _as_vector(pay.get("denom"), self._num_patterns, kind)
-            _as_vector(pay.get("resid"), self.n, kind)
+            _as_vector(pay.get("resid"), self._observed[msg.to], kind)
             self._require(pay["sigma2"] > 0 and bool(np.all(denom > 0)),
                           f"{kind}: variances must be positive")
         elif kind == VARSTEP_SCALAR:

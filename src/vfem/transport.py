@@ -1,8 +1,9 @@
 """Message transports: in-process queues and loopback TCP sockets.
 
-Both present the same server-side interface (send_to_client / recv_from_client)
-and account bytes with the same canonical encoding, so byte counters, traces,
-and numerical results are identical across transports. The in-process variant
+Both present the same server-side interface (send_to_client / recv_from_client),
+deliver a record only to the client it is addressed to, and account bytes
+with the same canonical encoding, so byte counters, traces, and numerical
+results are identical across transports. The in-process variant
 steps each client agent inline (single-threaded round robin); the socket
 variant runs one thread per client speaking newline-delimited records.
 
@@ -66,6 +67,12 @@ class BaseTransport:
         if self._trace_file:
             self._trace_file.write(line)
 
+    def _check_recipient(self, k: int, msg: Message) -> None:
+        """A record goes only to the client it names."""
+        if msg.to != k:
+            raise ProtocolDesync(f"{msg.kind!r} addressed to client {msg.to} "
+                                 f"sent to client {k}")
+
     def send_to_client(self, k: int, msg: Message) -> None:
         raise NotImplementedError
 
@@ -89,6 +96,7 @@ class InProcessTransport(BaseTransport):
         self._outboxes: dict[int, deque] = {k: deque() for k in agents}
 
     def send_to_client(self, k: int, msg: Message) -> None:
+        self._check_recipient(k, msg)
         self.schema.validate(msg)
         self._record(msg, outgoing=True)
         replies = self.agents[k].handle_message(msg)
@@ -200,6 +208,7 @@ class SocketTransport(BaseTransport):
 
     def send_to_client(self, k: int, msg: Message) -> None:
         self._check_errors()
+        self._check_recipient(k, msg)
         self.schema.validate(msg)
         line = encode(msg)
         self._record(msg, outgoing=True, line=line)

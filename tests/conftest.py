@@ -21,6 +21,30 @@ def rel_err(a, b, floor=1e-30):
                  / max(np.linalg.norm(b.ravel()), floor))
 
 
+def moments_gap(moments, cache, layout):
+    """Worst relative gap between the clients' pseudo-complete moments of a
+    federated iteration (client -> `ClientMoments`) and the same moments of
+    the centralized E-step `cache` at that iteration's start: the column
+    sum of the client's block of x~, that block's scatter about the
+    iteration-start mean plus its block of the conditional-covariance
+    corrections, and the sums over the client's missing rows of a = r / d_g
+    and of a^2 - 1 / d_g."""
+    worst = 0.0
+    for k in layout.clients():
+        got = moments[k]
+        cols = layout.block_slice(k)
+        block = cache.x_tilde[:, cols]
+        centered = block - cache.theta.mu[k - 1]
+        missed = [g for g in cache.patterns if k in g.missing]
+        a = np.concatenate([cache.r[g.rows] / g.d for g in missed] or [np.zeros(0)])
+        sum_q = float(a @ a) - sum(g.count / g.d for g in missed)
+        worst = max(worst, rel_err(got.colsum, block.sum(axis=0)),
+                    rel_err(got.scatter, centered.T @ centered
+                            + cache.corrections[cols, cols]),
+                    rel_err(got.sum_a, a.sum()), rel_err(got.sum_q, sum_q))
+    return worst
+
+
 def fd_beta_gradient(theta_t, data, h=1e-5):
     """Central finite differences of the expected objective in beta."""
     p = theta_t.beta.shape[0]

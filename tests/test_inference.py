@@ -239,6 +239,32 @@ def five_accumulator_sketch_statistics(pseudo_blocks, residuals, mu_blocks,
     return dict(xx=xx, centered_xx=cxx, xe=xe, xsum=xsum, centered_xsum=cxsum)
 
 
+def per_row_sketch_statistics(pseudo_blocks, residuals, mu_blocks, layout, cfg):
+    """`sketch_statistics` with one projection per row of the Gram, so K
+    projections of the ones row in shared mode."""
+    n, K = len(residuals), layout.num_clients
+    m, L = cfg.resolve(n, K)
+    rows = inference._gram_rows(pseudo_blocks, residuals, mu_blocks)
+    owner = np.concatenate([np.repeat(np.arange(K), layout.client_dims),
+                            [K], np.arange(K)])
+    sketch_of = np.zeros_like(owner) if cfg.shared else owner
+    gram = np.zeros((owner.size, owner.size))
+    for child in np.random.SeedSequence(cfg.seed).spawn(L):
+        draws = [child] if cfg.shared else child.spawn(K + 1)
+        h, s = zip(*(inference._count_sketch(sub, n, m) for sub in draws))
+        proj = np.stack([np.bincount(h[g], weights=s[g] * row, minlength=m)
+                         for g, row in zip(sketch_of, rows)])
+        gram += proj @ proj.T
+    gram /= L
+    if cfg.exact_within_block:
+        for k in range(K):
+            own = np.flatnonzero(owner == k)
+            gram[np.ix_(own, own)] = rows[own] @ rows[own].T
+    return inference._gram_statistics(gram, mu_blocks, sketch_dim=m,
+                                      replicates=L, shared=cfg.shared,
+                                      exact_within_block=cfg.exact_within_block)
+
+
 class TestOneGram:
     """Every statistic is a block of one Gram matrix; sketching it must give
     the same numbers as accumulating each statistic on its own."""
@@ -268,6 +294,20 @@ class TestOneGram:
             scale = np.linalg.norm(ref["xsum"])
             for name in ("xsum", "centered_xsum"):
                 assert np.linalg.norm(getattr(st, name) - ref[name]) < 1e-12 * scale
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("hybrid", [True, False])
+    def test_ones_rows_projected_once_change_nothing(self, instances, shared,
+                                                     hybrid):
+        # projecting every row of the Gram on its own, each client's ones
+        # row included, gives the same statistics bit for bit
+        for data, cache, blocks, mus in instances:
+            cfg = SketchConfig(m=6, replicates=9, seed=21, shared=shared,
+                               exact_within_block=hybrid)
+            st = sketch_statistics(blocks, cache.e, mus, data.layout, cfg)
+            ref = per_row_sketch_statistics(blocks, cache.e, mus, data.layout, cfg)
+            for name in ("xx", "centered_xx", "xe", "xsum", "centered_xsum"):
+                assert np.array_equal(getattr(st, name), getattr(ref, name)), name
 
     def test_exact_statistics_keep_large_means(self, instances):
         for data, cache, blocks, mus in instances:

@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from vfem import BlockLayout, MissingMask
-from vfem.errors import SchemaViolation
+from conftest import make_instance
+
+from vfem import BlockLayout, FitConfig, MissingMask, fit
+from vfem.errors import ProtocolDesync, SchemaViolation
 from vfem.messages import (
     CONTROL,
     ESTEP_BROADCAST,
@@ -18,6 +20,7 @@ from vfem.messages import (
     decode,
     encode,
 )
+from vfem.transport import InProcessTransport, SocketTransport
 
 # the kinds of the earlier four-round protocol, no longer on the wire
 RETIRED_KINDS = ("estep_quad_form", "mstep_local_fit", "mstep_coupling_vec",
@@ -36,24 +39,30 @@ def schema():
 
 
 def valid_messages():
-    """One valid message of every kind for the fixture."""
+    """One valid message of every kind for the fixture; the server's go to
+    client 1, which observes 3 rows."""
     return {
         ESTEP_LOCAL_FIT: Message(0, 1, ESTEP_LOCAL_FIT,
                                  {"fit": np.zeros(3), "mean": 0.5, "quad": 0.25}),
         ESTEP_BROADCAST: Message(0, SERVER_ID, ESTEP_BROADCAST,
                                  {"sigma2": 1.0, "denom": np.array([2.0, 1.5]),
-                                  "resid": np.zeros(4)}),
+                                  "resid": np.zeros(3), "sum_a": 0.5,
+                                  "sum_q": -0.25}, to=1),
         VARSTEP_SCALAR: Message(0, 2, VARSTEP_SCALAR,
                                 {"value": 0.5}),
         CONTROL: Message(0, SERVER_ID, CONTROL,
                          {"event": "round_begin", "best": True,
-                          "restore": False}),
+                          "restore": False}, to=1),
     }
 
 
 def with_payload(msg, **changes):
     return Message(msg.t, msg.sender, msg.kind,
-                   {**msg.payload, **changes})
+                   {**msg.payload, **changes}, to=msg.to)
+
+
+def addressed(msg, to):
+    return Message(msg.t, msg.sender, msg.kind, msg.payload, to=to)
 
 
 def test_encode_decode_round_trip(schema):
@@ -72,15 +81,20 @@ def test_encode_decode_round_trip(schema):
     assert back.payload["fit"].flags.writeable
     assert back.payload["mean"] == -2.5e-17 and back.payload["quad"] == 0.1
     assert encode(back) == line  # canonical form is stable
-    assert list(json.loads(line)) == ["t", "from", "kind", "payload"]
+    assert list(json.loads(line)) == ["t", "from", "to", "kind", "payload"]
+    assert back.to == 0
 
-    # the broadcast's scalar and both vectors keep their bits
+    # the broadcast's scalars and both vectors keep their bits, and its
+    # recipient travels in the envelope
     bcast = with_payload(valid_messages()[ESTEP_BROADCAST], sigma2=0.1,
-                         denom=edge[[3, 6]], resid=edge[:4])
+                         denom=edge[[3, 6]], resid=edge[:3], sum_a=-2.5e-17,
+                         sum_q=edge[3])
     line = encode(bcast)
     back = decode(line)
     sch.validate(back)
-    assert back.payload["sigma2"] == 0.1
+    assert back.to == 1 and json.loads(line)["to"] == 1
+    assert (back.payload["sigma2"], back.payload["sum_a"],
+            back.payload["sum_q"]) == (0.1, -2.5e-17, edge[3])
     for field in ("denom", "resid"):
         got, sent = back.payload[field], bcast.payload[field]
         assert got.shape == sent.shape and got.tobytes() == sent.tobytes()
@@ -102,12 +116,13 @@ def test_packed_size_depends_only_on_length(m):
 
 def test_malformed_records_rejected():
     good = encode(Message(0, SERVER_ID, CONTROL,
-                          {"event": "round_begin"}))
+                          {"event": "round_begin"}, to=1))
     decode(good)
     for line in ("nope", "[1]", good.replace('"t":0', '"t":"zero"'),
                  good.replace('{"event":"round_begin"}', '"ab"'),
                  good.replace('{"event":"round_begin"}', '[["event","x"]]'),
-                 good.replace('"from":0,', '')):
+                 good.replace('"from":0,', ''), good.replace('"to":1,', ''),
+                 good.replace('"to":1', '"to":"one"')):
         with pytest.raises(SchemaViolation):
             decode(line)
 
@@ -170,10 +185,72 @@ def test_vector_payload_length_enforced(schema):
         with pytest.raises(SchemaViolation):
             sch.validate(Message(0, sender, ESTEP_LOCAL_FIT,
                                  {**ok.payload, "fit": np.zeros(length)}))
-    for resid in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
+    # the residuals sent to a client cover exactly the rows it observes: not
+    # every sample, nor the rows of the other client
+    bcast = valid_messages()[ESTEP_BROADCAST]
+    sch.validate(addressed(with_payload(bcast, resid=np.zeros(1)), 2))
+    for to, length in ((1, 4), (1, 1), (1, 2), (1, 0), (2, 4), (2, 3), (2, 0)):
         with pytest.raises(SchemaViolation):
-            sch.validate(with_payload(valid_messages()[ESTEP_BROADCAST],
-                                      resid=resid))
+            sch.validate(addressed(with_payload(bcast, resid=np.zeros(length)), to))
+    with pytest.raises(SchemaViolation):
+        sch.validate(with_payload(bcast, resid=np.zeros((3, 1))))
+
+
+def test_recipient_enforced(schema):
+    # a server record names one client 1..K, a client's record none
+    sch, *_ = schema
+    for msg in valid_messages().values():
+        sch.validate(msg)
+        if msg.sender == SERVER_ID:
+            # client 2 observes one row
+            to_2 = addressed(msg, 2)
+            if msg.kind == ESTEP_BROADCAST:
+                to_2 = with_payload(to_2, resid=np.zeros(1))
+            sch.validate(to_2)
+            bad = (0, 3, -1)
+        else:
+            bad = (1, 2, 3)
+        for to in bad:
+            with pytest.raises(SchemaViolation):
+                sch.validate(addressed(msg, to))
+
+
+@pytest.mark.parametrize("transport_cls", [InProcessTransport, SocketTransport])
+def test_send_to_another_client_rejected(schema, transport_cls):
+    sch, *_ = schema
+    transport = transport_cls({1: None, 2: None}, sch)
+    try:
+        for msg in valid_messages().values():
+            if msg.sender == SERVER_ID:
+                with pytest.raises(ProtocolDesync):
+                    transport.send_to_client(2, msg)
+        assert transport.counters.messages == 0
+    finally:
+        transport.close()
+
+
+@pytest.mark.parametrize("transport", ["inproc", "socket"])
+def test_traced_broadcasts_carry_the_recipients_rows(tmp_path, transport):
+    # every record validates on its own, and each client receives
+    # residuals on the rows it observes and on no other
+    data, _ = make_instance(80, (2, 3, 1), (0.3, 0.5, 0.2), seed=8)
+    path = tmp_path / "trace.log"
+    res = fit(data, FitConfig(engine="federated", transport=transport,
+                              max_iters=3, tol=1e-300, trace_path=str(path)))
+    schema = WireSchema(data.layout, data.mask)
+    observed = {k: data.mask.observed_rows(k).size for k in data.layout.clients()}
+    assert len(set(observed.values()) | {data.n}) == 4
+    broadcasts = {k: 0 for k in data.layout.clients()}
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == res.comm["messages"]
+    for line in lines:
+        msg = decode(line)
+        schema.validate(msg)
+        assert (msg.to == SERVER_ID) == (msg.sender != SERVER_ID)
+        if msg.kind == ESTEP_BROADCAST:
+            assert msg.payload["resid"].shape == (observed[msg.to],)
+            broadcasts[msg.to] += 1
+    assert broadcasts == dict.fromkeys(data.layout.clients(), res.iterations)
 
 
 def test_local_fit_v2_form_rejected(schema):
@@ -219,13 +296,17 @@ def test_raw_covariate_block_rejected(schema):
                     sch.validate(bad)
                 with pytest.raises(SchemaViolation):
                     encode(bad)
-    assert slots == 9
+    assert slots == 11
 
     # packed into a vector slot, a block's bytes decode to a vector of
     # length m_k * p_k or n * p_k: a client's own block does not fit its
-    # fit, and no block fits the broadcast
+    # fit, so no block reaches the server, and no block fits the
+    # denominators or the residuals sent to the client that holds it
     fit = msgs[ESTEP_LOCAL_FIT]
+    bcast = msgs[ESTEP_BROADCAST]
     for k in layout.clients():
+        to_k = addressed(with_payload(bcast, resid=np.zeros(mask.observed_rows(k).size)), k)
+        sch.validate(to_k)
         for block in blocks[k]:
             flat = Message(0, k, ESTEP_LOCAL_FIT,
                            {**fit.payload, "fit": block.ravel()})
@@ -234,9 +315,14 @@ def test_raw_covariate_block_rejected(schema):
             with pytest.raises(SchemaViolation):
                 sch.validate(back)
             for field in ("denom", "resid"):
-                bad = with_payload(msgs[ESTEP_BROADCAST], **{field: block.ravel()})
+                bad = with_payload(to_k, **{field: block.ravel()})
                 with pytest.raises(SchemaViolation):
                     sch.validate(decode(encode(bad)))
+    # the one coincidence of lengths: client 2's (1, 3) block holds as many
+    # floats as client 1 observes rows. Shapes cannot tell values apart; what
+    # keeps that block off the downlink is that it never fits the uplink
+    assert blocks[2][0].size == mask.observed_rows(1).size
+    sch.validate(with_payload(bcast, resid=blocks[2][0].ravel()))
 
 
 def test_unknown_kind_and_fields_rejected(schema):
@@ -260,14 +346,16 @@ def test_non_finite_payload_rejected(schema):
         for msg, field in ((msgs[VARSTEP_SCALAR], "value"),
                            (msgs[ESTEP_LOCAL_FIT], "mean"),
                            (msgs[ESTEP_LOCAL_FIT], "quad"),
-                           (msgs[ESTEP_BROADCAST], "sigma2")):
+                           (msgs[ESTEP_BROADCAST], "sigma2"),
+                           (msgs[ESTEP_BROADCAST], "sum_a"),
+                           (msgs[ESTEP_BROADCAST], "sum_q")):
             with pytest.raises(SchemaViolation):
                 sch.validate(with_payload(msg, **{field: value}))
     bad = [
         with_payload(msgs[ESTEP_LOCAL_FIT], fit=np.array([0.0, np.nan, 0.0])),
         with_payload(msgs[ESTEP_BROADCAST], denom=np.array([2.0, np.inf])),
         with_payload(msgs[ESTEP_BROADCAST],
-                     resid=np.array([0.0, 0.0, -np.inf, 0.0])),
+                     resid=np.array([0.0, -np.inf, 0.0])),
     ]
     for msg in bad:
         with pytest.raises(SchemaViolation):
@@ -318,24 +406,26 @@ def test_broadcast_only_from_server(schema):
     for kind in (ESTEP_BROADCAST, CONTROL):
         with pytest.raises(SchemaViolation):
             sch.validate(Message(0, 1, kind, msgs[kind].payload))
-    # and the clients' kinds only from clients 1..K
+    # and the clients' kinds only from clients 1..K, even when addressed as
+    # a server record would be
     for kind in (ESTEP_LOCAL_FIT, VARSTEP_SCALAR):
         for sender in (SERVER_ID, 3):
             with pytest.raises(SchemaViolation):
                 sch.validate(Message(0, sender, kind,
-                                     msgs[kind].payload))
+                                     msgs[kind].payload, to=1))
 
 
 def test_control_events_closed(schema):
     sch, *_ = schema
     sch.validate(Message(0, SERVER_ID, CONTROL,
-                         {"event": "round_begin"}))
+                         {"event": "round_begin"}, to=1))
     for payload in ({"event": "upload_raw_data"}, {"event": "round_end"}):
         with pytest.raises(SchemaViolation):
-            sch.validate(Message(0, SERVER_ID, CONTROL, payload))
+            sch.validate(Message(0, SERVER_ID, CONTROL, payload, to=1))
     # a restore always halves the step, so no step scale travels
     scaled = Message(0, SERVER_ID, CONTROL,
-                     {"event": "round_begin", "restore": True, "eta_scale": 0.5})
+                     {"event": "round_begin", "restore": True, "eta_scale": 0.5},
+                     to=1)
     with pytest.raises(SchemaViolation):
         sch.validate(scaled)
     with pytest.raises(SchemaViolation):

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_instance, rel_err
+from conftest import make_instance, moments_gap, rel_err
 
 from vfem import (
     BlockLayout,
@@ -55,7 +55,8 @@ def build_protocol(data, theta, eta=0.5, transport_cls=InProcessTransport,
 def per_sample_client_update(view, mask, eta, beta, mu, sigma, sigma2, d, r):
     """One client update as first written: the full (n, p_k) pseudo-complete
     block and its alpha rows, built by a loop over the patterns the client
-    misses. Returns the new (beta, mu, sigma) and the gradient."""
+    misses. Returns the new (beta, mu, sigma), the gradient, and the column
+    sum and (unrepaired) scatter of the block."""
     k, n = view.client_index, view.n
     obs, mis = mask.observed_rows(k), mask.missing_rows(k)
     nonempty = [(key, rows) for key, rows in mask.patterns() if key]
@@ -77,7 +78,23 @@ def per_sample_client_update(view, mask, eta, beta, mu, sigma, sigma2, d, r):
     for g, (key, rows) in enumerate(nonempty):
         if k in key:
             scatter += rows.size * (sigma - np.outer(u, u) / d[g])
-    return (beta + eta * grad, x_tilde.mean(axis=0), repair_psd(scatter / n), grad)
+    return (beta + eta * grad, x_tilde.mean(axis=0), repair_psd(scatter / n), grad,
+            x_tilde.sum(axis=0), scatter)
+
+
+def broadcast_to(k, mask, sigma2, d, r, t=0):
+    """The server's record to client k from the full residual vector, its
+    two sums taken pattern by pattern over the rows the client misses."""
+    sum_a = sum_q = 0.0
+    for g, (key, rows) in enumerate((key, rows) for key, rows in mask.patterns()
+                                    if key):
+        if k in key:
+            a = r[rows] / d[g]
+            sum_a += float(a.sum())
+            sum_q += float(a @ a) - rows.size / d[g]
+    return Message(t, SERVER_ID, ESTEP_BROADCAST,
+                   {"sigma2": sigma2, "denom": d, "resid": r[mask.observed_rows(k)],
+                    "sum_a": sum_a, "sum_q": sum_q}, to=k)
 
 
 def shifted(data, truth, shift):
@@ -123,14 +140,15 @@ class TestClientKernel:
                 agent = ClientAgent(data.view(k), layout, mask, eta)
                 agent.load_params(beta, mu, sigma)
                 agent.handle_message(Message(0, SERVER_ID, CONTROL,
-                                             {"event": "round_begin"}))
-                agent.handle_message(Message(0, SERVER_ID, ESTEP_BROADCAST,
-                                             {"sigma2": theta.sigma2, "denom": d,
-                                              "resid": cache.r}))
+                                             {"event": "round_begin"}, to=k))
+                agent.handle_message(broadcast_to(k, mask, theta.sigma2, d, cache.r))
                 ref = per_sample_client_update(data.view(k), mask, eta, beta, mu,
                                                sigma, theta.sigma2, d, cache.r)
-                got = (agent.beta, agent.mu, agent.sigma, agent.last_gradient)
-                for name, a, b in zip(("beta", "mu", "sigma", "grad"), got, ref):
+                moments = agent.last_moments
+                got = (agent.beta, agent.mu, agent.sigma, agent.last_gradient,
+                       moments.colsum, moments.scatter)
+                names = ("beta", "mu", "sigma", "grad", "colsum", "scatter")
+                for name, a, b in zip(names, got, ref):
                     assert rel_err(a, b) <= 1e-12, (layout, k, name, rel_err(a, b))
                 count += 1
         assert count > 60
@@ -147,7 +165,14 @@ class TestRounds:
         theta = initialize(data2, FitConfig())
         agents, coord, transport = build_protocol(data2, theta)
         coord.run_iteration()
-        assert np.array_equal(agents[3].x_tilde, data2.view(3).x)
+        # its moments are those of the raw block, and nothing is imputed
+        x = data2.view(3).x
+        centered = x - theta.mu[2]
+        moments = agents[3].last_moments
+        assert rel_err(moments.colsum, x.sum(axis=0)) < 1e-14
+        assert rel_err(moments.scatter, centered.T @ centered) < 1e-14
+        assert (moments.sum_a, moments.sum_q) == (0.0, 0.0)
+        assert agents[3].last_alpha.shape == (0, data2.layout.dim(3))
 
     def test_scalar_imputation_through_the_wire(self):
         # one client, one column; missing row with y=2 under unit parameters
@@ -160,7 +185,12 @@ class TestRounds:
                                 sigma_blocks=(np.array([[1.0]]),), sigma2=1.0)
         agents, coord, transport = build_protocol(data, theta, eta=0.0)
         coord.run_iteration()
-        assert agents[1].x_tilde[0, 0] == pytest.approx(1.0, abs=1e-15)
+        # a = r / d = 2 / 2 on the missing row, so x~ = mu + a u = 1 there,
+        # and the observed rows sum to 0
+        moments = agents[1].last_moments
+        assert moments.sum_a == pytest.approx(1.0, abs=1e-15)
+        assert moments.sum_q == pytest.approx(1.0 - 0.5, abs=1e-15)
+        assert moments.colsum[0] == pytest.approx(1.0, abs=1e-15)
         # conditional covariance times beta for the same sample:
         # alpha = u sigma2 / d = 1 * 1 / 2
         assert agents[1].last_alpha[0, 0] == pytest.approx(0.5, abs=1e-15)
@@ -171,9 +201,11 @@ class TestRounds:
         agents, coord, transport = build_protocol(data, theta, eta=0.0)
         coord.run_iteration()
         for k in data.layout.clients():
-            rows = data.mask.missing_rows(k)
-            if rows.size:
-                assert np.allclose(agents[k].x_tilde[rows], theta.mu[k - 1])
+            # each missing row is imputed by the client mean
+            rows = data.mask.observed_rows(k)
+            m_mis = data.n - rows.size
+            expected = data.view(k).x[rows].sum(axis=0) + m_mis * theta.mu[k - 1]
+            assert np.allclose(agents[k].last_moments.colsum, expected)
             assert np.allclose(agents[k].last_alpha, 0.0)
         # residuals with zero coefficients are the responses themselves
         assert np.allclose(coord.last_residuals, data.y)
@@ -185,9 +217,10 @@ class TestRounds:
         theta = initialize(data, FitConfig()).replace(beta=beta_ls)
         agents, coord, transport = build_protocol(data, theta, eta=0.0)
         coord.run_iteration()
-        x_tilde = np.concatenate([agents[k].x_tilde for k in data.layout.clients()],
-                                 axis=1)
-        assert np.abs(x_tilde.T @ coord.last_residuals).max() < 1e-8
+        # the clients' gradient X~'e / n vanishes there
+        grad = np.concatenate([agents[k].last_gradient
+                               for k in data.layout.clients()])
+        assert np.abs(grad).max() < 1e-8 / data.n
 
     def test_noise_variance_stays_positive_across_iterations(self):
         data, _ = make_instance(120, (2, 2), 0.4, seed=31)
@@ -198,18 +231,21 @@ class TestRounds:
         assert np.all(res.loss_trace > 0)
 
 
-def replay_with_guard(data, cfg):
+def replay_with_guard(data, cfg, caches=None):
     """The fit replayed with the centralized kernels and the divergence guard
     of `engine.fit`: the best iterate is the lowest-loss iteration start, and
     a non-finite loss or `divergence_patience` rises in a row restore it and
     halve the step, at most 8 times. Returns the loss trace, the final
-    parameters, the number of halvings and the stop reason."""
+    parameters, the number of halvings and the stop reason; each
+    iteration's E-step is appended to `caches` if one is given."""
     theta = initialize(data, cfg)
     eta = cfg.learning_rate
     best, best_loss = theta, np.inf
     losses, prev, streak, halvings = [], None, 0, 0
     for _ in range(cfg.max_iters):
         cache = estep(theta, data)
+        if caches is not None:
+            caches.append(cache)
         loss = observed_loss(cache.e, cache.v4)
         losses.append(loss)
         grad = q_gradient_beta(theta, data, cache)
@@ -241,7 +277,7 @@ class TestLockstep:
         assert len(snaps) == 5
         for snap in snaps:
             cache = estep(snap.theta, data)
-            assert rel_err(snap.x_tilde, cache.x_tilde) < 1e-10
+            assert moments_gap(snap.moments, cache, data.layout) < 1e-10
             assert rel_err(snap.e, cache.e) < 1e-10
             assert rel_err(snap.grad, q_gradient_beta(snap.theta, data, cache)) < 1e-10
             assert abs(snap.sigma2_new - observed_loss(cache.e, cache.v4)) \
@@ -266,13 +302,17 @@ class TestLockstep:
         cfg = FitConfig(engine="federated", transport=transport,
                         learning_rate=rate, divergence_patience=patience,
                         max_iters=1500, tol=1e-9)
-        res = fit(data, cfg)
-        losses, theta, ref_halvings, ref_reason = replay_with_guard(data, cfg)
+        snaps, caches = [], []
+        res = fit(data, cfg, inspect=snaps.append)
+        losses, theta, ref_halvings, ref_reason = replay_with_guard(data, cfg, caches)
         assert (res.reason, res.eta_halvings) == (reason, halvings)
         assert res.eta == cfg.learning_rate    # the starting step, not eta / 2**h
         assert (ref_reason, ref_halvings) == (reason, halvings)
-        assert res.iterations == len(losses)
+        assert res.iterations == len(losses) == len(snaps) == len(caches)
         assert rel_err(res.loss_trace, losses) < 1e-10
+        # what every client formed, through each restore, matches the replay
+        for snap, cache in zip(snaps, caches):
+            assert moments_gap(snap.moments, cache, data.layout) < 1e-10
         assert rel_err(res.theta.beta, theta.beta) < 1e-10
         for k in data.layout.clients():
             assert rel_err(res.theta.mu[k - 1], theta.mu[k - 1]) < 1e-10
@@ -553,6 +593,14 @@ class TestDesync:
         transport.send_to_client = drop_broadcast_to_client_2
         with pytest.raises(ProtocolDesync):
             coord.run_iteration()
+
+    def test_client_rejects_a_record_for_another_client(self):
+        data, _ = make_instance(40, (2, 2), 0.3, seed=5)
+        theta = initialize(data, FitConfig())
+        agents, coord, transport = build_protocol(data, theta)
+        with pytest.raises(ProtocolDesync):
+            agents[1].handle_message(Message(0, SERVER_ID, CONTROL,
+                                             {"event": "round_begin"}, to=2))
 
     def test_crashing_socket_client_releases_the_others(self):
         data, _ = make_instance(40, (2, 2, 2), 0.3, seed=5)
