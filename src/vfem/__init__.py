@@ -8,9 +8,11 @@ baselines, and a Monte Carlo harness.
 
 `em_map(theta, pattern_moments(data))` is the EM map the standard errors
 differentiate; it takes the per-pattern moments that `pattern_moments`
-builds once, not the dataset. `ThetaVectorizer` owns the coordinates it is
-differentiated in: beta alone (the rest pinned) or the full parameter, with
-covariance blocks as lower triangles and their duplication matrices.
+builds once, not the dataset. `pattern_gram(theta, moments)` is its E-step,
+whose sums also give the inference statistics. `ThetaVectorizer` owns the
+coordinates it is differentiated in: beta alone (the rest pinned) or the
+full parameter, with covariance blocks as lower triangles and their
+duplication matrices.
 """
 
 from . import errors
@@ -21,6 +23,7 @@ from .centralized import (
     estep,
     observed_loglik,
     observed_loss,
+    pattern_gram,
     pattern_moments,
     q_gradient_beta,
     q_value,
@@ -70,7 +73,7 @@ __all__ = [
     "VerticalDataset", "assemble_information", "asymptotic_covariance",
     "closed_form_m_step", "em_map", "errors", "estep",
     "exact_statistics", "fit", "generate", "initialize", "make_dataset",
-    "monte_carlo", "observed_loglik", "observed_loss", "ols",
+    "monte_carlo", "observed_loglik", "observed_loss", "ols", "pattern_gram",
     "pattern_moments", "plug_in_learning_rate", "predict", "q_gradient_beta",
     "q_value", "run_baseline", "run_inference", "sem_jacobian",
     "sketch_statistics", "smes_like_config",

@@ -2,18 +2,17 @@
 complete-data objective, its coefficient gradient, and the closed-form
 maximization step.
 
-These per-sample kernels are the lossless reference the federated rounds and
-the oracle engine are checked against. The E-step works per missingness
-pattern (there are at most 2^K of them): every row of a pattern shares its
-denominator d_g, its coupling vector Sigma beta and its conditional
-covariance, so `estep` computes those once per `PatternGroup`, and one
-sample's conditional mean and covariance are read from its row of `x_tilde`
-and its group.
+These per-sample kernels are the lossless reference the federated rounds,
+the oracle engine and the inference statistics are checked against. The
+E-step works per missingness pattern (there are at most 2^K of them): every
+row of a pattern shares its denominator d_g, its coupling vector Sigma beta
+and its conditional covariance, so `estep` computes those once per
+`PatternGroup`.
 
-`em_map`, the EM map that the oracle engine iterates and inference
-differentiates, runs on per-pattern sufficient statistics instead:
-`pattern_moments` sums them in O(n p^2) once, and each map then costs
-O(G (p+2)^3) for G patterns, independent of n.
+`em_map`, which the oracle engine iterates and inference differentiates,
+runs on per-pattern sums instead: `pattern_moments` sums the data in
+O(n p^2) once, and `pattern_gram` is the E-step on them, O(G (p+2)^3) for G
+patterns; its Gram also feeds the inference statistics.
 """
 
 from __future__ import annotations
@@ -292,9 +291,10 @@ class PatternMoments:
         return int(self.counts.sum())
 
 
-def pattern_moments(data: VerticalDataset) -> PatternMoments:
-    """Group the rows by missingness pattern and sum their centred moments,
-    O(n p^2) once; every `em_map` on the result is then O(G (p+2)^3)."""
+def centred_rows(data: VerticalDataset) -> tuple[np.ndarray, np.ndarray, float]:
+    """The (n, p+2) rows z_i = [x_obs - c (0 on missing columns), y - c_y, 1]
+    with the observed column means c and the mean c_y of y; returns z, c
+    and c_y."""
     layout, mask = data.layout, data.mask
     n, p = data.n, layout.total_dim
     z = np.zeros((n, p + 2))
@@ -309,8 +309,15 @@ def pattern_moments(data: VerticalDataset) -> PatternMoments:
     center_y = float(data.y.mean())
     z[:, p] = data.y - center_y
     z[:, p + 1] = 1.0
+    return z, center, center_y
 
-    groups = mask.patterns()
+
+def pattern_moments(data: VerticalDataset) -> PatternMoments:
+    """Group the rows by missingness pattern and sum their centred moments,
+    O(n p^2) once; every `em_map` on the result is then O(G (p+2)^3)."""
+    layout = data.layout
+    z, center, center_y = centred_rows(data)
+    groups = data.mask.patterns()
     missing = tuple(tuple(m) for m, _ in groups)
     blocks = np.zeros((len(groups), layout.num_clients))
     for g, m in enumerate(missing):
@@ -324,23 +331,32 @@ def pattern_moments(data: VerticalDataset) -> PatternMoments:
         center=center, center_y=center_y, scatter=scatter)
 
 
-def em_map(theta: ModelParameters, moments: PatternMoments) -> ModelParameters:
-    """One application of the EM fixed-point map, the same update as
-    `closed_form_m_step` but from per-pattern moments: O(G (p+2)^3).
+@dataclass(frozen=True)
+class PatternGram:
+    """The E-step's sums at one parameter point, from `pattern_gram`."""
+
+    maps: np.ndarray          # (G, p+3, p+2) W_g: z -> [x~ - mu, y - c_y, e, 1]
+    sums: np.ndarray          # (p+3, p+3) sum_g W_g S_g W_g', S_g = Z_g'Z_g
+    corrections: np.ndarray   # (p, p) summed embedded conditional covariances
+    v4_sum: float             # summed conditional quadratic forms
+
+    @property
+    def resid_sumsq(self) -> float:
+        return float(self.sums[-2, -2])     # e'e
+
+
+def pattern_gram(theta: ModelParameters, moments: PatternMoments) -> PatternGram:
+    """The E-step at `theta` on per-pattern moments: O(G (p+2)^3).
 
     On a row of pattern g, x~ = A_g z with A_g affine in theta: observed
     columns are z plus their centre; a missing column is mu + u r / d_g with
     u = Sigma beta and r = a_g'z the mean-imputed residual. Every sum the
-    maximization needs follows from the blocks of sum_g W_g S_g W_g' for a
-    stacked W_g = [A_g - mu; y - c_y; e; 1], with S_g = Z_g'Z_g.
-
-    Every parameter moves; a caller that pins the nuisance parameters (the
-    beta scope of `inference.ThetaVectorizer`) reads the coefficients only.
+    maximization needs is a block of sum_g W_g S_g W_g' for the stacked
+    W_g = [A_g - mu; y - c_y; e; 1].
     """
     layout = moments.layout
     p = layout.total_dim
     beta, sigma2 = theta.beta, theta.sigma2
-    n = moments.n
     cols, blocks = moments.missing_cols, moments.missing_blocks
 
     mu = np.concatenate(theta.mu)
@@ -372,10 +388,6 @@ def em_map(theta: ModelParameters, moments: PatternMoments) -> ModelParameters:
                         e_row[:, None, :],
                         np.broadcast_to(ones, (len(d), 1, p + 2))], axis=1)
     sums = (w @ moments.scatter @ w.transpose(0, 2, 1)).sum(axis=0)
-    scatter = sums[:p, :p]                     # sum of (x~ - mu)(x~ - mu)'
-    c_sum, y_sum = sums[:p, p + 2], sums[p, p + 2]   # sums of x~ - mu, y - c_y
-    x_mean = mu + c_sum / n
-    e_sumsq = sums[p + 1, p + 1]
 
     # summed embedded conditional covariances: blockdiag(Sigma) on each
     # pattern's missing blocks minus its rank-one coupling u u' / d_g
@@ -387,6 +399,23 @@ def em_map(theta: ModelParameters, moments: PatternMoments) -> ModelParameters:
                    - np.outer(u, u) * ((cols.T * (moments.counts / d)) @ cols))
     quad = d - sigma2
     v4_sum = float(moments.counts @ (quad - quad * quad / d))
+    return PatternGram(w, sums, corrections, v4_sum)
+
+
+def em_map(theta: ModelParameters, moments: PatternMoments) -> ModelParameters:
+    """One application of the EM fixed-point map, the same update as
+    `closed_form_m_step` but from the blocks of `pattern_gram`.
+
+    Every parameter moves; a caller that pins the nuisance parameters (the
+    beta scope of `inference.ThetaVectorizer`) reads the coefficients only.
+    """
+    layout = moments.layout
+    p, n = layout.total_dim, moments.n
+    gram = pattern_gram(theta, moments)
+    sums, corrections = gram.sums, gram.corrections
+    scatter = sums[:p, :p]                     # sum of (x~ - mu)(x~ - mu)'
+    c_sum, y_sum = sums[:p, p + 2], sums[p, p + 2]   # sums of x~ - mu, y - c_y
+    x_mean = np.concatenate(theta.mu) + c_sum / n
 
     # recentred from mu to the column means of x~ and y
     beta_new = _solve_about_means(
@@ -397,7 +426,7 @@ def em_map(theta: ModelParameters, moments: PatternMoments) -> ModelParameters:
         sl = layout.block_slice(k)
         mu_new.append(x_mean[sl])
         sig_new.append(repair_psd((scatter[sl, sl] + corrections[sl, sl]) / n))
-    sigma2_new = float((e_sumsq + v4_sum) / n)
+    sigma2_new = (gram.resid_sumsq + gram.v4_sum) / n
     return ModelParameters(beta=beta_new, mu=tuple(mu_new),
                            sigma_blocks=tuple(sig_new), sigma2=sigma2_new)
 

@@ -74,6 +74,14 @@ def _merge_config(args: argparse.Namespace, keys: list[str]) -> dict:
     return merged
 
 
+def _config_bool(cfg_vals: dict, key: str, default: bool) -> bool:
+    """A switch from the config file: only true or false, never coerced."""
+    val = cfg_vals.get(key, default)
+    if not isinstance(val, bool):
+        raise ConfigError(f"{key} must be true or false, got {val!r}")
+    return val
+
+
 def _parse_rates(text):
     if isinstance(text, (int, float)):
         return float(text)
@@ -167,8 +175,8 @@ def cmd_infer(args) -> int:
         m=cfg_vals.get("m"),
         replicates=cfg_vals.get("replicates"),
         seed=int(cfg_vals.get("seed", 0)),
-        shared=bool(cfg_vals.get("shared", True)),
-        exact_within_block=bool(cfg_vals.get("exact_within", True)),
+        shared=_config_bool(cfg_vals, "shared", True),
+        exact_within_block=_config_bool(cfg_vals, "exact_within", True),
     )
     inf_cfg = InferenceConfig(
         scope=str(cfg_vals.get("scope", "beta")),
@@ -215,7 +223,8 @@ def cmd_montecarlo(args) -> int:
         fit=FitConfig(engine=str(cfg_vals.get("engine", "oracle")),
                       transport=str(cfg_vals.get("transport", "inproc")),
                       tol=1e-10),
-        inference=(InferenceConfig() if cfg_vals.get("with_inference") else None),
+        inference=(InferenceConfig() if _config_bool(cfg_vals, "with_inference", False)
+                   else None),
         seed=int(cfg_vals.get("seed", 0)),
     )
     summary = monte_carlo(spec)

@@ -1,14 +1,15 @@
 """Standard errors for the converged fit.
 
-Pipeline: read the cross-product statistics of the pseudo-complete design
-off one Gram matrix, that of the rows [X~ - 1 mu', e, 1 per client], which
-averaged CountSketches estimate (clients only ever ship m x (p_k + 1)
-projections, each computed in O(n p_k), so L replicates cost O(L n p)),
-assemble the conditional expectation of the complete-data information matrix
-from those statistics, estimate the EM map's rate matrix by forward
-differences (d + 1 maps on per-pattern moments: O(n p^2) once, then
-O(G (p+2)^3) per map for G missingness patterns), and combine them into the
-asymptotic covariance
+Pipeline: build the per-pattern moments once (O(n p^2)) and, at the
+estimate, the E-step's pattern Gram (`centralized.pattern_gram`), which
+holds the Gram of the rows [X~ - 1 mu', e, 1 per client]; read the
+cross-product statistics off that Gram exactly, or estimate them by averaged
+CountSketches of those rows, built pattern by pattern from the Gram's affine
+maps (clients only ever ship m x (p_k + 1) projections, each O(n p_k), so L
+replicates cost O(L n p)); assemble the conditional expectation of the
+complete-data information matrix from them; estimate the EM map's rate
+matrix by forward differences (d + 1 maps on the same moments, O(G (p+2)^3)
+each for G missingness patterns); and combine them into
 
     V = I_oc^{-1} (I - Gamma)^{-1},
 
@@ -26,12 +27,14 @@ of sketched ("hybrid", the default) since they never leave their owner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .centralized import em_map, estep, pattern_moments
+from .centralized import (PatternGram, PatternMoments, centred_rows, em_map,
+                          pattern_gram, pattern_moments)
+from .centralized import estep  # noqa: F401  perfbench/tracing.py wraps this name
 from .data import BlockLayout, ModelParameters, VerticalDataset, repair_psd
 from .errors import ConfigError, NotAFixedPoint, SingularSystem
 
@@ -168,10 +171,10 @@ class SketchedStatistics:
     xe: np.ndarray
     xsum: np.ndarray
     centered_xsum: np.ndarray
-    sketch_dim: int
-    replicates: int
-    shared: bool
-    exact_within_block: bool
+    sketch_dim: int = 0              # no sketch dimension or replicates: exact
+    replicates: int = 0
+    shared: bool = True
+    exact_within_block: bool = True
 
 
 def _gram_statistics(gram: np.ndarray, mu_blocks: list[np.ndarray],
@@ -194,19 +197,19 @@ def _gram_statistics(gram: np.ndarray, mu_blocks: list[np.ndarray],
         xsum=full[cols, ones], centered_xsum=gram[cols, ones], **meta)
 
 
-def _gram_rows(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
-               mu_blocks: list[np.ndarray]) -> np.ndarray:
-    """The rows [X~ - 1 mu', e, 1 per client] as a (p + 1 + K, n) array."""
-    return np.vstack([(blk - mu_k).T for blk, mu_k in zip(pseudo_blocks, mu_blocks)]
-                     + [residuals, np.ones((len(pseudo_blocks), len(residuals)))])
+def _exact_gram(gram: PatternGram, mu_blocks: list[np.ndarray]) -> np.ndarray:
+    """The Gram of the rows [X~ - 1 mu', e, 1 per client], read off the
+    pattern Gram (rows [X~ - 1 mu', y - c_y, e, 1], symmetric to rounding)."""
+    p = gram.sums.shape[0] - 3
+    idx = np.r_[np.arange(p), p + 1, np.full(len(mu_blocks), p + 2)]
+    exact = gram.sums[np.ix_(idx, idx)]
+    return 0.5 * (exact + exact.T)
 
 
-def exact_statistics(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
+def exact_statistics(gram: PatternGram,
                      mu_blocks: list[np.ndarray]) -> SketchedStatistics:
-    """The same statistics from the unsketched Gram (S = I; oracle path)."""
-    rows = _gram_rows(pseudo_blocks, residuals, mu_blocks)
-    return _gram_statistics(rows @ rows.T, mu_blocks, sketch_dim=0, replicates=0,
-                            shared=True, exact_within_block=True)
+    """The statistics from the unsketched Gram (S = I; oracle path)."""
+    return _gram_statistics(_exact_gram(gram, mu_blocks), mu_blocks)
 
 
 def _count_sketch(seed: np.random.SeedSequence, n: int, m: int):
@@ -218,8 +221,8 @@ def _count_sketch(seed: np.random.SeedSequence, n: int, m: int):
     return h, s
 
 
-def sketch_statistics(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
-                      mu_blocks: list[np.ndarray], layout: BlockLayout,
+def sketch_statistics(gram: PatternGram, mu_blocks: list[np.ndarray],
+                      data: VerticalDataset,
                       cfg: SketchConfig) -> SketchedStatistics:
     """Replicate-averaged CountSketches of the design cross-products.
 
@@ -228,25 +231,29 @@ def sketch_statistics(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
     m x (p_k + 1) projection; the server projects e. A projection is a
     signed bucket sum, O(n p_k), so the statistics cost O(L n p) with no
     (m, n) matrix, and the average Gram of the projections estimates the
-    Gram of the rows. In shared mode all clients and the server derive the
-    same S from the broadcast seed: cross-client blocks and the residual
-    product (S X~)'(S e) are unbiased. In private mode each client draws its
-    own S and the server sketches e with an independent one, so cross-client
+    Gram of the rows, each built as W_g z_i from its pattern's map. In
+    shared mode all clients and the server derive the same S from the
+    broadcast seed: cross-client blocks and the residual product
+    (S X~)'(S e) are unbiased. In private mode each client draws its own S
+    and the server sketches e with an independent one, so cross-client
     blocks and xe shrink toward zero, their expectation under independent
-    sketches. Hybrid mode replaces each client's own diagonal block of the
-    averaged Gram (its covariates and ones row) by the exact block.
+    sketches. Hybrid mode takes each client's own diagonal block (its
+    covariates and ones row) exactly from the pattern Gram.
     """
-    n = len(residuals)
-    K = layout.num_clients
+    layout, n = data.layout, data.n
+    K, p = layout.num_clients, layout.total_dim
     m, L = cfg.resolve(n, K)
-    rows = _gram_rows(pseudo_blocks, residuals, mu_blocks)
+    z = centred_rows(data)[0]
+    rows = np.empty((p + 1, n))         # [X~ - 1 mu', e]; ones rows implicit
+    data_rows = np.r_[np.arange(p), p + 1]
+    for w, (_, members) in zip(gram.maps, data.mask.patterns()):
+        rows[:, members] = w[data_rows] @ z[members].T
     # the sketch of each row: its client's, and the server's (K) for e
     owner = np.concatenate([np.repeat(np.arange(K), layout.client_dims),
                             [K], np.arange(K)])
     sketch_of = np.zeros_like(owner) if cfg.shared else owner
-    data_rows = layout.total_dim + 1    # the rows before the ones rows
-    ones_sketches = set(sketch_of[data_rows:].tolist())
-    gram = np.zeros((owner.size, owner.size))
+    ones_sketches = set(sketch_of[p + 1:].tolist())
+    sketched = np.zeros((owner.size, owner.size))
     for child in np.random.SeedSequence(cfg.seed).spawn(L):
         draws = [child] if cfg.shared else child.spawn(K + 1)
         h, s = zip(*(_count_sketch(sub, n, m) for sub in draws))
@@ -255,15 +262,16 @@ def sketch_statistics(pseudo_blocks: list[np.ndarray], residuals: np.ndarray,
         ones = {g: np.bincount(h[g], weights=s[g], minlength=m)
                 for g in ones_sketches}
         proj = np.stack([np.bincount(h[g], weights=s[g] * row, minlength=m)
-                         for g, row in zip(sketch_of[:data_rows], rows[:data_rows])]
-                        + [ones[g] for g in sketch_of[data_rows:]])
-        gram += proj @ proj.T
-    gram /= L
+                         for g, row in zip(sketch_of[:p + 1], rows)]
+                        + [ones[g] for g in sketch_of[p + 1:]])
+        sketched += proj @ proj.T
+    sketched /= L
     if cfg.exact_within_block:
+        exact = _exact_gram(gram, mu_blocks)
         for k in range(K):
-            own = np.flatnonzero(owner == k)
-            gram[np.ix_(own, own)] = rows[own] @ rows[own].T
-    return _gram_statistics(gram, mu_blocks, sketch_dim=m, replicates=L,
+            own = np.ix_(owner == k, owner == k)
+            sketched[own] = exact[own]
+    return _gram_statistics(sketched, mu_blocks, sketch_dim=m, replicates=L,
                             shared=cfg.shared,
                             exact_within_block=cfg.exact_within_block)
 
@@ -326,20 +334,19 @@ def assemble_information(stats: SketchedStatistics, theta: ModelParameters,
 
 # -- EM-map rate matrix ------------------------------------------------------
 
-def sem_jacobian(theta_hat: ModelParameters, data: VerticalDataset,
+def sem_jacobian(theta_hat: ModelParameters, moments: PatternMoments,
                  vectorizer: ThetaVectorizer) -> np.ndarray:
     """Forward-difference Jacobian of the EM map at its fixed point.
 
     Entry (i, j) is (F_j(theta + h_i e_i) - F_j(theta)) / h_i with the
     per-coordinate step h_i = 1e-4 (1 + |theta_i|). A point the map moves
     by more than 1e-6 is not a fixed point and raises. The map is
-    `em_map(theta, moments)`, read in the vectorizer's coordinates: in
-    'beta' scope the perturbed point pins the nuisance parameters at their
-    estimates and only the mapped coefficients are kept. The per-pattern
-    moments are built once, in O(n p^2); each of the d + 1 maps then costs
+    `em_map(theta, moments)` on the data's per-pattern moments, built once
+    by the caller, read in the vectorizer's coordinates: in 'beta' scope the
+    perturbed point pins the nuisance parameters at their estimates and
+    only the mapped coefficients are kept. Each of the d + 1 maps costs
     O(G (p+2)^3) for G patterns.
     """
-    moments = pattern_moments(data)
     v0 = vectorizer.to_vector(theta_hat)
     f0 = vectorizer.to_vector(em_map(theta_hat, moments))
     drift = np.abs(f0 - v0).max()
@@ -409,47 +416,17 @@ class InferenceReport:
         return "\n".join(out) + "\n"
 
     def to_json_dict(self) -> dict:
-        return {
-            "names": self.names,
-            "estimates": self.estimates.tolist(),
-            "std_errors": self.std_errors.tolist(),
-            "z_scores": self.z_scores.tolist(),
-            "p_values": self.p_values.tolist(),
-            "significant": [bool(s) for s in self.significant],
-            "cov_beta": self.cov_beta.tolist(),
-            "n": self.n,
-            "gamma_spectral_radius": self.gamma_spectral_radius,
-            "ioc_repaired": self.ioc_repaired,
-            "v_repaired": self.v_repaired,
-            "scope": self.scope,
-            "stats_mode": self.stats_mode,
-            "sketch_dim": self.sketch_dim,
-            "sketch_replicates": self.sketch_replicates,
-            "sketch_shared": self.sketch_shared,
-            "sketch_exact_within": self.sketch_exact_within,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in out.items()}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "InferenceReport":
-        return cls(
-            names=list(obj["names"]),
-            estimates=np.asarray(obj["estimates"], dtype=float),
-            std_errors=np.asarray(obj["std_errors"], dtype=float),
-            z_scores=np.asarray(obj["z_scores"], dtype=float),
-            p_values=np.asarray(obj["p_values"], dtype=float),
-            significant=np.asarray(obj["significant"], dtype=bool),
-            cov_beta=np.asarray(obj["cov_beta"], dtype=float),
-            n=int(obj["n"]),
-            gamma_spectral_radius=float(obj["gamma_spectral_radius"]),
-            ioc_repaired=bool(obj["ioc_repaired"]),
-            v_repaired=bool(obj["v_repaired"]),
-            scope=str(obj["scope"]),
-            stats_mode=str(obj["stats_mode"]),
-            sketch_dim=int(obj["sketch_dim"]),
-            sketch_replicates=int(obj["sketch_replicates"]),
-            sketch_shared=bool(obj["sketch_shared"]),
-            sketch_exact_within=bool(obj["sketch_exact_within"]),
-        )
+        kw = {f.name: obj[f.name] for f in fields(cls)}
+        for name in ("estimates", "std_errors", "z_scores", "p_values", "cov_beta"):
+            kw[name] = np.asarray(kw[name], dtype=float)
+        kw["significant"] = np.asarray(kw["significant"], dtype=bool)
+        return cls(**kw)
 
 
 def two_sided_p(z: np.ndarray) -> np.ndarray:
@@ -460,9 +437,8 @@ def two_sided_p(z: np.ndarray) -> np.ndarray:
 def asymptotic_covariance(info: np.ndarray, gamma: np.ndarray,
                           theta: ModelParameters, n: int,
                           vectorizer: ThetaVectorizer,
-                          ioc_repaired: bool = False,
-                          stats_mode: str = "exact",
-                          sketch_meta: Optional[dict] = None) -> InferenceReport:
+                          stats: SketchedStatistics,
+                          ioc_repaired: bool = False) -> InferenceReport:
     """V = info^{-1} (I - Gamma)^{-1}; Wald table for the coefficients."""
     d = info.shape[0]
     eigvals = np.linalg.eigvals(gamma)
@@ -490,18 +466,15 @@ def asymptotic_covariance(info: np.ndarray, gamma: np.ndarray,
     est = theta.beta
     z = est / se
     p_vals = two_sided_p(z)
-    meta = sketch_meta or {}
     return InferenceReport(
         names=vectorizer.beta_names, estimates=est.copy(), std_errors=se,
         z_scores=z, p_values=p_vals, significant=p_vals < 0.05,
         cov_beta=v_beta, n=n, gamma_spectral_radius=rho,
         ioc_repaired=ioc_repaired, v_repaired=v_repaired,
-        scope=vectorizer.scope, stats_mode=stats_mode,
-        sketch_dim=meta.get("sketch_dim", 0),
-        sketch_replicates=meta.get("replicates", 0),
-        sketch_shared=meta.get("shared", True),
-        sketch_exact_within=meta.get("exact_within_block", True),
-    )
+        scope=vectorizer.scope,
+        stats_mode="sketch" if stats.replicates else "exact",
+        sketch_dim=stats.sketch_dim, sketch_replicates=stats.replicates,
+        sketch_shared=stats.shared, sketch_exact_within=stats.exact_within_block)
 
 
 @dataclass
@@ -522,21 +495,15 @@ def run_inference(theta: ModelParameters, data: VerticalDataset,
                   cfg: Optional[InferenceConfig] = None) -> InferenceReport:
     """Full pipeline from a converged parameter estimate to a Wald table."""
     cfg = cfg or InferenceConfig()
-    layout = data.layout
-    vec = ThetaVectorizer(layout, scope=cfg.scope, beta_names=cfg.beta_names)
-    cache = estep(theta, data)
-    blocks = [cache.x_tilde[:, layout.block_slice(k)] for k in layout.clients()]
-    mu_blocks = [theta.mu[k - 1] for k in layout.clients()]
+    vec = ThetaVectorizer(data.layout, scope=cfg.scope, beta_names=cfg.beta_names)
+    moments = pattern_moments(data)
+    gram = pattern_gram(theta, moments)
     if cfg.stats_mode == "exact":
-        stats = exact_statistics(blocks, cache.e, mu_blocks)
+        stats = exact_statistics(gram, theta.mu)
     else:
-        stats = sketch_statistics(blocks, cache.e, mu_blocks, layout, cfg.sketch)
-    resid_sumsq = float(cache.e @ cache.e)
-    info, repaired = assemble_information(stats, theta, cache.corrections,
-                                          resid_sumsq, data.n, vec)
-    gamma = sem_jacobian(theta, data, vec)
-    meta = {"sketch_dim": stats.sketch_dim, "replicates": stats.replicates,
-            "shared": stats.shared, "exact_within_block": stats.exact_within_block}
-    return asymptotic_covariance(info, gamma, theta, data.n, vec,
-                                 ioc_repaired=repaired,
-                                 stats_mode=cfg.stats_mode, sketch_meta=meta)
+        stats = sketch_statistics(gram, theta.mu, data, cfg.sketch)
+    info, repaired = assemble_information(stats, theta, gram.corrections,
+                                          gram.resid_sumsq, data.n, vec)
+    gamma = sem_jacobian(theta, moments, vec)
+    return asymptotic_covariance(info, gamma, theta, data.n, vec, stats,
+                                 ioc_repaired=repaired)

@@ -27,6 +27,8 @@ from vfem import (
     generate,
     initialize,
     monte_carlo,
+    pattern_gram,
+    pattern_moments,
     q_gradient_beta,
     run_baseline,
     run_inference,
@@ -240,16 +242,13 @@ def test_criterion_07_sketch_error_scaling():
     started = time.perf_counter()
     data, _ = make_instance(200, (2, 2), 0.3, seed=12)
     res = fit(data, FitConfig(engine="oracle", tol=1e-12))
-    layout = data.layout
-    cache = estep(res.theta, data)
-    blocks = [cache.x_tilde[:, layout.block_slice(k)] for k in layout.clients()]
-    mus = [res.theta.mu[k - 1] for k in layout.clients()]
-    exact = exact_statistics(blocks, cache.e, mus)
+    gram, mus = pattern_gram(res.theta, pattern_moments(data)), res.theta.mu
+    exact = exact_statistics(gram, mus)
 
     def median_rel_sq_err(m, L, shared, reps=50):
         errs = []
         for r in range(reps):
-            st = sketch_statistics(blocks, cache.e, mus, layout,
+            st = sketch_statistics(gram, mus, data,
                                    SketchConfig(m=m, replicates=L,
                                                 seed=1000 + r, shared=shared,
                                                 exact_within_block=False))
@@ -264,7 +263,7 @@ def test_criterion_07_sketch_error_scaling():
 
     # the paper-literal private-sketch variant: cross-client blocks collapse
     cross = exact.xx[0:2, 2:4]
-    st_ind = sketch_statistics(blocks, cache.e, mus, layout,
+    st_ind = sketch_statistics(gram, mus, data,
                                SketchConfig(m=16, replicates=400, seed=3,
                                             shared=False,
                                             exact_within_block=False))
@@ -283,7 +282,7 @@ def test_criterion_08_rate_matrix_sanity():
     data0, _ = make_instance(150, (2, 2, 2), 0.0, seed=55)
     res0 = fit(data0, FitConfig(engine="oracle", tol=1e-13))
     vec0 = ThetaVectorizer(data0.layout, scope="beta")
-    gamma0 = sem_jacobian(res0.theta, data0, vec0)
+    gamma0 = sem_jacobian(res0.theta, pattern_moments(data0), vec0)
     assert np.linalg.norm(gamma0, 2) < 1e-4
 
     radii, diag_means = [], []
@@ -292,7 +291,7 @@ def test_criterion_08_rate_matrix_sanity():
         res = fit(data, FitConfig(engine="oracle", max_iters=50000, tol=1e-13,
                                   beta_stall_tol=0.0))
         vec = ThetaVectorizer(data.layout, scope="beta")
-        gamma = sem_jacobian(res.theta, data, vec)
+        gamma = sem_jacobian(res.theta, pattern_moments(data), vec)
         radii.append(float(np.abs(np.linalg.eigvals(gamma)).max()))
         diag_means.append(float(np.diag(gamma)[2:4].mean()))
     for n, dims, rho, seed in random_battery(np.random.default_rng(88), 4,
@@ -301,7 +300,7 @@ def test_criterion_08_rate_matrix_sanity():
         res = fit(data, FitConfig(engine="oracle", max_iters=50000, tol=1e-13,
                                   beta_stall_tol=0.0))
         vec = ThetaVectorizer(data.layout, scope="beta")
-        gamma = sem_jacobian(res.theta, data, vec)
+        gamma = sem_jacobian(res.theta, pattern_moments(data), vec)
         radii.append(float(np.abs(np.linalg.eigvals(gamma)).max()))
     assert all(r < 1.0 for r in radii)
     assert diag_means[0] < diag_means[1] < diag_means[2]

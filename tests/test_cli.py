@@ -154,6 +154,28 @@ def test_infer_rejects_malformed_fit_report(dataset_dir, tmp_path, capsys, edit,
     assert not (tmp_path / "i.json").exists()
 
 
+def test_infer_sketch_switches_accept_only_booleans(dataset_dir, tmp_path, capsys):
+    fit_path = tmp_path / "fit.json"
+    main(["fit", "--data", str(dataset_dir), "--tol", "1e-10", "--out", str(fit_path)])
+    cfg = tmp_path / "infer.cfg"
+    out = tmp_path / "i.json"
+
+    def infer(text):
+        cfg.write_text(text + "\n")
+        return main(["infer", "--config", str(cfg), "--data", str(dataset_dir),
+                     "--fit", str(fit_path), "--out", str(out)])
+
+    for text in ("shared = off", 'exact_within = "false"', "shared = 1",
+                 "exact_within = no"):
+        assert infer(text) == EXIT_VALIDATION, text
+        assert "must be true or false" in capsys.readouterr().err
+        assert not out.exists()
+    assert infer("shared = false\nexact_within = FALSE") == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["sketch_shared"] is False
+    assert report["sketch_exact_within"] is False
+
+
 def test_fit_reports_deterministic(dataset_dir, tmp_path):
     outs = []
     for run in range(2):

@@ -8,6 +8,7 @@ from vfem import (
     FitConfig,
     InferenceConfig,
     InferenceReport,
+    ModelParameters,
     SketchConfig,
     ThetaVectorizer,
     assemble_information,
@@ -16,14 +17,17 @@ from vfem import (
     exact_statistics,
     fit,
     generate,
+    make_dataset,
+    pattern_gram,
+    pattern_moments,
     q_value,
     run_inference,
     sem_jacobian,
     sketch_statistics,
     smes_like_config,
 )
-from vfem import inference
-from vfem.centralized import estep
+from vfem import centralized, inference
+from vfem.centralized import centred_rows, estep
 from vfem.errors import NotAFixedPoint
 from vfem.inference import two_sided_p
 
@@ -33,12 +37,44 @@ def tight_fit(data):
                                beta_stall_tol=0.0))
 
 
+def gram_at(theta, data):
+    """The E-step's pattern Gram at `theta`."""
+    return pattern_gram(theta, pattern_moments(data))
+
+
 def stats_inputs(theta, data):
+    """The per-sample reference: `estep`'s pseudo-complete blocks."""
     layout = data.layout
     cache = estep(theta, data)
     blocks = [cache.x_tilde[:, layout.block_slice(k)] for k in layout.clients()]
     mus = [theta.mu[k - 1] for k in layout.clients()]
     return cache, blocks, mus
+
+
+def gram_rows(pseudo_blocks, residuals, mu_blocks):
+    """The rows [X~ - 1 mu', e, 1 per client] as a (p + 1 + K, n) array."""
+    return np.vstack([(blk - mu_k).T for blk, mu_k in zip(pseudo_blocks, mu_blocks)]
+                     + [residuals, np.ones((len(pseudo_blocks), len(residuals)))])
+
+
+def estep_rows(theta, data):
+    """`gram_rows` of the per-sample E-step at `theta`."""
+    cache, blocks, mus = stats_inputs(theta, data)
+    return gram_rows(blocks, cache.e, mus)
+
+
+def pattern_rows(gram, data):
+    """The same rows as `sketch_statistics` builds them, W_g z_i on the rows
+    of each pattern g."""
+    p, K = data.layout.total_dim, data.layout.num_clients
+    z = centred_rows(data)[0]
+    rows = np.ones((p + 1 + K, data.n))
+    for w, (_, members) in zip(gram.maps, data.mask.patterns()):
+        rows[:p + 1, members] = w[np.r_[np.arange(p), p + 1]] @ z[members].T
+    return rows
+
+
+STAT_FIELDS = ("xx", "centered_xx", "xe", "xsum", "centered_xsum")
 
 
 class TestVectorizer:
@@ -81,10 +117,14 @@ class TestVectorizer:
 class TestSketches:
     def test_zero_design_gives_zero_statistics(self):
         layout = BlockLayout((2, 2))
-        blocks = [np.zeros((30, 2)), np.zeros((30, 2))]
-        st = sketch_statistics(blocks, np.zeros(30), [np.zeros(2), np.zeros(2)],
-                               layout, SketchConfig(m=4, replicates=3, seed=0,
-                                                    exact_within_block=False))
+        missing = np.zeros((30, 2), dtype=bool)
+        missing[::3, 1] = True
+        data = make_dataset(layout, [np.zeros((30, 2))] * 2, np.zeros(30), missing)
+        theta = ModelParameters(beta=np.ones(4), mu=(np.zeros(2), np.zeros(2)),
+                                sigma_blocks=(np.eye(2), np.eye(2)), sigma2=1.0)
+        st = sketch_statistics(gram_at(theta, data), theta.mu, data,
+                               SketchConfig(m=4, replicates=3, seed=0,
+                                            exact_within_block=False))
         assert np.all(st.xx == 0) and np.all(st.xe == 0)
         assert np.all(st.centered_xx == 0)
 
@@ -92,9 +132,9 @@ class TestSketches:
         # p=4, n=200: with m=32 and many replicates the estimate is close
         data, _ = make_instance(200, (2, 2), 0.3, seed=12)
         res = tight_fit(data)
-        cache, blocks, mus = stats_inputs(res.theta, data)
-        exact = exact_statistics(blocks, cache.e, mus)
-        st = sketch_statistics(blocks, cache.e, mus, data.layout,
+        gram, mus = gram_at(res.theta, data), res.theta.mu
+        exact = exact_statistics(gram, mus)
+        st = sketch_statistics(gram, mus, data,
                                SketchConfig(m=32, replicates=2000, seed=5,
                                             exact_within_block=False))
         err = np.linalg.norm(st.xx - exact.xx, 2) / np.linalg.norm(exact.xx, 2)
@@ -105,14 +145,14 @@ class TestSketches:
     def test_quadrupling_work_shrinks_squared_error_about_fourfold(self):
         data, _ = make_instance(200, (2, 2), 0.3, seed=12)
         res = tight_fit(data)
-        cache, blocks, mus = stats_inputs(res.theta, data)
-        exact = exact_statistics(blocks, cache.e, mus)
+        gram, mus = gram_at(res.theta, data), res.theta.mu
+        exact = exact_statistics(gram, mus)
 
         def med_sq_err(m, L, reps=50):
             errs = []
             for r in range(reps):
                 st = sketch_statistics(
-                    blocks, cache.e, mus, data.layout,
+                    gram, mus, data,
                     SketchConfig(m=m, replicates=L, seed=1000 + r,
                                  exact_within_block=False))
                 errs.append(np.linalg.norm(st.xx - exact.xx, "fro") ** 2
@@ -125,14 +165,14 @@ class TestSketches:
     def test_private_sketches_bias_cross_blocks_toward_zero(self):
         data, _ = make_instance(200, (2, 2), 0.3, seed=12)
         res = tight_fit(data)
-        cache, blocks, mus = stats_inputs(res.theta, data)
-        exact = exact_statistics(blocks, cache.e, mus)
+        gram, mus = gram_at(res.theta, data), res.theta.mu
+        exact = exact_statistics(gram, mus)
         cross = exact.xx[0:2, 2:4]
-        st_ind = sketch_statistics(blocks, cache.e, mus, data.layout,
+        st_ind = sketch_statistics(gram, mus, data,
                                    SketchConfig(m=16, replicates=400, seed=3,
                                                 shared=False,
                                                 exact_within_block=False))
-        st_sh = sketch_statistics(blocks, cache.e, mus, data.layout,
+        st_sh = sketch_statistics(gram, mus, data,
                                   SketchConfig(m=16, replicates=400, seed=3,
                                                shared=True,
                                                exact_within_block=False))
@@ -146,9 +186,9 @@ class TestSketches:
         # the server sketches e with the broadcast sketch the clients use
         data, _ = make_instance(200, (2, 2), 0.3, seed=12)
         res = tight_fit(data)
-        cache, blocks, mus = stats_inputs(res.theta, data)
-        exact = exact_statistics(blocks, cache.e, mus)
-        st = sketch_statistics(blocks, cache.e, mus, data.layout,
+        gram, mus = gram_at(res.theta, data), res.theta.mu
+        exact = exact_statistics(gram, mus)
+        st = sketch_statistics(gram, mus, data,
                                SketchConfig(m=32, replicates=2000, seed=5,
                                             exact_within_block=False))
         assert rel_err(st.xe, exact.xe) < 0.1
@@ -157,9 +197,9 @@ class TestSketches:
         # an independent server sketch of e makes xe an estimate of zero
         data, _ = make_instance(200, (2, 2), 0.3, seed=12)
         res = tight_fit(data)
-        cache, blocks, mus = stats_inputs(res.theta, data)
-        exact = exact_statistics(blocks, cache.e, mus)
-        st = sketch_statistics(blocks, cache.e, mus, data.layout,
+        gram, mus = gram_at(res.theta, data), res.theta.mu
+        exact = exact_statistics(gram, mus)
+        st = sketch_statistics(gram, mus, data,
                                SketchConfig(m=16, replicates=400, seed=3,
                                             shared=False,
                                             exact_within_block=False))
@@ -168,9 +208,9 @@ class TestSketches:
     def test_hybrid_mode_pins_within_client_blocks(self):
         data, _ = make_instance(150, (2, 2), 0.3, seed=13)
         res = tight_fit(data)
-        cache, blocks, mus = stats_inputs(res.theta, data)
-        exact = exact_statistics(blocks, cache.e, mus)
-        st = sketch_statistics(blocks, cache.e, mus, data.layout,
+        gram, mus = gram_at(res.theta, data), res.theta.mu
+        exact = exact_statistics(gram, mus)
+        st = sketch_statistics(gram, mus, data,
                                SketchConfig(m=4, replicates=2, seed=9,
                                             exact_within_block=True))
         for sl in (slice(0, 2), slice(2, 4)):
@@ -239,12 +279,12 @@ def five_accumulator_sketch_statistics(pseudo_blocks, residuals, mu_blocks,
     return dict(xx=xx, centered_xx=cxx, xe=xe, xsum=xsum, centered_xsum=cxsum)
 
 
-def per_row_sketch_statistics(pseudo_blocks, residuals, mu_blocks, layout, cfg):
-    """`sketch_statistics` with one projection per row of the Gram, so K
-    projections of the ones row in shared mode."""
-    n, K = len(residuals), layout.num_clients
+def per_row_sketch_statistics(rows, exact, mu_blocks, layout, cfg):
+    """`sketch_statistics` of the given rows [X~ - 1 mu', e, 1 per client]
+    with one projection per row, so K projections of the ones row in shared
+    mode; hybrid mode takes the within-client blocks from `exact`."""
+    n, K = rows.shape[1], layout.num_clients
     m, L = cfg.resolve(n, K)
-    rows = inference._gram_rows(pseudo_blocks, residuals, mu_blocks)
     owner = np.concatenate([np.repeat(np.arange(K), layout.client_dims),
                             [K], np.arange(K)])
     sketch_of = np.zeros_like(owner) if cfg.shared else owner
@@ -259,8 +299,8 @@ def per_row_sketch_statistics(pseudo_blocks, residuals, mu_blocks, layout, cfg):
     if cfg.exact_within_block:
         for k in range(K):
             own = np.flatnonzero(owner == k)
-            gram[np.ix_(own, own)] = rows[own] @ rows[own].T
-    return inference._gram_statistics(gram, mu_blocks, sketch_dim=m,
+            gram[np.ix_(own, own)] = exact[np.ix_(own, own)]
+    return inference._gram_statistics(gram, list(mu_blocks), sketch_dim=m,
                                       replicates=L, shared=cfg.shared,
                                       exact_within_block=cfg.exact_within_block)
 
@@ -276,17 +316,16 @@ class TestOneGram:
                for n, dims, rho, seed
                in random_battery(np.random.default_rng(777), 5)]
         out.append(generate(smes_like_config(n=600, seed=3))[0])
-        return [(data,) + stats_inputs(fit(data, FitConfig(engine="oracle")).theta,
-                                       data)
-                for data in out]
+        return [(data, fit(data, FitConfig(engine="oracle")).theta) for data in out]
 
     @pytest.mark.parametrize("shared", [True, False])
     @pytest.mark.parametrize("hybrid", [True, False])
     def test_matches_five_accumulators(self, instances, shared, hybrid):
-        for data, cache, blocks, mus in instances:
+        for data, theta in instances:
             cfg = SketchConfig(m=6, replicates=9, seed=21, shared=shared,
                                exact_within_block=hybrid)
-            st = sketch_statistics(blocks, cache.e, mus, data.layout, cfg)
+            st = sketch_statistics(gram_at(theta, data), theta.mu, data, cfg)
+            cache, blocks, mus = stats_inputs(theta, data)
             ref = five_accumulator_sketch_statistics(blocks, cache.e, mus,
                                                      data.layout, cfg)
             for name in ("xx", "centered_xx", "xe"):
@@ -301,27 +340,130 @@ class TestOneGram:
                                                      hybrid):
         # projecting every row of the Gram on its own, each client's ones
         # row included, gives the same statistics bit for bit
-        for data, cache, blocks, mus in instances:
+        for data, theta in instances:
             cfg = SketchConfig(m=6, replicates=9, seed=21, shared=shared,
                                exact_within_block=hybrid)
-            st = sketch_statistics(blocks, cache.e, mus, data.layout, cfg)
-            ref = per_row_sketch_statistics(blocks, cache.e, mus, data.layout, cfg)
-            for name in ("xx", "centered_xx", "xe", "xsum", "centered_xsum"):
+            gram = gram_at(theta, data)
+            st = sketch_statistics(gram, theta.mu, data, cfg)
+            ref = per_row_sketch_statistics(
+                pattern_rows(gram, data), inference._exact_gram(gram, theta.mu),
+                theta.mu, data.layout, cfg)
+            for name in STAT_FIELDS:
                 assert np.array_equal(getattr(st, name), getattr(ref, name)), name
 
     def test_exact_statistics_keep_large_means(self, instances):
-        for data, cache, blocks, mus in instances:
-            blocks = [blk + 1e3 for blk in blocks]
-            mus = [mu + 1e3 for mu in mus]
-            st = exact_statistics(blocks, cache.e, mus)
-            x = np.concatenate(blocks, axis=1)
-            xc = x - np.concatenate(mus)
+        # covariates and their means shifted by 1e3 (y by 1e3 sum(beta), so
+        # that the residuals keep their scale); the statistics read off the
+        # pattern Gram against the products of the rows it sums
+        for data, theta in instances:
+            layout, p = data.layout, data.layout.total_dim
+            data = make_dataset(
+                layout, [np.nan_to_num(data.view(k).x) + 1e3 for k in layout.clients()],
+                data.y + 1e3 * theta.beta.sum(), data.mask.indicators)
+            theta = theta.replace(mu=tuple(mu + 1e3 for mu in theta.mu))
+            gram = gram_at(theta, data)
+            st = exact_statistics(gram, theta.mu)
+            rows = pattern_rows(gram, data)
+            xc, e = rows[:p].T, rows[p]
+            x = xc + np.concatenate(theta.mu)
             assert rel_err(st.xx, x.T @ x) < 1e-12
             assert rel_err(st.centered_xx, xc.T @ xc) < 1e-12
-            assert rel_err(st.xe, x.T @ cache.e) < 1e-12
+            assert rel_err(st.xe, x.T @ e) < 1e-12
             scale = np.linalg.norm(x.sum(axis=0))
             assert np.linalg.norm(st.xsum - x.sum(axis=0)) < 1e-12 * scale
             assert np.linalg.norm(st.centered_xsum - xc.sum(axis=0)) < 1e-12 * scale
+
+
+def estep_inference(theta, data, cfg):
+    """`run_inference` with the statistics, the corrections and e'e taken
+    from the per-sample E-step's rows (same sketch draws)."""
+    vec = ThetaVectorizer(data.layout, scope=cfg.scope)
+    cache, blocks, mus = stats_inputs(theta, data)
+    rows = gram_rows(blocks, cache.e, mus)
+    exact = rows @ rows.T
+    if cfg.stats_mode == "exact":
+        stats = inference._gram_statistics(exact, list(theta.mu))
+    else:
+        stats = per_row_sketch_statistics(rows, exact, theta.mu, data.layout,
+                                          cfg.sketch)
+    info, repaired = assemble_information(stats, theta, cache.corrections,
+                                          float(cache.e @ cache.e), data.n, vec)
+    gamma = sem_jacobian(theta, pattern_moments(data), vec)
+    return asymptotic_covariance(info, gamma, theta, data.n, vec, stats,
+                                 ioc_repaired=repaired)
+
+
+class TestPerSampleReference:
+    """Statistics and Wald tables read off the pattern Gram against the ones
+    built from the per-sample E-step's rows."""
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        # default, pair, and the heavy preset, which has no complete rows
+        out = [make_instance(3000, (2, 2, 2), 0.3, seed=1)[0],
+               make_instance(3000, (3, 3), 0.3, seed=1)[0],
+               generate(smes_like_config(n=3000, seed=1))[0]]
+        assert out[2].mask.complete_rows().size == 0
+        return [(data, fit(data, FitConfig(engine="oracle", max_iters=200)).theta)
+                for data in out]
+
+    @pytest.fixture(scope="class")
+    def fixed_points(self):
+        out = [make_instance(3000, (2, 2, 2), 0.3, seed=1)[0],
+               make_instance(3000, (3, 3), 0.3, seed=1)[0]]
+        return [(data, tight_fit(data).theta) for data in out]
+
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("hybrid", [True, False])
+    def test_statistics_match_estep_rows(self, instances, shared, hybrid):
+        cfg = SketchConfig(m=6, replicates=9, seed=21, shared=shared,
+                           exact_within_block=hybrid)
+        for data, theta in instances:
+            gram = gram_at(theta, data)
+            rows = estep_rows(theta, data)
+            exact = rows @ rows.T
+            pairs = [(exact_statistics(gram, theta.mu),
+                      inference._gram_statistics(exact, list(theta.mu))),
+                     (sketch_statistics(gram, theta.mu, data, cfg),
+                      per_row_sketch_statistics(rows, exact, theta.mu,
+                                                data.layout, cfg))]
+            for st, ref in pairs:
+                bound = 1e-13 * np.abs(ref.xx).max()
+                for name in STAT_FIELDS:
+                    gap = np.abs(getattr(st, name) - getattr(ref, name)).max()
+                    assert gap <= bound, name
+
+    @pytest.mark.parametrize("scope", ["beta", "full"])
+    @pytest.mark.parametrize("mode", ["exact", "sketch"])
+    def test_wald_table_matches_estep_pipeline(self, fixed_points, scope, mode):
+        cfg = InferenceConfig(scope=scope, stats_mode=mode)
+        for data, theta in fixed_points:
+            report = run_inference(theta, data, cfg)
+            ref = estep_inference(theta, data, cfg)
+            assert np.abs(report.std_errors / ref.std_errors - 1.0).max() <= 1e-14
+
+    def test_run_inference_runs_no_per_sample_estep(self, fixed_points,
+                                                    monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-sample E-step called")
+
+        built = []
+
+        def counted(data):
+            built.append(data)
+            return pattern_moments(data)
+
+        monkeypatch.setattr(centralized, "estep", refuse)
+        monkeypatch.setattr(inference, "estep", refuse)
+        monkeypatch.setattr(inference, "pattern_moments", counted)
+        data, theta = fixed_points[0]
+        for mode in ("exact", "sketch"):
+            for scope in ("beta", "full"):
+                built.clear()
+                report = run_inference(theta, data, InferenceConfig(
+                    scope=scope, stats_mode=mode))
+                assert np.all(report.std_errors > 0)
+                assert len(built) == 1
 
 
 def loop_information(stats, theta, corrections, resid_sumsq, n, vectorizer):
@@ -370,16 +512,14 @@ class TestInformationMatrix:
         out.append(generate(smes_like_config(n=1000, seed=3))[0])
         out.append(make_instance(500, (1, 3, 4), 0.3, seed=21,
                                  sigma=("equicorrelated", 0.5))[0])
-        return [(data,) + stats_inputs(
-                    fit(data, FitConfig(engine="oracle", max_iters=300)).theta, data)
+        return [(data, fit(data, FitConfig(engine="oracle", max_iters=300)).theta)
                 for data in out]
 
     def test_closed_form_blocks_match_the_coordinate_loop(self, instances):
-        for data, cache, blocks, mus in instances:
-            theta = cache.theta
-            stats = exact_statistics(blocks, cache.e, mus)
-            args = (stats, theta, cache.corrections, float(cache.e @ cache.e),
-                    data.n)
+        for data, theta in instances:
+            gram = gram_at(theta, data)
+            stats = exact_statistics(gram, theta.mu)
+            args = (stats, theta, gram.corrections, gram.resid_sumsq, data.n)
             full = ThetaVectorizer(data.layout, scope="full")
             info, repaired = assemble_information(*args, full)
             assert not repaired
@@ -396,11 +536,10 @@ class TestInformationMatrix:
         res = tight_fit(data)
         theta = res.theta
         vec = ThetaVectorizer(data.layout, scope="full")
-        cache, blocks, mus = stats_inputs(theta, data)
-        stats = exact_statistics(blocks, cache.e, mus)
+        gram = gram_at(theta, data)
         info, repaired = assemble_information(
-            stats, theta, cache.corrections, float(cache.e @ cache.e),
-            data.n, vec)
+            exact_statistics(gram, theta.mu), theta, gram.corrections,
+            gram.resid_sumsq, data.n, vec)
         v0 = vec.to_vector(theta)
         h = 1e-4
         d = vec.dim
@@ -427,10 +566,10 @@ class TestInformationMatrix:
         data, _ = make_instance(100, (2, 2), 0.0, seed=10)
         res = tight_fit(data)
         vec = ThetaVectorizer(data.layout, scope="beta")
-        cache, blocks, mus = stats_inputs(res.theta, data)
-        stats = exact_statistics(blocks, cache.e, mus)
-        info, _ = assemble_information(stats, res.theta, cache.corrections,
-                                       float(cache.e @ cache.e), data.n, vec)
+        gram = gram_at(res.theta, data)
+        info, _ = assemble_information(exact_statistics(gram, res.theta.mu),
+                                       res.theta, gram.corrections,
+                                       gram.resid_sumsq, data.n, vec)
         x = data.full_design()
         assert np.allclose(info, x.T @ x / (data.n * res.theta.sigma2))
 
@@ -440,7 +579,7 @@ class TestRateMatrix:
         data, _ = make_instance(120, (2, 2), 0.0, seed=11)
         res = tight_fit(data)
         vec = ThetaVectorizer(data.layout, scope="beta")
-        gamma = sem_jacobian(res.theta, data, vec)
+        gamma = sem_jacobian(res.theta, pattern_moments(data), vec)
         assert np.linalg.norm(gamma, 2) < 1e-4
 
     def test_requires_a_fixed_point(self):
@@ -448,7 +587,7 @@ class TestRateMatrix:
         theta = tight_fit(data).theta.replace(beta=np.ones(4))
         vec = ThetaVectorizer(data.layout, scope="beta")
         with pytest.raises(NotAFixedPoint):
-            sem_jacobian(theta, data, vec)
+            sem_jacobian(theta, pattern_moments(data), vec)
 
     def test_diagonal_grows_with_missing_rate(self):
         layout_dims = (2, 2, 2)
@@ -457,7 +596,7 @@ class TestRateMatrix:
             data, _ = make_instance(1500, layout_dims, (0.0, rho2, 0.0), seed=77)
             res = tight_fit(data)
             vec = ThetaVectorizer(data.layout, scope="beta")
-            gamma = sem_jacobian(res.theta, data, vec)
+            gamma = sem_jacobian(res.theta, pattern_moments(data), vec)
             means.append(np.diag(gamma)[2:4].mean())
             assert np.abs(np.linalg.eigvals(gamma)).max() < 1.0
         assert means[0] < means[1] < means[2]
@@ -493,7 +632,7 @@ class TestRateMatrixFromPatternMoments:
     def test_matches_per_sample_jacobian(self, default_fit, scope):
         data, theta = default_fit
         vec = ThetaVectorizer(data.layout, scope=scope)
-        gamma = sem_jacobian(theta, data, vec)
+        gamma = sem_jacobian(theta, pattern_moments(data), vec)
         assert np.abs(gamma - per_sample_jacobian(theta, data, vec)).max() <= 1e-8
 
     @pytest.mark.parametrize("scope", ["beta", "full"])
@@ -502,7 +641,8 @@ class TestRateMatrixFromPatternMoments:
         data, theta = default_fit
         cfg = InferenceConfig(scope=scope)
         report = run_inference(theta, data, cfg)
-        monkeypatch.setattr(inference, "sem_jacobian", per_sample_jacobian)
+        monkeypatch.setattr(inference, "sem_jacobian", lambda theta_hat, moments, vec:
+                            per_sample_jacobian(theta_hat, data, vec))
         ref = run_inference(theta, data, cfg)
         assert np.abs(report.std_errors / ref.std_errors - 1.0).max() <= 1e-8
 
@@ -512,12 +652,13 @@ class TestCovariance:
         data, _ = make_instance(150, (2, 2), 0.0, seed=14)
         res = tight_fit(data)
         vec = ThetaVectorizer(data.layout, scope="beta")
-        cache, blocks, mus = stats_inputs(res.theta, data)
-        stats = exact_statistics(blocks, cache.e, mus)
-        info, _ = assemble_information(stats, res.theta, cache.corrections,
-                                       float(cache.e @ cache.e), data.n, vec)
+        gram = gram_at(res.theta, data)
+        stats = exact_statistics(gram, res.theta.mu)
+        info, _ = assemble_information(stats, res.theta, gram.corrections,
+                                       gram.resid_sumsq, data.n, vec)
         report = asymptotic_covariance(info, np.zeros_like(info), res.theta,
-                                       data.n, vec)
+                                       data.n, vec, stats)
+        assert report.stats_mode == "exact" and report.sketch_replicates == 0
         assert np.allclose(report.cov_beta, np.linalg.inv(info), rtol=1e-10)
 
     def test_no_missing_standard_errors_match_least_squares(self):

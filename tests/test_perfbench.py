@@ -31,6 +31,22 @@ def test_traced_benchmark_run_is_correct():
     assert result["correct"] is True and result["failed"] == 0
 
 
+def test_traced_inference_run_is_correct():
+    # the per-layer view of the Wald tables: sketching, the information
+    # matrix and the rate matrix each take time on a traced run
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
+                           "default-infer", "--seed", "1", "--seconds", "0.1",
+                           "--trace", "1"], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    metrics = result["metrics"]
+    for name in ("inference.sketch_s", "inference.information_s",
+                 "inference.jacobian_s"):
+        assert metrics[name]["value"] > 0, name
+
+
 def test_default_infer_benchmark_run_is_correct():
     # the workload behind the Wald-table timing: its checks include the
     # centralized replay, the fixed point and the OLS bracket on both tables
