@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end command-line pipeline in a scratch directory:
-# generate -> fit (with a wire trace) -> infer -> montecarlo.
+# generate -> fit (with a wire trace, in process and over sockets) -> infer
+# -> montecarlo.
 set -e
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
@@ -13,6 +14,11 @@ echo "== fit (federated, in-process transport, traced) =="
 vfem fit --data data --engine federated --transport inproc \
     --trace trace.log --out fit.json
 wc -l trace.log
+
+echo "== fit again over loopback sockets: the same trace, byte for byte =="
+vfem fit --data data --engine federated --transport socket \
+    --trace trace_socket.log --out fit_socket.json
+cmp trace.log trace_socket.log && echo "socket trace identical"
 
 echo "== infer (sketched standard errors) =="
 vfem infer --data data --fit fit.json --out infer.json --stats sketch --seed 1

@@ -10,6 +10,15 @@ tolerance and stall stops, the divergence guard and the result. Both engines
 monitor the same loss (mean squared residual plus the conditional-covariance
 corrections) and stop when successive losses differ by less than the
 tolerance.
+
+An iteration is two engine calls. `evaluate` returns the loss at the
+iteration's start, which is all the loop needs to judge it: whether that
+start is the best iterate so far, whether to restore the best iterate with
+half the step, and whether the fit stops. `advance` then takes the step
+under that verdict, told whether it is the last, and returns the norm of
+the coefficient step, which only the stall stop reads. The federated engine
+thus sends the verdict with its broadcast, and learns the step from the
+replies that carry the clients' next local fits.
 """
 
 from __future__ import annotations
@@ -214,26 +223,27 @@ class _OracleEngine:
 
     def __init__(self, data: VerticalDataset, theta0: ModelParameters):
         self._moments = pattern_moments(data)
-        self.theta = theta0
-        self._start = self._best = theta0
+        self.theta = self._best = theta0
 
-    def run_iteration(self, t: int, inspect: Optional[Callable]) -> tuple[float, float]:
-        """One EM step; returns the loss at the iteration-start parameters
-        (the noise variance the map returns) and the norm of the coefficient
-        step."""
-        theta_new = em_map(self.theta, self._moments)
-        loss = theta_new.sigma2
+    def evaluate(self, t: int) -> float:
+        """The loss at the iteration-start parameters: the noise variance the
+        map returns."""
+        self._next = em_map(self.theta, self._moments)
+        return self._next.sigma2
+
+    def advance(self, t: int, best: bool, restore: bool, last: bool,
+                inspect: Optional[Callable]) -> float:
+        """Take the EM step under the verdict; returns the norm of its
+        coefficient step."""
+        theta_new = self._next
         if inspect is not None:
-            inspect(IterationSnapshot(t=t, theta=self.theta, sigma2_new=loss))
+            inspect(IterationSnapshot(t=t, theta=self.theta,
+                                      sigma2_new=theta_new.sigma2))
         step = float(np.linalg.norm(theta_new.beta - self.theta.beta))
-        self._start, self.theta = self.theta, theta_new
-        return loss, step
-
-    def end_iteration(self, best: bool, restore: bool) -> None:
         if best:
-            self._best = self._start
-        if restore:
-            self.theta = self._best
+            self._best = self.theta
+        self.theta = self._best if restore else theta_new
+        return step
 
     def finish(self) -> tuple[ModelParameters, Optional[dict]]:
         return self.theta, None
@@ -292,20 +302,26 @@ class _FederatedEngine:
         self.coord = ServerCoordinator(data.y, layout, mask, theta0.sigma2,
                                        self.transport)
 
-    def run_iteration(self, t: int, inspect: Optional[Callable]) -> tuple[float, float]:
-        loss = self.coord.run_iteration()
-        if inspect is not None:
-            inspect(_federated_snapshot(t, self.agents, self.coord, self.layout, loss))
-        # each client's step norm arrives in its last reply
-        return loss, math.sqrt(sum(step ** 2 for step in self.coord.last_beta_steps))
+    def evaluate(self, t: int) -> float:
+        self._loss = self.coord.evaluate()
+        return self._loss
 
-    def end_iteration(self, best: bool, restore: bool) -> None:
-        self.coord.end_iteration(best=best, restore=restore)
+    def advance(self, t: int, best: bool, restore: bool, last: bool,
+                inspect: Optional[Callable]) -> float:
+        # the verdict goes down with the broadcast; each client's step norm
+        # comes back with its reply
+        steps = self.coord.advance(best=best, restore=restore, last=last)
+        self._last = last
+        if inspect is not None:
+            inspect(_federated_snapshot(t, self.agents, self.coord, self.layout,
+                                        self._loss))
+        return math.sqrt(sum(step ** 2 for step in steps))
 
     def finish(self) -> tuple[ModelParameters, Optional[dict]]:
-        self.coord.announce_convergence()
-        # socket clients apply the last verdict in their own threads; closing
-        # the transport joins them before theta is read
+        if not self._last:
+            self.coord.announce_convergence()
+        # socket clients update in their own threads; closing the transport
+        # joins them before theta is read
         self.transport.close()
         theta = _collect_theta(self.agents, self.coord, self.layout)
         return theta, self.transport.counters.snapshot()
@@ -335,9 +351,8 @@ def fit(data: VerticalDataset, cfg: FitConfig,
 
     try:
         for t in range(cfg.max_iters):
-            loss, step = engine.run_iteration(t, inspect)
+            loss = engine.evaluate(t)
             losses.append(loss)
-            steps.append(step)
 
             finite = math.isfinite(loss)
             is_best = finite and loss < best_loss
@@ -358,12 +373,16 @@ def fit(data: VerticalDataset, cfg: FitConfig,
                     reason, stop = "diverged", True
             elif prev is not None and abs(loss - prev) < cfg.tol:
                 converged, reason, stop = True, "loss", True
-            elif step < cfg.beta_stall_tol and _loss_quiet(loss, prev):
+
+            last = stop or t == cfg.max_iters - 1
+            step = engine.advance(t, is_best, restore, last, inspect)
+            steps.append(step)
+            if (not (restore or stop) and step < cfg.beta_stall_tol
+                    and _loss_quiet(loss, prev)):
                 # frozen coefficients and a quiet loss: nothing left to move,
                 # but the tolerance itself never fired
                 reason, stop = "stalled", True
 
-            engine.end_iteration(best=is_best, restore=restore)
             prev = None if restore else loss
             if stop:
                 break

@@ -19,11 +19,13 @@ client receives a per-sample value on a row it does not hold, and a client
 update costs O(m_k p_k + p_k^2) per iteration. The server owns the
 response, the noise variance and the loss.
 
-All updates within an iteration use the iteration-start snapshot. The
-server's verdict on an iteration rides on the `control` record that opens
-the next one, or on `converged`. The coordinator never stores
-covariate-dimensional raw data, only the enumerated statistics;
-Sigma_k beta_k never leaves its client.
+All updates within an iteration use the iteration-start snapshot. The loss
+depends only on r, d and sigma2, so the server judges an iteration before
+it broadcasts, and its verdict rides on the broadcast; each client's reply
+is its local fit for the next iteration, with the norm of the step it just
+took. One iteration is thus one record down and one up per client. The
+coordinator never stores covariate-dimensional raw data, only the
+enumerated statistics; Sigma_k beta_k never leaves its client.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .data import BlockLayout, ClientView, MissingMask, repair_psd
 from .errors import DegenerateVariance, ProtocolDesync
 from .messages import (
     CONTROL,
-    CONTROL_EVENTS,
     ESTEP_BROADCAST,
     ESTEP_LOCAL_FIT,
     SERVER_ID,
@@ -136,41 +137,38 @@ class ClientAgent:
                 f"client {self.k} expected {phase!r} at t={self._t}, "
                 f"got kind={msg.kind!r} t={msg.t} to={msg.to}")
 
+    @property
+    def done(self) -> bool:
+        """Whether the fit has ended for this client."""
+        return self._phase == "done"
+
     def handle_message(self, msg: Message) -> list[Message]:
         if msg.kind == CONTROL:
             event = msg.payload.get("event")
-            if event not in CONTROL_EVENTS:
-                raise ProtocolDesync(f"client {self.k}: unknown control event {event!r}")
-            self._check(msg, CONTROL, "round_begin")
-            self._apply_verdict(msg.payload)
+            if event == "round_begin":
+                self._check(msg, CONTROL, "round_begin")
+                self._phase = "estep_broadcast"
+                return [self._local_fit()]
             if event == "converged":
+                self._check(msg, CONTROL, "estep_broadcast")
                 self._phase = "done"
                 return []
-            return self._begin_round()
+            raise ProtocolDesync(f"client {self.k}: unknown control event {event!r}")
         if msg.kind == ESTEP_BROADCAST:
             self._check(msg, ESTEP_BROADCAST, "estep_broadcast")
             return self._on_estep_broadcast(msg)
         raise ProtocolDesync(f"client {self.k}: unexpected kind {msg.kind!r}")
 
-    def _apply_verdict(self, pay: dict) -> None:
-        """The server's verdict on the last iteration: its start is the best
-        iterate so far, or the best iterate comes back with half the step."""
-        if pay.get("best"):
-            self._best = self._pre_update
-        if pay.get("restore"):
-            snap = self._best or self._pre_update
-            if snap is None:
-                raise ProtocolDesync(f"client {self.k}: restore before any update")
-            self.beta, self.mu, self.sigma = (a.copy() for a in snap)
-            self.eta *= 0.5
-
-    def _begin_round(self) -> list[Message]:
+    def _local_fit(self, step: Optional[float] = None) -> Message:
+        """The fit this client's parameters give at iteration `_t`; after the
+        first iteration it carries the norm of the step that led there."""
         self._u = self.sigma @ self.beta
-        self._phase = "estep_broadcast"
-        return [Message(self._t, self.k, ESTEP_LOCAL_FIT,
-                        {"fit": self._x_obs @ self.beta,
-                         "mean": float(self.mu @ self.beta),
-                         "quad": float(self.beta @ self._u)})]
+        pay = {"fit": self._x_obs @ self.beta,
+               "mean": float(self.mu @ self.beta),
+               "quad": float(self.beta @ self._u)}
+        if step is not None:
+            pay["step"] = step
+        return Message(self._t, self.k, ESTEP_LOCAL_FIT, pay)
 
     def _on_estep_broadcast(self, msg: Message) -> list[Message]:
         pay = msg.payload
@@ -180,6 +178,8 @@ class ClientAgent:
         sum_a, sum_q = float(pay["sum_a"]), float(pay["sum_q"])
         beta_old, mu_old, sigma_old, u = self.beta, self.mu, self.sigma, self._u
         self._pre_update = _Snapshot(beta_old.copy(), mu_old.copy(), sigma_old.copy())
+        if pay["best"]:
+            self._best = self._pre_update
         self._last = (sigma2, d, u)
 
         # on a missing row x~ = mu + a u and e = sigma2 a, with a = r / d_g;
@@ -200,12 +200,16 @@ class ClientAgent:
         self.sigma = repair_psd(scatter / self.n)
         self.last_moments = ClientMoments(colsum, scatter, sum_a, sum_q)
 
-        # the reply also tells the server the update is done; the verdict on
-        # this iteration comes with the record that opens the next one
-        reply = Message(self._t, self.k, VARSTEP_SCALAR, {"value": step})
+        if pay["restore"]:
+            # the best iterate comes back, and the step halves
+            snap = self._best or self._pre_update
+            self.beta, self.mu, self.sigma = (a.copy() for a in snap)
+            self.eta *= 0.5
         self._t += 1
-        self._phase = "round_begin"
-        return [reply]
+        if pay["last"]:
+            self._phase = "done"
+            return [Message(self._t, self.k, VARSTEP_SCALAR, {"value": step})]
+        return [self._local_fit(step)]
 
 
 class ServerCoordinator:
@@ -230,10 +234,9 @@ class ServerCoordinator:
         self._mis_patterns = {k: self._row_patterns[missing] - 1
                               for k, (_observed, missing) in self._rows.items()}
         self.last_residuals: np.ndarray | None = None
-        self.last_beta_steps: list[float] = []
         self._sigma2_pre: float = self.sigma2
         self.best_sigma2: float = self.sigma2
-        self._verdict = {"best": False, "restore": False}
+        self._fits: list[dict] = []   # the clients' local fits for iteration t
 
     def _send(self, k: int, kind: str, payload: dict) -> None:
         self.transport.send_to_client(
@@ -251,18 +254,25 @@ class ServerCoordinator:
                 f"got {msg.kind!r} t={msg.t}")
         return msg
 
-    def run_iteration(self) -> float:
-        """Drive one full iteration; returns the new loss value."""
+    def _collect_fits(self) -> None:
+        self._fits = [self._recv(k, ESTEP_LOCAL_FIT).payload
+                      for k in self.layout.clients()]
+
+    def evaluate(self) -> float:
+        """The loss at iteration t's start, from the clients' local fits; the
+        first iteration asks for them, later ones came with the replies to
+        the last broadcast."""
+        if self.t == 0:
+            self._bcast(CONTROL, {"event": "round_begin"})
+            self._collect_fits()
         K = self.layout.num_clients
         sigma2 = self.sigma2
-        self._bcast(CONTROL, {"event": "round_begin", **self._verdict})
 
-        # local fits and quadratic forms up; (sigma2, d), r on the client's
-        # observed rows and its two sums over the rows it misses down
+        # local fits and quadratic forms give the residuals and one
+        # denominator per pattern
         fit_bar = np.zeros(self.n)
         v1 = np.zeros(K)
-        for k in self.layout.clients():
-            pay = self._recv(k, ESTEP_LOCAL_FIT).payload
+        for k, pay in zip(self.layout.clients(), self._fits):
             observed, missing = self._rows[k]
             fit_bar[observed] += np.asarray(pay["fit"], dtype=float)
             fit_bar[missing] += float(pay["mean"])
@@ -272,6 +282,25 @@ class ServerCoordinator:
         if lowest <= _D_FLOOR:
             raise DegenerateVariance(f"conditional denominator {lowest:.3e}")
         r = self.y - fit_bar
+
+        # new noise variance and loss, from the same closed forms
+        e = _m_step_residuals(r, sigma2, d, self._row_patterns)
+        quad = d - sigma2
+        self._r, self._d = r, d
+        self.last_residuals = e
+        self._sigma2_pre = sigma2
+        loss = (float(e @ e) + float(self._counts @ (quad - quad * quad / d))) / self.n
+        self.sigma2 = loss
+        return loss
+
+    def advance(self, best: bool = False, restore: bool = False,
+                last: bool = False) -> list[float]:
+        """Send each client (sigma2, d), r on its observed rows, its two sums
+        over the rows it misses and the verdict on iteration t, then collect
+        one reply per client: its local fit for t + 1, or on the `last`
+        iteration its step alone. Returns the clients' step norms."""
+        r, d, sigma2 = self._r, self._d, self._sigma2_pre
+        verdict = {"best": bool(best), "restore": bool(restore), "last": bool(last)}
         for k in self.layout.clients():
             observed, missing = self._rows[k]
             d_mis = d[self._mis_patterns[k]]
@@ -279,32 +308,27 @@ class ServerCoordinator:
             self._send(k, ESTEP_BROADCAST,
                        {"sigma2": sigma2, "denom": d, "resid": r[observed],
                         "sum_a": float(a.sum()),
-                        "sum_q": float(a @ a - (1.0 / d_mis).sum())})
-
-        # every client replies once its update is done
-        self.last_beta_steps = [
-            float(self._recv(k, VARSTEP_SCALAR).payload["value"])
-            for k in self.layout.clients()]
-
-        # new noise variance and loss, from the same closed forms
-        e = _m_step_residuals(r, sigma2, d, self._row_patterns)
-        quad = d - sigma2
-        self.last_residuals = e
-        self._sigma2_pre = sigma2
-        loss = (float(e @ e) + float(self._counts @ (quad - quad * quad / d))) / self.n
-        self.sigma2 = loss
-        return loss
-
-    def end_iteration(self, best: bool = False, restore: bool = False) -> None:
-        """Apply the verdict on this iteration to the noise variance now; the
-        clients get it on the record that opens the next round, or on
-        `converged`."""
+                        "sum_q": float(a @ a - (1.0 / d_mis).sum()), **verdict})
         if best:
-            self.best_sigma2 = self._sigma2_pre
+            self.best_sigma2 = sigma2
         if restore:
             self.sigma2 = self.best_sigma2
-        self._verdict = {"best": bool(best), "restore": bool(restore)}
+        # a reply to the broadcast of iteration t is stamped t + 1
         self.t += 1
+        if last:
+            return [float(self._recv(k, VARSTEP_SCALAR).payload["value"])
+                    for k in self.layout.clients()]
+        self._collect_fits()
+        return [float(pay["step"]) for pay in self._fits]
+
+    def run_iteration(self) -> float:
+        """One iteration with no verdict, for driving the protocol directly:
+        `evaluate`, then `advance`. Returns the loss."""
+        loss = self.evaluate()
+        self.advance()
+        return loss
 
     def announce_convergence(self) -> None:
-        self._bcast(CONTROL, {"event": "converged", **self._verdict})
+        """End the fit for clients that were not told `last`: a stop on a
+        frozen step is judged only after their next local fits arrived."""
+        self._bcast(CONTROL, {"event": "converged"})

@@ -6,19 +6,24 @@ layout and missingness pattern. Raw covariate blocks do not fit any
 variant: sends are validated, so an attempt to smuggle an (m_k, p_k) or
 (n, p_k) block fails before it reaches a channel.
 
-One iteration is one statistics round trip per client. Up goes
-`estep_local_fit`: the client's fit on its observed rows (length m_k) and
-two scalars, mu_k' beta_k and beta_k' Sigma_k beta_k. Down comes
+One iteration is one statistics round trip per client. Down goes
 `estep_broadcast`, one record per client: the noise variance, one
 denominator per non-empty missingness pattern, the residuals on the rows
 that client observes (length m_k) and two sums over the rows it misses, of
 a = r / d_g and of a^2 - 1 / d_g. No client receives a per-sample value on
-a row it does not hold. The client replies with `varstep_scalar`, the norm
-of its coefficient step. A `control` record opens each iteration and
-carries the server's verdict on the one before: whether its start was the
-best iterate so far (`best`) and whether to restore the best iterate with
-half the step (`restore`). `converged` carries the last verdict and ends
-the fit.
+a row it does not hold. The broadcast also carries the server's verdict on
+the iteration: whether its start is the best iterate so far (`best`),
+whether to restore the best iterate with half the step (`restore`) and
+whether it is the fit's last (`last`). Up comes the client's reply, which
+is its `estep_local_fit` for the next iteration: its fit on its observed
+rows (length m_k), two scalars, mu_k' beta_k and beta_k' Sigma_k beta_k,
+and `step`, the norm of the coefficient step it just took. The first local
+fit answers a `control` record (`round_begin`) and carries no step; the
+reply to a `last` broadcast is `varstep_scalar`, that step norm alone.
+Either reply to the broadcast of iteration t is stamped t + 1. A fit that
+stops on a frozen step, which the server judges only once the replies are
+in, ends with `control` (`converged`) instead, and the local fits that
+came with those replies go unused.
 
 Serialization is newline-delimited, self-describing JSON with a fixed key
 order: `t` (the iteration), `from`, `to` (the receiving client, 0 on a
@@ -57,11 +62,12 @@ CONTROL_EVENTS = frozenset({"round_begin", "converged"})
 # payload fields of each kind in wire order; True marks a packed float
 # vector (see `_pack`), False a plain JSON value
 _PAYLOAD_FIELDS = {
-    ESTEP_LOCAL_FIT: {"fit": True, "mean": False, "quad": False},
+    ESTEP_LOCAL_FIT: {"fit": True, "mean": False, "quad": False, "step": False},
     ESTEP_BROADCAST: {"sigma2": False, "denom": True, "resid": True,
-                      "sum_a": False, "sum_q": False},
+                      "sum_a": False, "sum_q": False, "best": False,
+                      "restore": False, "last": False},
     VARSTEP_SCALAR: {"value": False},
-    CONTROL: dict.fromkeys(("event", "best", "restore"), False),
+    CONTROL: {"event": False},
 }
 
 
@@ -95,7 +101,7 @@ def _pack(value: Any) -> str:
 
 
 def _encode_value(value: Any) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
@@ -223,6 +229,12 @@ class WireSchema:
             self._require(from_client, f"{kind}: bad sender")
             _as_vector(pay.get("fit"), self._observed[msg.sender], kind)
             self._require_scalars(pay, ("mean", "quad"), kind)
+            # the first local fit follows no step; every later one follows one
+            self._require(("step" in pay) == (msg.t > 0),
+                          f"{kind}: a step norm comes exactly when t > 0")
+            if msg.t > 0:
+                self._require_scalars(pay, ("step",), kind)
+                self._require(pay["step"] >= 0, f"{kind}: a step norm is not negative")
         elif kind == ESTEP_BROADCAST:
             self._require(msg.sender == SERVER_ID, f"{kind}: server only")
             self._require_scalars(pay, ("sigma2", "sum_a", "sum_q"), kind)
@@ -230,6 +242,9 @@ class WireSchema:
             _as_vector(pay.get("resid"), self._observed[msg.to], kind)
             self._require(pay["sigma2"] > 0 and bool(np.all(denom > 0)),
                           f"{kind}: variances must be positive")
+            for key in ("best", "restore", "last"):
+                self._require(isinstance(pay.get(key), (bool, np.bool_)),
+                              f"{kind}: {key} must be boolean")
         elif kind == VARSTEP_SCALAR:
             self._require(from_client, f"{kind}: bad sender")
             self._require_scalars(pay, ("value",), kind)
@@ -238,7 +253,3 @@ class WireSchema:
             self._require(msg.sender == SERVER_ID, f"{kind}: server only")
             event = pay.get("event")
             self._require(event in CONTROL_EVENTS, f"unknown control event {event!r}")
-            for key in ("best", "restore"):
-                if key in pay:
-                    self._require(isinstance(pay[key], (bool, np.bool_)),
-                                  f"{kind}: {key} must be boolean")

@@ -9,6 +9,10 @@ variant runs one thread per client speaking newline-delimited records.
 
 Trace records are appended in the server's event order: a send when the
 server emits it, a reply when the server collects it.
+
+A socket client's thread returns as soon as its agent is done, after its
+reply to the `last` broadcast or on `converged`, so closing the transport
+after a fit never waits on a client blocked in a read.
 """
 
 from __future__ import annotations
@@ -196,7 +200,7 @@ class SocketTransport(BaseTransport):
                     for reply in replies:
                         self.schema.validate(reply)
                         sock.sendall(encode(reply).encode("utf-8"))
-                    if msg.kind == "control" and msg.payload.get("event") == "converged":
+                    if agent.done:
                         return
         except BaseException as err:  # surfaced on the next server-side call
             self._errors.append(err)

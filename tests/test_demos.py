@@ -48,6 +48,8 @@ def test_cli_pipeline_demo_runs(tmp_path):
     for step in ("generate", "montecarlo"):
         assert f"== {step} ==" in proc.stdout, proc.stdout
     assert "report written to infer.json" in proc.stdout, proc.stdout
+    # the transports write the same trace, byte for byte
+    assert "socket trace identical" in proc.stdout, proc.stdout
 
 
 def test_readme_quick_start_runs():

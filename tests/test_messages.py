@@ -47,13 +47,20 @@ def valid_messages():
         ESTEP_BROADCAST: Message(0, SERVER_ID, ESTEP_BROADCAST,
                                  {"sigma2": 1.0, "denom": np.array([2.0, 1.5]),
                                   "resid": np.zeros(3), "sum_a": 0.5,
-                                  "sum_q": -0.25}, to=1),
+                                  "sum_q": -0.25, "best": True,
+                                  "restore": False, "last": False}, to=1),
         VARSTEP_SCALAR: Message(0, 2, VARSTEP_SCALAR,
                                 {"value": 0.5}),
         CONTROL: Message(0, SERVER_ID, CONTROL,
-                         {"event": "round_begin", "best": True,
-                          "restore": False}, to=1),
+                         {"event": "round_begin"}, to=1),
     }
+
+
+def stepped_fit():
+    """A valid local fit after the first iteration: it carries the norm of
+    the step that led to it."""
+    fit = valid_messages()[ESTEP_LOCAL_FIT]
+    return Message(1, 1, ESTEP_LOCAL_FIT, {**fit.payload, "step": 0.125})
 
 
 def with_payload(msg, **changes):
@@ -284,7 +291,7 @@ def test_raw_covariate_block_rejected(schema):
                                                             (1, 3), (4, 3)]
     msgs = valid_messages()
     slots = 0
-    for msg in msgs.values():
+    for msg in (*msgs.values(), stepped_fit()):
         sch.validate(msg)
         for field in msg.payload:
             if field == "event":
@@ -296,7 +303,7 @@ def test_raw_covariate_block_rejected(schema):
                     sch.validate(bad)
                 with pytest.raises(SchemaViolation):
                     encode(bad)
-    assert slots == 11
+    assert slots == 16
 
     # packed into a vector slot, a block's bytes decode to a vector of
     # length m_k * p_k or n * p_k: a client's own block does not fit its
@@ -344,6 +351,7 @@ def test_non_finite_payload_rejected(schema):
     msgs = valid_messages()
     for value in ("1.0", True, [1.0], None, np.nan, -np.inf):
         for msg, field in ((msgs[VARSTEP_SCALAR], "value"),
+                           (stepped_fit(), "step"),
                            (msgs[ESTEP_LOCAL_FIT], "mean"),
                            (msgs[ESTEP_LOCAL_FIT], "quad"),
                            (msgs[ESTEP_BROADCAST], "sigma2"),
@@ -422,11 +430,60 @@ def test_control_events_closed(schema):
     for payload in ({"event": "upload_raw_data"}, {"event": "round_end"}):
         with pytest.raises(SchemaViolation):
             sch.validate(Message(0, SERVER_ID, CONTROL, payload, to=1))
-    # a restore always halves the step, so no step scale travels
-    scaled = Message(0, SERVER_ID, CONTROL,
-                     {"event": "round_begin", "restore": True, "eta_scale": 0.5},
-                     to=1)
+
+
+def test_control_carries_only_its_event(schema):
+    # the verdict rides on the broadcast, and a restore always halves the
+    # step, so neither a verdict nor a step scale travels on control
+    sch, *_ = schema
+    for extra in ({"best": True}, {"restore": False}, {"last": True},
+                  {"restore": True, "eta_scale": 0.5}):
+        for event in ("round_begin", "converged"):
+            msg = Message(0, SERVER_ID, CONTROL, {"event": event, **extra}, to=1)
+            with pytest.raises(SchemaViolation):
+                sch.validate(msg)
+            with pytest.raises(SchemaViolation):
+                encode(msg)
+
+
+def test_broadcast_verdict_flags_are_required_booleans(schema):
+    sch, *_ = schema
+    ok = valid_messages()[ESTEP_BROADCAST]
+    for flags in ((True, True, True), (False, False, False),
+                  (np.bool_(True), np.bool_(False), False)):
+        msg = with_payload(ok, **dict(zip(("best", "restore", "last"), flags)))
+        sch.validate(msg)
+        back = decode(encode(msg))
+        sch.validate(back)
+        assert [back.payload[key] for key in ("best", "restore", "last")] == list(flags)
+    for key in ("best", "restore", "last"):
+        missing = dict(ok.payload)
+        del missing[key]
+        with pytest.raises(SchemaViolation):
+            sch.validate(Message(0, SERVER_ID, ESTEP_BROADCAST, missing, to=1))
+        for value in (0, 1, 1.0, "true", None, [True]):
+            with pytest.raises(SchemaViolation):
+                sch.validate(with_payload(ok, **{key: value}))
+
+
+def test_local_fit_carries_a_step_exactly_after_the_first_iteration(schema):
+    sch, *_ = schema
+    first, later = valid_messages()[ESTEP_LOCAL_FIT], stepped_fit()
+    sch.validate(first)
+    sch.validate(later)
+    sch.validate(with_payload(later, step=0.0))
+    # no step has been taken before the first local fit
     with pytest.raises(SchemaViolation):
-        sch.validate(scaled)
+        sch.validate(with_payload(first, step=0.125))
+    # and every later one reports the step that led to it
+    no_step = dict(later.payload)
+    del no_step["step"]
     with pytest.raises(SchemaViolation):
-        encode(scaled)
+        sch.validate(Message(later.t, later.sender, ESTEP_LOCAL_FIT, no_step))
+    # a norm is a finite scalar, never negative
+    for step in (-0.5, -1e-300, np.inf, np.nan, True, "0.5", [0.5], None):
+        with pytest.raises(SchemaViolation):
+            sch.validate(with_payload(later, step=step))
+    back = decode(encode(later))
+    sch.validate(back)
+    assert back.payload["step"] == 0.125

@@ -31,6 +31,18 @@ def test_traced_benchmark_run_is_correct():
     assert result["correct"] is True and result["failed"] == 0
 
 
+def test_traced_socket_run_is_correct():
+    # on the threaded path too, every message is encoded once and the
+    # per-kind tallies add up to the fit's wire bytes
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
+                           "pair-socket", "--seed", "1", "--seconds", "0.1",
+                           "--trace", "1"], cwd=ROOT, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+
+
 def test_traced_inference_run_is_correct():
     # the per-layer view of the Wald tables: sketching, the information
     # matrix and the rate matrix each take time on a traced run

@@ -1,6 +1,7 @@
 import socket
 import threading
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from vfem.federated import ClientAgent, ServerCoordinator
 from vfem.messages import (
     CONTROL,
     ESTEP_BROADCAST,
+    ESTEP_LOCAL_FIT,
     MESSAGE_KINDS,
     SERVER_ID,
+    VARSTEP_SCALAR,
     Message,
     WireSchema,
     decode,
@@ -84,7 +87,8 @@ def per_sample_client_update(view, mask, eta, beta, mu, sigma, sigma2, d, r):
 
 def broadcast_to(k, mask, sigma2, d, r, t=0):
     """The server's record to client k from the full residual vector, its
-    two sums taken pattern by pattern over the rows the client misses."""
+    two sums taken pattern by pattern over the rows the client misses, with
+    a verdict that neither marks, restores nor stops."""
     sum_a = sum_q = 0.0
     for g, (key, rows) in enumerate((key, rows) for key, rows in mask.patterns()
                                     if key):
@@ -94,7 +98,8 @@ def broadcast_to(k, mask, sigma2, d, r, t=0):
             sum_q += float(a @ a) - rows.size / d[g]
     return Message(t, SERVER_ID, ESTEP_BROADCAST,
                    {"sigma2": sigma2, "denom": d, "resid": r[mask.observed_rows(k)],
-                    "sum_a": sum_a, "sum_q": sum_q}, to=k)
+                    "sum_a": sum_a, "sum_q": sum_q, "best": False,
+                    "restore": False, "last": False}, to=k)
 
 
 def shifted(data, truth, shift):
@@ -231,6 +236,25 @@ class TestRounds:
         assert np.all(res.loss_trace > 0)
 
 
+# a fit that stops for each reason: (dataset, FitConfig fields)
+STOP_INSTANCES = {
+    "loss": lambda: (make_instance(70, (2, 2), 0.3, seed=23)[0], {}),
+    "max_iters": lambda: (make_instance(60, (2, 3, 2), 0.3, seed=41)[0],
+                          {"max_iters": 3, "tol": 1e-300}),
+    "diverged": lambda: (make_instance(200, (2, 2), 0.3, seed=14)[0],
+                         {"learning_rate": 1000.0, "divergence_patience": 3,
+                          "max_iters": 1500, "tol": 1e-9}),
+    "stalled": lambda: (make_instance(400, (2, 1, 3), 0.3, seed=5)[0],
+                        {"tol": 1e-10}),
+}
+
+
+def trace_kinds(path):
+    """Message kind -> the number of trace records of that kind."""
+    return dict(Counter(decode(line).kind
+                        for line in path.read_text().splitlines(keepends=True)))
+
+
 def replay_with_guard(data, cfg, caches=None):
     """The fit replayed with the centralized kernels and the divergence guard
     of `engine.fit`: the best iterate is the lowest-loss iteration start, and
@@ -360,8 +384,8 @@ class TestTransports:
         assert res_a.comm["messages"] == res_b.comm["messages"]
 
     def test_socket_and_inproc_agree_on_a_diverged_fit(self, monkeypatch):
-        # the fit ends with a restore in the verdict on "converged", which a
-        # socket client applies in its own thread; slowing that thread shows
+        # the fit ends with a restore on the last broadcast, which a socket
+        # client applies in its own thread; slowing that thread shows
         # whether theta is read only after the clients are done
         data, _ = make_instance(200, (2, 2), 0.3, seed=14)
         cfg = dict(engine="federated", learning_rate=1000.0,
@@ -369,14 +393,14 @@ class TestTransports:
         res_a = fit(data, FitConfig(transport="inproc", **cfg))
         assert res_a.reason == "diverged" and res_a.eta_halvings == 8
 
-        apply_verdict = ClientAgent._apply_verdict
+        on_broadcast = ClientAgent._on_estep_broadcast
 
-        def slow_apply_verdict(agent, pay):
-            if pay.get("restore"):
+        def slow_on_broadcast(agent, msg):
+            if msg.payload["restore"]:
                 time.sleep(0.2)
-            return apply_verdict(agent, pay)
+            return on_broadcast(agent, msg)
 
-        monkeypatch.setattr(ClientAgent, "_apply_verdict", slow_apply_verdict)
+        monkeypatch.setattr(ClientAgent, "_on_estep_broadcast", slow_on_broadcast)
         res_b = fit(data, FitConfig(transport="socket", **cfg))
         assert res_b.reason == "diverged"
         assert np.array_equal(res_a.loss_trace, res_b.loss_trace)
@@ -409,6 +433,32 @@ class TestTransports:
                 assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
         finally:
             transport.close()
+
+    @pytest.mark.parametrize("stop", ["loss", "max_iters", "stalled", "diverged"])
+    def test_socket_client_threads_end_with_the_fit(self, monkeypatch, stop):
+        # each client thread returns once its agent is done; one still
+        # blocked in a read when the fit closes its transport would hold
+        # close() for the 5 s join timeout
+        opened, alive = [], []
+        init, close = SocketTransport.__init__, SocketTransport.close
+
+        def record_init(transport, *args, **kwargs):
+            opened.append(transport)
+            init(transport, *args, **kwargs)
+
+        def check_then_close(transport):
+            for th in transport._threads:
+                th.join(timeout=2.0)
+            alive.extend(th for th in transport._threads if th.is_alive())
+            close(transport)
+
+        monkeypatch.setattr(SocketTransport, "__init__", record_init)
+        monkeypatch.setattr(SocketTransport, "close", check_then_close)
+        data, cfg = STOP_INSTANCES[stop]()
+        res = fit(data, FitConfig(engine="federated", transport="socket", **cfg))
+        assert res.reason == stop
+        assert len(opened) == 1 and len(opened[0]._threads) == data.layout.num_clients
+        assert not alive
 
     def test_trace_files_byte_identical_across_runs(self, tmp_path):
         data, _ = make_instance(40, (2, 2), 0.3, seed=29)
@@ -445,14 +495,50 @@ class TestTransports:
         assert res.comm["bytes_total"] / (n * res.iterations) <= 1024
 
     def test_one_round_trip_per_iteration(self):
-        # per client and iteration: round_begin (with the verdict on the
-        # iteration before), the local fit, the broadcast and the step reply;
-        # then one "converged"
+        # per client: round_begin and the first local fit; per iteration the
+        # broadcast and the reply, which is the next local fit or, on the
+        # last iteration, the step alone
         data, _ = generate(smes_like_config(n=600, seed=3))
         K = data.layout.num_clients
         res = fit(data, FitConfig(engine="federated", max_iters=4, tol=1e-300))
         assert res.iterations == 4
-        assert res.comm["messages"] == 4 * K * res.iterations + K
+        assert res.comm["messages"] == 2 * K * res.iterations + 2 * K
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    @pytest.mark.parametrize("stop", ["loss", "max_iters", "diverged"])
+    def test_message_flow_of_a_fit(self, tmp_path, transport, stop):
+        # one round_begin per client, then per iteration one broadcast and
+        # one reply; the server tells the clients the last iteration, so the
+        # fit ends on their step replies and needs no record of its own
+        data, cfg = STOP_INSTANCES[stop]()
+        path = tmp_path / "trace.log"
+        res = fit(data, FitConfig(engine="federated", transport=transport,
+                                  trace_path=str(path), **cfg))
+        assert res.reason == stop
+        K, T = data.layout.num_clients, res.iterations
+        kinds = trace_kinds(path)
+        assert kinds == {CONTROL: K, ESTEP_LOCAL_FIT: K * T,
+                         ESTEP_BROADCAST: K * T, VARSTEP_SCALAR: K}
+        assert res.comm["messages"] == 2 * K * T + 2 * K
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_message_flow_of_a_stalled_fit(self, tmp_path, transport):
+        # the stall is judged on the step norms that come with the clients'
+        # next local fits, after the last broadcast went out without `last`:
+        # those fits go unused and "converged" releases the clients
+        data, cfg = STOP_INSTANCES["stalled"]()
+        path = tmp_path / "trace.log"
+        res = fit(data, FitConfig(engine="federated", transport=transport,
+                                  trace_path=str(path), **cfg))
+        assert res.reason == "stalled"
+        K, T = data.layout.num_clients, res.iterations
+        assert trace_kinds(path) == {CONTROL: 2 * K, ESTEP_LOCAL_FIT: K * (T + 1),
+                                     ESTEP_BROADCAST: K * T}
+        assert res.comm["messages"] == 2 * K * T + 3 * K
+        tail = [decode(line) for line in path.read_text().splitlines()[-K:]]
+        assert all(msg.kind == CONTROL and msg.payload == {"event": "converged"}
+                   and msg.t == T for msg in tail)
+        assert sorted(msg.to for msg in tail) == list(data.layout.clients())
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     def test_bytes_by_kind_add_up_to_the_trace(self, tmp_path, transport):
@@ -591,8 +677,9 @@ class TestDesync:
                 send(k, msg)
 
         transport.send_to_client = drop_broadcast_to_client_2
+        coord.evaluate()
         with pytest.raises(ProtocolDesync):
-            coord.run_iteration()
+            coord.advance()
 
     def test_client_rejects_a_record_for_another_client(self):
         data, _ = make_instance(40, (2, 2), 0.3, seed=5)
@@ -613,8 +700,9 @@ class TestDesync:
 
         agents[2]._on_estep_broadcast = crash
         try:
+            coord.evaluate()
             with pytest.raises(ProtocolDesync):
-                coord.run_iteration()
+                coord.advance()
         finally:
             transport.close()
         # clients 1 and 3 were waiting on their connections; closing the
@@ -625,11 +713,12 @@ class TestDesync:
         data, _ = make_instance(40, (2, 2), 0.3, seed=5)
         theta = initialize(data, FitConfig())
         agents, coord, transport = build_protocol(data, theta)
-        coord.run_iteration()
-        coord.end_iteration()
+        coord.evaluate()
+        coord.advance()
+        coord.evaluate()
         coord.t = 0  # rewind the server clock: clients expect t=1
         with pytest.raises(ProtocolDesync):
-            coord.run_iteration()
+            coord.advance()
 
 
 class TestCoordinatorState:
