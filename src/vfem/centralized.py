@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BlockLayout, ModelParameters, VerticalDataset, repair_psd
+from .data import (BlockLayout, ModelParameters, VerticalDataset, repair_psd,
+                   repaired_block)
 from .errors import DegenerateVariance, SingularCovariance, SingularSystem
 
 _D_FLOOR = 1e-12
@@ -425,10 +426,11 @@ def em_map(theta: ModelParameters, moments: PatternMoments) -> ModelParameters:
     for k in layout.clients():
         sl = layout.block_slice(k)
         mu_new.append(x_mean[sl])
-        sig_new.append(repair_psd((scatter[sl, sl] + corrections[sl, sl]) / n))
+        sig_new.append(repaired_block((scatter[sl, sl] + corrections[sl, sl]) / n))
     sigma2_new = (gram.resid_sumsq + gram.v4_sum) / n
-    return ModelParameters(beta=beta_new, mu=tuple(mu_new),
-                           sigma_blocks=tuple(sig_new), sigma2=sigma2_new)
+    return ModelParameters._from_checked_blocks(
+        beta=beta_new, mu=tuple(mu_new), sigma_blocks=tuple(sig_new),
+        sigma2=sigma2_new)
 
 
 def observed_loglik(theta: ModelParameters, data: VerticalDataset) -> float:

@@ -251,14 +251,51 @@ _SYM_TOL = 1e-12
 _EIG_TOL = -1e-10
 
 
-def repair_psd(mat: np.ndarray, floor: float = 1e-10) -> np.ndarray:
-    """Symmetrize and clamp eigenvalues below `floor` up to `floor`."""
+def _repair_psd(mat: np.ndarray, floor: float) -> tuple[np.ndarray, bool]:
+    """`repair_psd(mat, floor)`, and whether that is `mat`'s symmetric part
+    as it was: exactly symmetric, with every eigenvalue at least `floor`."""
     sym = 0.5 * (mat + mat.T)
     vals, vecs = np.linalg.eigh(sym)
     if vals.min() >= floor:
-        return sym
+        return sym, True
     vals = np.maximum(vals, floor)
-    return (vecs * vals) @ vecs.T
+    return (vecs * vals) @ vecs.T, False
+
+
+def repair_psd(mat: np.ndarray, floor: float = 1e-10) -> np.ndarray:
+    """Symmetrize and clamp eigenvalues below `floor` up to `floor`."""
+    return _repair_psd(mat, floor)[0]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _checked_block(s) -> np.ndarray:
+    """A covariance block as `ModelParameters` stores it: a read-only
+    symmetric copy, with eigenvalues down to -1e-10 clamped to 0."""
+    s = np.array(s, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
+        raise ValueError("covariance blocks must be square")
+    asym = np.abs(s - s.T).max() if s.size else 0.0
+    if asym > _SYM_TOL * max(1.0, np.abs(s).max()):
+        raise ValueError(f"covariance block not symmetric (dev {asym:.2e})")
+    s = 0.5 * (s + s.T)
+    vals = np.linalg.eigvalsh(s)
+    if s.size and vals.min() < _EIG_TOL:
+        raise ValueError(f"covariance block indefinite (min eig {vals.min():.2e})")
+    if s.size and vals.min() < 0.0:
+        s = repair_psd(s, floor=0.0)
+    return _read_only(s)
+
+
+def repaired_block(mat: np.ndarray) -> np.ndarray:
+    """`repair_psd(mat)` as `ModelParameters` stores it. A block the repair
+    left as it was is exactly symmetric with no eigenvalue below the floor,
+    so it skips the second eigenvalue check; one it clamped is checked."""
+    out, kept = _repair_psd(mat, 1e-10)
+    return _read_only(out) if kept else _checked_block(out)
 
 
 @dataclass(frozen=True)
@@ -271,35 +308,31 @@ class ModelParameters:
     sigma2: float
 
     def __post_init__(self):
-        beta = np.array(self.beta, dtype=float)
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-        mus = []
-        for m in self.mu:
-            m = np.array(m, dtype=float)
-            m.setflags(write=False)
-            mus.append(m)
-        object.__setattr__(self, "mu", tuple(mus))
-        blocks = []
-        for s in self.sigma_blocks:
-            s = np.array(s, dtype=float)
-            if s.ndim != 2 or s.shape[0] != s.shape[1]:
-                raise ValueError("covariance blocks must be square")
-            asym = np.abs(s - s.T).max() if s.size else 0.0
-            if asym > _SYM_TOL * max(1.0, np.abs(s).max()):
-                raise ValueError(f"covariance block not symmetric (dev {asym:.2e})")
-            s = 0.5 * (s + s.T)
-            vals = np.linalg.eigvalsh(s)
-            if s.size and vals.min() < _EIG_TOL:
-                raise ValueError(f"covariance block indefinite (min eig {vals.min():.2e})")
-            if s.size and vals.min() < 0.0:
-                s = repair_psd(s, floor=0.0)
-            s.setflags(write=False)
-            blocks.append(s)
-        object.__setattr__(self, "sigma_blocks", tuple(blocks))
+        self._store(check_blocks=True)
+
+    def _store(self, check_blocks: bool) -> None:
+        """Freeze copies of beta and mu, check sigma2 and, if asked, put
+        the covariance blocks in `_checked_block`'s form."""
+        object.__setattr__(self, "beta", _read_only(np.array(self.beta, dtype=float)))
+        object.__setattr__(self, "mu", tuple(_read_only(np.array(m, dtype=float))
+                                             for m in self.mu))
+        object.__setattr__(self, "sigma_blocks", tuple(
+            _checked_block(s) if check_blocks else s for s in self.sigma_blocks))
         if not np.isfinite(self.sigma2) or self.sigma2 <= 0.0:
             raise DegenerateVariance(f"noise variance must be positive, got {self.sigma2}")
         object.__setattr__(self, "sigma2", float(self.sigma2))
+
+    @classmethod
+    def _from_checked_blocks(cls, beta, mu, sigma_blocks, sigma2) -> "ModelParameters":
+        """Parameters whose covariance blocks are already stored ones (from
+        another `ModelParameters` or `repaired_block`); their check is not
+        run again."""
+        theta = object.__new__(cls)
+        for name, value in (("beta", beta), ("mu", mu),
+                            ("sigma_blocks", sigma_blocks), ("sigma2", sigma2)):
+            object.__setattr__(theta, name, value)
+        theta._store(check_blocks=False)
+        return theta
 
     @property
     def num_clients(self) -> int:
@@ -318,4 +351,6 @@ class ModelParameters:
             "sigma_blocks": self.sigma_blocks, "sigma2": self.sigma2,
         }
         data.update(kwargs)
-        return ModelParameters(**data)
+        if "sigma_blocks" in kwargs:
+            return ModelParameters(**data)
+        return ModelParameters._from_checked_blocks(**data)

@@ -23,9 +23,12 @@ All updates within an iteration use the iteration-start snapshot. The loss
 depends only on r, d and sigma2, so the server judges an iteration before
 it broadcasts, and its verdict rides on the broadcast; each client's reply
 is its local fit for the next iteration, with the norm of the step it just
-took. One iteration is thus one record down and one up per client. The
-coordinator never stores covariate-dimensional raw data, only the
-enumerated statistics; Sigma_k beta_k never leaves its client.
+took. One iteration is thus one record down and one up per client. Client
+1 hosts the coordinator, so its two records are handed over in process
+and only the other clients' cross the transport; the agents and the
+coordinator do not tell the two apart. The coordinator never stores
+covariate-dimensional raw data, only the enumerated statistics;
+Sigma_k beta_k never leaves its client.
 """
 
 from __future__ import annotations

@@ -25,13 +25,18 @@ stops on a frozen step, which the server judges only once the replies are
 in, ends with `control` (`converged`) instead, and the local fits that
 came with those replies go unused.
 
+The server is the coordinator role of client 1, which holds the response.
+Client 1's own records are validated against this schema like any other,
+but they stay in the coordinator's process: they are never encoded, so a
+fit's wire, byte counts and traces carry only the records of clients 2..K.
+
 Serialization is newline-delimited, self-describing JSON with a fixed key
 order: `t` (the iteration), `from`, `to` (the receiving client, 0 on a
 client's record to the server), `kind` and `payload`; the kind alone fixes
-the step of the iteration a record belongs to. Float vectors travel
-packed, as the base64 text of their raw little-endian float64 bytes, about
-10.7 bytes per float whatever the value. Scalars are written with 17
-significant digits. Records therefore round-trip bit for bit and traces are
+the step of the iteration a record belongs to. `t`, `from` and `to` must
+be JSON integers. Float vectors travel packed, as the base64 text of their
+raw little-endian float64 bytes, about 10.7 bytes per float whatever the
+value. Scalars are written with 17 significant digits. Records therefore round-trip bit for bit and traces are
 byte-reproducible.
 """
 
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -144,6 +150,17 @@ def _unpack(text: Any, what: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 
+def _envelope_int(obj: dict, key: str) -> int:
+    """An envelope field, which must be a JSON integer: `json` reads a
+    boolean, a fraction, an overflowing exponent and a string each as
+    another type."""
+    value = obj[key]
+    if type(value) is not int:
+        raise TypeError(f"{key!r} must be an integer, "
+                        f"got {type(value).__name__}")
+    return value
+
+
 def decode(line: str) -> Message:
     """Inverse of `encode`; every packed field becomes a writable float64
     vector."""
@@ -155,8 +172,9 @@ def decode(line: str) -> Message:
         payload = obj["payload"]
         if not isinstance(payload, dict):
             raise TypeError("payload is not an object")
-        msg = Message(t=int(obj["t"]), sender=int(obj["from"]),
-                      kind=str(obj["kind"]), payload=payload, to=int(obj["to"]))
+        msg = Message(t=_envelope_int(obj, "t"), sender=_envelope_int(obj, "from"),
+                      kind=str(obj["kind"]), payload=payload,
+                      to=_envelope_int(obj, "to"))
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaViolation(f"malformed record: {err}") from None
     for field, packed in _PAYLOAD_FIELDS.get(msg.kind, {}).items():
@@ -166,8 +184,15 @@ def decode(line: str) -> Message:
 
 
 def _is_finite_number(value) -> bool:
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool) and bool(np.isfinite(value)))
+    """Whether `value` is a real scalar with a finite float64 value; an
+    integer too large for a float64 is not."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _as_vector(value, length: int, what: str) -> np.ndarray:

@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vfem import BlockLayout, ClientView, MissingMask, ModelParameters, make_dataset
+from vfem import (BlockLayout, ClientView, FitConfig, GenConfig, MissingMask,
+                  ModelParameters, generate, initialize, make_dataset)
+from vfem.centralized import em_map, pattern_moments
+from vfem.data import repair_psd, repaired_block
 from vfem.errors import DegenerateVariance
 
 
@@ -87,6 +90,33 @@ def test_parameters_validate_covariances():
     with pytest.raises(DegenerateVariance):
         ModelParameters(beta=np.zeros(2), mu=(np.zeros(2),),
                         sigma_blocks=(np.eye(2),), sigma2=0.0)
+
+
+def test_repaired_and_kept_blocks_are_not_checked_twice(monkeypatch):
+    # em_map's blocks come out of repair_psd, and replace() keeps checked
+    # blocks: neither runs eigvalsh again, and the full check would change
+    # no bit of them
+    data, _ = generate(GenConfig(n=200, layout=BlockLayout((2, 3)), rho=0.3,
+                                 seed=4))
+    theta, moments = initialize(data, FitConfig()), pattern_moments(data)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(a) or eigvalsh(a))
+    mapped = em_map(theta, moments)
+    moved = mapped.replace(beta=mapped.beta + 1.0)
+    assert calls == []
+    monkeypatch.undo()
+    for got in (mapped, moved):
+        full = ModelParameters(got.beta, got.mu, got.sigma_blocks, got.sigma2)
+        for kept, checked in zip(got.sigma_blocks, full.sigma_blocks):
+            assert kept.tobytes() == checked.tobytes()
+            assert not kept.flags.writeable
+    # a block the repair clamps is checked as before
+    indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+    clamped = ModelParameters(np.zeros(2), (np.zeros(2),),
+                              (repair_psd(indefinite),), 1.0).sigma_blocks[0]
+    assert repaired_block(indefinite).tobytes() == clamped.tobytes()
 
 
 @settings(max_examples=25, deadline=None)

@@ -238,8 +238,9 @@ def test_send_to_another_client_rejected(schema, transport_cls):
 
 @pytest.mark.parametrize("transport", ["inproc", "socket"])
 def test_traced_broadcasts_carry_the_recipients_rows(tmp_path, transport):
-    # every record validates on its own, and each client receives
-    # residuals on the rows it observes and on no other
+    # every record validates on its own, and each remote client receives
+    # residuals on the rows it observes and on no other; client 1's records
+    # stay in the coordinator's process
     data, _ = make_instance(80, (2, 3, 1), (0.3, 0.5, 0.2), seed=8)
     path = tmp_path / "trace.log"
     res = fit(data, FitConfig(engine="federated", transport=transport,
@@ -247,7 +248,7 @@ def test_traced_broadcasts_carry_the_recipients_rows(tmp_path, transport):
     schema = WireSchema(data.layout, data.mask)
     observed = {k: data.mask.observed_rows(k).size for k in data.layout.clients()}
     assert len(set(observed.values()) | {data.n}) == 4
-    broadcasts = {k: 0 for k in data.layout.clients()}
+    broadcasts = {k: 0 for k in data.layout.clients()[1:]}
     lines = path.read_text().splitlines(keepends=True)
     assert len(lines) == res.comm["messages"]
     for line in lines:
@@ -257,7 +258,7 @@ def test_traced_broadcasts_carry_the_recipients_rows(tmp_path, transport):
         if msg.kind == ESTEP_BROADCAST:
             assert msg.payload["resid"].shape == (observed[msg.to],)
             broadcasts[msg.to] += 1
-    assert broadcasts == dict.fromkeys(data.layout.clients(), res.iterations)
+    assert broadcasts == dict.fromkeys(data.layout.clients()[1:], res.iterations)
 
 
 def test_local_fit_v2_form_rejected(schema):
@@ -342,6 +343,34 @@ def test_unknown_kind_and_fields_rejected(schema):
     for msg in valid_messages().values():
         with pytest.raises(SchemaViolation):
             sch.validate(with_payload(msg, extra=[1, 2]))
+
+
+@pytest.mark.parametrize("field", ["t", "from", "to"])
+@pytest.mark.parametrize("text", ['"7"', "true", "1.9", "1e999"],
+                         ids=["string", "boolean", "fraction", "overflow"])
+def test_envelope_numbers_are_json_integers(field, text):
+    # json reads these as str, bool, float and float inf; none is an
+    # iteration or a client id, and int() would turn the first three into
+    # 7, 1 and 1 and raise OverflowError on the last
+    good = encode(Message(1, SERVER_ID, CONTROL, {"event": "round_begin"}, to=1))
+    obj = json.loads(good)
+    line = good.replace(f'"{field}":{obj[field]}', f'"{field}":{text}')
+    assert line != good
+    with pytest.raises(SchemaViolation):
+        decode(line)
+
+
+def test_integer_scalar_beyond_float_range_rejected(schema):
+    # a 400-digit integer is a valid JSON number but no finite float64
+    sch, *_ = schema
+    huge = 10 ** 400
+    msg = with_payload(valid_messages()[VARSTEP_SCALAR], value=huge)
+    with pytest.raises(SchemaViolation):
+        sch.validate(msg)
+    line = encode(valid_messages()[VARSTEP_SCALAR]).replace(
+        '"value":0.5', f'"value":{huge}')
+    with pytest.raises(SchemaViolation):
+        sch.validate(decode(line))
 
 
 def test_non_finite_payload_rejected(schema):

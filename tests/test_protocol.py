@@ -22,7 +22,7 @@ from vfem import (
 )
 from vfem.centralized import closed_form_m_step, estep, observed_loss
 from vfem.data import repair_psd
-from vfem.errors import ProtocolDesync
+from vfem.errors import ProtocolDesync, SchemaViolation
 from vfem.federated import ClientAgent, ServerCoordinator
 from vfem.messages import (
     CONTROL,
@@ -412,7 +412,8 @@ class TestTransports:
 
     def test_socket_connections_disable_nagle(self, monkeypatch):
         # every record is a whole message its peer waits for; Nagle's
-        # algorithm could only hold its last segment back
+        # algorithm could only hold its last segment back. Clients 2 and 3
+        # connect; client 1 is the coordinator's own party and does not
         clients = []
         connect = socket.create_connection
 
@@ -428,7 +429,7 @@ class TestTransports:
             data, theta, transport_cls=SocketTransport)
         try:
             conns = list(transport._conns.values())
-            assert len(conns) == len(clients) == 3
+            assert len(conns) == len(clients) == 2
             for sock in conns + clients:
                 assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
         finally:
@@ -457,8 +458,60 @@ class TestTransports:
         data, cfg = STOP_INSTANCES[stop]()
         res = fit(data, FitConfig(engine="federated", transport="socket", **cfg))
         assert res.reason == stop
-        assert len(opened) == 1 and len(opened[0]._threads) == data.layout.num_clients
+        assert len(opened) == 1
+        assert len(opened[0]._threads) == data.layout.num_clients - 1
         assert not alive
+
+    def test_socket_fit_starts_one_thread_per_remote_client(self, monkeypatch):
+        started = []
+
+        class RecordingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(transport_module.threading, "Thread", RecordingThread)
+        data, _ = make_instance(60, (2, 3, 2), 0.3, seed=41)
+        res = fit(data, FitConfig(engine="federated", transport="socket",
+                                  max_iters=3, tol=1e-300))
+        assert res.iterations == 3
+        assert len(started) == data.layout.num_clients - 1
+        assert not any(th.is_alive() for th in started)
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_no_record_of_the_server_client_crosses(self, tmp_path, transport):
+        # client 1 hosts the coordinator: its records are handed over in
+        # process, so no traced record names it, as sender or recipient
+        data, _ = make_instance(60, (2, 3, 2), 0.3, seed=41)
+        server = data.layout.server_client
+        path = tmp_path / "trace.log"
+        res = fit(data, FitConfig(engine="federated", transport=transport,
+                                  max_iters=3, tol=1e-300, trace_path=str(path)))
+        records = [decode(line)
+                   for line in path.read_text().splitlines(keepends=True)]
+        assert len(records) == res.comm["messages"] > 0
+        assert not any(server in (msg.sender, msg.to) for msg in records)
+        assert {msg.to for msg in records} == {SERVER_ID, 2, 3}
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_one_client_fit_crosses_nothing(self, monkeypatch, tmp_path,
+                                            transport):
+        # with one client every record is the coordinator's own: nothing
+        # is sent, counted or traced, and no socket is opened
+        def no_listener(*args, **kwargs):
+            raise AssertionError("a one-client fit opened a listener")
+
+        monkeypatch.setattr(transport_module.socket, "create_server", no_listener)
+        data, _ = make_instance(200, (3,), 0.3, seed=12)
+        path = tmp_path / "trace.log"
+        res = fit(data, FitConfig(engine="federated", transport=transport,
+                                  max_iters=6000, tol=1e-12, trace_path=str(path)))
+        assert res.reason in ("loss", "stalled")
+        assert res.comm["messages"] == 0 and res.comm["bytes_total"] == 0
+        assert res.comm["bytes_by_kind"] == {}
+        assert path.read_bytes() == b""
+        oracle = fit(data, FitConfig(engine="oracle", tol=1e-12))
+        assert np.linalg.norm(res.theta.beta - oracle.theta.beta) < 1e-4
 
     def test_trace_files_byte_identical_across_runs(self, tmp_path):
         data, _ = make_instance(40, (2, 2), 0.3, seed=29)
@@ -495,31 +548,33 @@ class TestTransports:
         assert res.comm["bytes_total"] / (n * res.iterations) <= 1024
 
     def test_one_round_trip_per_iteration(self):
-        # per client: round_begin and the first local fit; per iteration the
-        # broadcast and the reply, which is the next local fit or, on the
-        # last iteration, the step alone
+        # per remote client: round_begin and the first local fit; per
+        # iteration the broadcast and the reply, which is the next local fit
+        # or, on the last iteration, the step alone. Client 1's records stay
+        # in the coordinator's process and are not counted
         data, _ = generate(smes_like_config(n=600, seed=3))
-        K = data.layout.num_clients
+        R = data.layout.num_clients - 1
         res = fit(data, FitConfig(engine="federated", max_iters=4, tol=1e-300))
         assert res.iterations == 4
-        assert res.comm["messages"] == 2 * K * res.iterations + 2 * K
+        assert res.comm["messages"] == 2 * R * res.iterations + 2 * R
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     @pytest.mark.parametrize("stop", ["loss", "max_iters", "diverged"])
     def test_message_flow_of_a_fit(self, tmp_path, transport, stop):
-        # one round_begin per client, then per iteration one broadcast and
-        # one reply; the server tells the clients the last iteration, so the
-        # fit ends on their step replies and needs no record of its own
+        # one round_begin per remote client, then per iteration one
+        # broadcast and one reply; the server tells the clients the last
+        # iteration, so the fit ends on their step replies and needs no
+        # record of its own
         data, cfg = STOP_INSTANCES[stop]()
         path = tmp_path / "trace.log"
         res = fit(data, FitConfig(engine="federated", transport=transport,
                                   trace_path=str(path), **cfg))
         assert res.reason == stop
-        K, T = data.layout.num_clients, res.iterations
+        R, T = data.layout.num_clients - 1, res.iterations
         kinds = trace_kinds(path)
-        assert kinds == {CONTROL: K, ESTEP_LOCAL_FIT: K * T,
-                         ESTEP_BROADCAST: K * T, VARSTEP_SCALAR: K}
-        assert res.comm["messages"] == 2 * K * T + 2 * K
+        assert kinds == {CONTROL: R, ESTEP_LOCAL_FIT: R * T,
+                         ESTEP_BROADCAST: R * T, VARSTEP_SCALAR: R}
+        assert res.comm["messages"] == 2 * R * T + 2 * R
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     def test_message_flow_of_a_stalled_fit(self, tmp_path, transport):
@@ -531,14 +586,14 @@ class TestTransports:
         res = fit(data, FitConfig(engine="federated", transport=transport,
                                   trace_path=str(path), **cfg))
         assert res.reason == "stalled"
-        K, T = data.layout.num_clients, res.iterations
-        assert trace_kinds(path) == {CONTROL: 2 * K, ESTEP_LOCAL_FIT: K * (T + 1),
-                                     ESTEP_BROADCAST: K * T}
-        assert res.comm["messages"] == 2 * K * T + 3 * K
-        tail = [decode(line) for line in path.read_text().splitlines()[-K:]]
+        R, T = data.layout.num_clients - 1, res.iterations
+        assert trace_kinds(path) == {CONTROL: 2 * R, ESTEP_LOCAL_FIT: R * (T + 1),
+                                     ESTEP_BROADCAST: R * T}
+        assert res.comm["messages"] == 2 * R * T + 3 * R
+        tail = [decode(line) for line in path.read_text().splitlines()[-R:]]
         assert all(msg.kind == CONTROL and msg.payload == {"event": "converged"}
                    and msg.t == T for msg in tail)
-        assert sorted(msg.to for msg in tail) == list(data.layout.clients())
+        assert sorted(msg.to for msg in tail) == list(data.layout.clients())[1:]
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     def test_bytes_by_kind_add_up_to_the_trace(self, tmp_path, transport):
@@ -580,19 +635,20 @@ class TestTransports:
 
 
 class TestHandshake:
-    @pytest.mark.parametrize("hello", [b"abc\n", b"", b"1", b"+1\n", b"\xff\n",
-                                       b"0\n", b"3\n", b"2\n"],
+    @pytest.mark.parametrize("hello", [b"abc\n", b"", b"2", b"+2\n", b"\xff\n",
+                                       b"0\n", b"4\n", b"3\n", b"1\n"],
                              ids=["not-integer", "empty", "unterminated",
                                   "signed", "not-utf8", "below-range",
-                                  "above-range", "duplicate"])
+                                  "above-range", "duplicate", "server-client"])
     def test_bad_hello_is_a_protocol_error(self, hello):
-        # client 1 announces itself wrongly; client 2 says "2" as it should
+        # client 2 announces itself wrongly; client 3 says "3" as it should,
+        # and client 1, the coordinator's own party, never connects
         opened = []
 
         class BadHelloTransport(SocketTransport):
             def _client_loop(self, k, agent, host, port):
                 opened.append(self)
-                if k != 1:
+                if k != 2:
                     return super()._client_loop(k, agent, host, port)
                 with socket.create_connection((host, port)) as sock, \
                         sock.makefile("rb") as reader:
@@ -600,9 +656,9 @@ class TestHandshake:
                     sock.shutdown(socket.SHUT_WR)
                     reader.read()  # until the server hangs up
 
-        schema = WireSchema(BlockLayout((1, 1)), MissingMask(np.zeros((3, 2))))
+        schema = WireSchema(BlockLayout((1, 1, 1)), MissingMask(np.zeros((3, 3))))
         with pytest.raises(ProtocolDesync):
-            BadHelloTransport({1: None, 2: None}, schema)
+            BadHelloTransport({1: None, 2: None, 3: None}, schema)
         transport = opened[0]
         assert transport._listener.fileno() == -1
         # each client blocks reading until the server closes its connection,
@@ -610,7 +666,7 @@ class TestHandshake:
         assert not any(th.is_alive() for th in transport._threads)
 
     def test_silent_connection_ends_the_handshake(self, monkeypatch):
-        # client 1 connects and never says hello; the hello read must give up
+        # client 2 connects and never says hello; the hello read must give up
         monkeypatch.setattr(transport_module, "_HELLO_TIMEOUT", 0.2,
                             raising=False)
         opened, outcome = [], []
@@ -618,17 +674,17 @@ class TestHandshake:
         class SilentTransport(SocketTransport):
             def _client_loop(self, k, agent, host, port):
                 opened.append(self)
-                if k != 1:
+                if k != 2:
                     return super()._client_loop(k, agent, host, port)
                 with socket.create_connection((host, port)) as sock, \
                         sock.makefile("rb") as reader:
                     reader.read()  # until the server hangs up
 
-        schema = WireSchema(BlockLayout((1, 1)), MissingMask(np.zeros((3, 2))))
+        schema = WireSchema(BlockLayout((1, 1, 1)), MissingMask(np.zeros((3, 3))))
 
         def run():
             try:
-                SilentTransport({1: None, 2: None}, schema)
+                SilentTransport({1: None, 2: None, 3: None}, schema)
             except BaseException as err:
                 outcome.append(err)
 
@@ -708,6 +764,29 @@ class TestDesync:
         # clients 1 and 3 were waiting on their connections; closing the
         # transport must end their threads, not leave them to the join timeout
         assert not any(th.is_alive() for th in transport._threads)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("transport_cls", [InProcessTransport, SocketTransport])
+    @pytest.mark.parametrize("client", [1, 2])
+    def test_non_finite_local_fit_is_a_schema_violation(self, transport_cls,
+                                                        client):
+        # client 1's records are never encoded, but still validated: its
+        # non-finite fit fails as a remote client's does. A socket client
+        # fails in its own thread, which the server reports as a desync
+        data, _ = make_instance(40, (2, 2), 0.3, seed=5)
+        theta = initialize(data, FitConfig())
+        agents, coord, transport = build_protocol(data, theta,
+                                                  transport_cls=transport_cls)
+        agents[client].beta[:] = np.inf
+        try:
+            with pytest.raises((SchemaViolation, ProtocolDesync)) as info:
+                coord.evaluate()
+        finally:
+            transport.close()
+        remote_socket = transport_cls is SocketTransport and client != 1
+        err = info.value.__cause__ if remote_socket else info.value
+        assert isinstance(info.value, ProtocolDesync) == remote_socket
+        assert isinstance(err, SchemaViolation)
 
     def test_stale_iteration_detected(self):
         data, _ = make_instance(40, (2, 2), 0.3, seed=5)
