@@ -18,7 +18,8 @@ half the step, and whether the fit stops. `advance` then takes the step
 under that verdict, told whether it is the last, and returns the norm of
 the coefficient step, which only the stall stop reads. The federated engine
 thus sends the verdict with its broadcast, and learns the step from the
-replies that carry the clients' next local fits.
+replies that carry the clients' next local fits. After a stall stop, which
+those replies decide, nothing more is sent; closing the transport ends it.
 """
 
 from __future__ import annotations
@@ -311,17 +312,15 @@ class _FederatedEngine:
         # the verdict goes down with the broadcast; each client's step norm
         # comes back with its reply
         steps = self.coord.advance(best=best, restore=restore, last=last)
-        self._last = last
         if inspect is not None:
             inspect(_federated_snapshot(t, self.agents, self.coord, self.layout,
                                         self._loss))
         return math.sqrt(sum(step ** 2 for step in steps))
 
     def finish(self) -> tuple[ModelParameters, Optional[dict]]:
-        if not self._last:
-            self.coord.announce_convergence()
         # socket clients update in their own threads; closing the transport
-        # joins them before theta is read
+        # ends them, after a stop without `last` too, and joins them before
+        # theta is read
         self.transport.close()
         theta = _collect_theta(self.agents, self.coord, self.layout)
         return theta, self.transport.counters.snapshot()

@@ -23,12 +23,13 @@ All updates within an iteration use the iteration-start snapshot. The loss
 depends only on r, d and sigma2, so the server judges an iteration before
 it broadcasts, and its verdict rides on the broadcast; each client's reply
 is its local fit for the next iteration, with the norm of the step it just
-took. One iteration is thus one record down and one up per client. Client
-1 hosts the coordinator, so its two records are handed over in process
-and only the other clients' cross the transport; the agents and the
-coordinator do not tell the two apart. The coordinator never stores
-covariate-dimensional raw data, only the enumerated statistics;
-Sigma_k beta_k never leaves its client.
+took. One iteration is thus one record down and one up per client, and a
+client opens the fit unasked with its first local fit. Client 1 hosts the
+coordinator, so its records are handed over in process and only the other
+clients' cross the transport; the agents and the coordinator do not tell
+the two apart. The coordinator never stores covariate-dimensional raw
+data, only the enumerated statistics; Sigma_k beta_k never leaves its
+client.
 """
 
 from __future__ import annotations
@@ -37,18 +38,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .centralized import _D_FLOOR
 from .data import BlockLayout, ClientView, MissingMask, repair_psd
 from .errors import DegenerateVariance, ProtocolDesync
 from .messages import (
-    CONTROL,
     ESTEP_BROADCAST,
     ESTEP_LOCAL_FIT,
     SERVER_ID,
     VARSTEP_SCALAR,
     Message,
 )
-
-_D_FLOOR = 1e-12
 
 
 class _Snapshot(NamedTuple):
@@ -68,11 +67,11 @@ class ClientMoments(NamedTuple):
     sum_q: float
 
 
-def _row_patterns(n: int, nonempty: list) -> np.ndarray:
-    """Per sample, 1 + the index of its pattern among the non-empty
-    (key, rows) patterns, or 0 on a complete row."""
+def _row_patterns(n: int, missing: tuple) -> np.ndarray:
+    """Per sample, 1 + the index of its pattern among
+    `MissingMask.missing_patterns()`, or 0 on a complete row."""
     out = np.zeros(n, dtype=np.intp)
-    for g, (_key, rows) in enumerate(nonempty):
+    for g, (_key, rows) in enumerate(missing):
         out[rows] = g + 1
     return out
 
@@ -101,8 +100,8 @@ class ClientAgent:
         centered = self._x_obs - self._center
         self._obs_scatter = centered.T @ centered
 
-        nonempty = [(key, rows) for key, rows in mask.patterns() if key]
-        row_patterns = _row_patterns(self.n, nonempty)
+        missing = mask.missing_patterns()
+        row_patterns = _row_patterns(self.n, missing)
         self._obs_patterns = row_patterns[self.obs_rows]
         self._mis_patterns = row_patterns[self.mis_rows] - 1
 
@@ -111,13 +110,13 @@ class ClientAgent:
         self.sigma: np.ndarray | None = None
 
         # (sigma2, d, u) of the last E-step; before one, alpha reads 0
-        self._last = (1.0, np.ones(len(nonempty)), np.zeros(self.dim))
+        self._last = (1.0, np.ones(len(missing)), np.zeros(self.dim))
         self.last_moments: Optional[ClientMoments] = None
         self._pre_update: Optional[_Snapshot] = None
         self._best: Optional[_Snapshot] = None
 
         self._t = 0
-        self._phase = "round_begin"
+        self.done = False   # whether the fit has ended for this client
 
     def load_params(self, beta_k: np.ndarray, mu_k: np.ndarray,
                     sigma_k: np.ndarray) -> None:
@@ -133,34 +132,18 @@ class ClientAgent:
 
     # -- message handling ---------------------------------------------------
 
-    def _check(self, msg: Message, kind: str, phase: str) -> None:
-        if (self._phase != phase or msg.kind != kind or msg.t != self._t
-                or msg.to != self.k):
-            raise ProtocolDesync(
-                f"client {self.k} expected {phase!r} at t={self._t}, "
-                f"got kind={msg.kind!r} t={msg.t} to={msg.to}")
-
-    @property
-    def done(self) -> bool:
-        """Whether the fit has ended for this client."""
-        return self._phase == "done"
+    def open(self) -> Message:
+        """This client's first record, sent unasked: its local fit at t = 0."""
+        return self._local_fit()
 
     def handle_message(self, msg: Message) -> list[Message]:
-        if msg.kind == CONTROL:
-            event = msg.payload.get("event")
-            if event == "round_begin":
-                self._check(msg, CONTROL, "round_begin")
-                self._phase = "estep_broadcast"
-                return [self._local_fit()]
-            if event == "converged":
-                self._check(msg, CONTROL, "estep_broadcast")
-                self._phase = "done"
-                return []
-            raise ProtocolDesync(f"client {self.k}: unknown control event {event!r}")
-        if msg.kind == ESTEP_BROADCAST:
-            self._check(msg, ESTEP_BROADCAST, "estep_broadcast")
-            return self._on_estep_broadcast(msg)
-        raise ProtocolDesync(f"client {self.k}: unexpected kind {msg.kind!r}")
+        if (self.done or msg.kind != ESTEP_BROADCAST or msg.t != self._t
+                or msg.to != self.k):
+            raise ProtocolDesync(
+                f"client {self.k} (t={self._t}, done={self.done}) expected "
+                f"{ESTEP_BROADCAST!r}, "
+                f"got kind={msg.kind!r} t={msg.t} to={msg.to}")
+        return self._on_estep_broadcast(msg)
 
     def _local_fit(self, step: Optional[float] = None) -> Message:
         """The fit this client's parameters give at iteration `_t`; after the
@@ -210,7 +193,7 @@ class ClientAgent:
             self.eta *= 0.5
         self._t += 1
         if pay["last"]:
-            self._phase = "done"
+            self.done = True
             return [Message(self._t, self.k, VARSTEP_SCALAR, {"value": step})]
         return [self._local_fit(step)]
 
@@ -228,10 +211,10 @@ class ServerCoordinator:
 
         self.n = self.y.shape[0]
         self._has_complete = mask.complete_rows().size > 0
-        nonempty = [(key, rows) for key, rows in mask.patterns() if key]
-        self._keys = [key for key, _rows in nonempty]
-        self._counts = np.array([rows.size for _key, rows in nonempty], dtype=float)
-        self._row_patterns = _row_patterns(self.n, nonempty)
+        missing = mask.missing_patterns()
+        self._keys = [key for key, _rows in missing]
+        self._counts = np.array([rows.size for _key, rows in missing], dtype=float)
+        self._row_patterns = _row_patterns(self.n, missing)
         self._rows = {k: (mask.observed_rows(k), mask.missing_rows(k))
                       for k in layout.clients()}
         self._mis_patterns = {k: self._row_patterns[missing] - 1
@@ -244,10 +227,6 @@ class ServerCoordinator:
     def _send(self, k: int, kind: str, payload: dict) -> None:
         self.transport.send_to_client(
             k, Message(self.t, SERVER_ID, kind, payload, to=k))
-
-    def _bcast(self, kind: str, payload: dict) -> None:
-        for k in self.layout.clients():
-            self._send(k, kind, dict(payload))
 
     def _recv(self, k: int, kind: str) -> Message:
         msg = self.transport.recv_from_client(k)
@@ -262,11 +241,10 @@ class ServerCoordinator:
                       for k in self.layout.clients()]
 
     def evaluate(self) -> float:
-        """The loss at iteration t's start, from the clients' local fits; the
-        first iteration asks for them, later ones came with the replies to
-        the last broadcast."""
+        """The loss at iteration t's start, from the clients' local fits: on
+        the first iteration the records they opened the fit with, on later
+        ones the replies to the last broadcast."""
         if self.t == 0:
-            self._bcast(CONTROL, {"event": "round_begin"})
             self._collect_fits()
         K = self.layout.num_clients
         sigma2 = self.sigma2
@@ -330,8 +308,3 @@ class ServerCoordinator:
         loss = self.evaluate()
         self.advance()
         return loss
-
-    def announce_convergence(self) -> None:
-        """End the fit for clients that were not told `last`: a stop on a
-        frozen step is judged only after their next local fits arrived."""
-        self._bcast(CONTROL, {"event": "converged"})

@@ -17,13 +17,14 @@ whether to restore the best iterate with half the step (`restore`) and
 whether it is the fit's last (`last`). Up comes the client's reply, which
 is its `estep_local_fit` for the next iteration: its fit on its observed
 rows (length m_k), two scalars, mu_k' beta_k and beta_k' Sigma_k beta_k,
-and `step`, the norm of the coefficient step it just took. The first local
-fit answers a `control` record (`round_begin`) and carries no step; the
-reply to a `last` broadcast is `varstep_scalar`, that step norm alone.
-Either reply to the broadcast of iteration t is stamped t + 1. A fit that
-stops on a frozen step, which the server judges only once the replies are
-in, ends with `control` (`converged`) instead, and the local fits that
-came with those replies go unused.
+and `step`, the norm of the coefficient step it just took. A client opens
+the fit unasked with its t = 0 local fit, which carries no step; the reply
+to a `last` broadcast is `varstep_scalar`, that step norm alone. Either
+reply to the broadcast of iteration t is stamped t + 1. A fit that stops
+on a frozen step, which the server judges only once the replies are in,
+sends nothing more: the local fits that came with those replies go unused.
+So a fit sends its clients' openings and then two records per client and
+iteration, whatever its stop reason.
 
 The server is the coordinator role of client 1, which holds the response.
 Client 1's own records are validated against this schema like any other,
@@ -58,12 +59,8 @@ SERVER_ID = 0  # coordinator role of client 1
 ESTEP_LOCAL_FIT = "estep_local_fit"
 ESTEP_BROADCAST = "estep_broadcast"
 VARSTEP_SCALAR = "varstep_scalar"
-CONTROL = "control"
 
-MESSAGE_KINDS = frozenset({ESTEP_LOCAL_FIT, ESTEP_BROADCAST, VARSTEP_SCALAR,
-                           CONTROL})
-
-CONTROL_EVENTS = frozenset({"round_begin", "converged"})
+MESSAGE_KINDS = frozenset({ESTEP_LOCAL_FIT, ESTEP_BROADCAST, VARSTEP_SCALAR})
 
 # payload fields of each kind in wire order; True marks a packed float
 # vector (see `_pack`), False a plain JSON value
@@ -73,7 +70,6 @@ _PAYLOAD_FIELDS = {
                       "sum_a": False, "sum_q": False, "best": False,
                       "restore": False, "last": False},
     VARSTEP_SCALAR: {"value": False},
-    CONTROL: {"event": False},
 }
 
 
@@ -216,7 +212,7 @@ class WireSchema:
     derivable from that public metadata alone: a client's fit, and the
     residuals sent to it, have one entry per row it observes, and the
     denominators one per non-empty missingness pattern, in
-    `MissingMask.patterns()` order. Every other payload field is a scalar.
+    `MissingMask.missing_patterns()` order. Every other payload field is a scalar.
     A server record names one client 1..K as its recipient, and a client's
     record names none (0).
     """
@@ -224,7 +220,7 @@ class WireSchema:
     def __init__(self, layout: BlockLayout, mask: MissingMask):
         self.layout = layout
         self.mask = mask
-        self._num_patterns = sum(1 for key, _rows in mask.patterns() if key)
+        self._num_patterns = len(mask.missing_patterns())
         self._observed = {k: mask.observed_rows(k).size for k in layout.clients()}
 
     def _require(self, cond: bool, what: str):
@@ -274,7 +270,3 @@ class WireSchema:
             self._require(from_client, f"{kind}: bad sender")
             self._require_scalars(pay, ("value",), kind)
             self._require(pay["value"] >= 0, f"{kind}: a step norm is not negative")
-        elif kind == CONTROL:
-            self._require(msg.sender == SERVER_ID, f"{kind}: server only")
-            event = pay.get("event")
-            self._require(event in CONTROL_EVENTS, f"unknown control event {event!r}")

@@ -16,12 +16,14 @@ The in-process variant steps each of those agents inline (single-threaded
 round robin); the socket variant runs one thread per remote client
 speaking newline-delimited records.
 
-Trace records are appended in the server's event order: a send when the
-server emits it, a reply when the server collects it.
+The transport takes each agent's opening record (`ClientAgent.open`) when
+it is built; a socket client sends its own right after its hello. Trace
+records are appended in the server's event order: a send when the server
+emits it, a client's record when the server collects it.
 
-A socket client's thread returns as soon as its agent is done, after its
-reply to the `last` broadcast or on `converged`, so closing the transport
-after a fit never waits on a client blocked in a read.
+A socket client's thread returns once its agent is done, after its reply
+to the `last` broadcast, or when the server closes its connection; so
+closing the transport never waits on a client blocked in a read.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ _MAX_HELLO = 32  # characters read for a connection's hello line
 _ACCEPT_POLL = 0.05
 # seconds a new connection has to send its hello line
 _HELLO_TIMEOUT = 5.0
+# seconds the server waits on a connected client for its next record
+_REPLY_TIMEOUT = 60.0
 
 
 class ByteCounters:
@@ -64,6 +68,13 @@ class ByteCounters:
         }
 
 
+def _opening(agent, schema: WireSchema) -> Message:
+    """An agent's first record, validated like any reply."""
+    msg = agent.open()
+    schema.validate(msg)
+    return msg
+
+
 class BaseTransport:
     """The checks every record passes and the local path to the server
     client; a subclass carries the records of the other (remote) clients
@@ -76,8 +87,9 @@ class BaseTransport:
         self.local_client = schema.layout.server_client
         self._local_agent = agents[self.local_client]
         self._local_inbox: deque = deque()
-        self._local_outbox: deque = deque()
+        self._local_outbox = deque([_opening(self._local_agent, schema)])
         self.counters = ByteCounters()
+        # opened last, so a failing opening leaves no file open
         self._trace_file = open(trace_path, "w") if trace_path else None
 
     def _record(self, msg: Message, outgoing: bool, line: str | None = None) -> None:
@@ -101,12 +113,6 @@ class BaseTransport:
             self.schema.validate(reply)
         return replies
 
-    def _step_local(self) -> None:
-        """The local agent reads every record queued for it."""
-        while self._local_inbox:
-            self._local_outbox.extend(
-                self._handle(self._local_agent, self._local_inbox.popleft()))
-
     def send_to_client(self, k: int, msg: Message) -> None:
         self._check_recipient(k, msg)
         self.schema.validate(msg)
@@ -118,7 +124,10 @@ class BaseTransport:
     def recv_from_client(self, k: int) -> Message:
         if k != self.local_client:
             return self._recv(k)
-        self._step_local()
+        # the local agent reads every record queued for it
+        while self._local_inbox:
+            self._local_outbox.extend(
+                self._handle(self._local_agent, self._local_inbox.popleft()))
         if not self._local_outbox:
             raise ProtocolDesync(f"no pending message from client {k}")
         return self._local_outbox.popleft()
@@ -130,15 +139,9 @@ class BaseTransport:
         raise NotImplementedError
 
     def close(self) -> None:
-        # the local agent reads what is still queued for it, as a remote
-        # client reads what reached it before its connection closed: a
-        # `converged`, which asks for no reply
-        try:
-            self._step_local()
-        finally:
-            if self._trace_file:
-                self._trace_file.close()
-                self._trace_file = None
+        if self._trace_file:
+            self._trace_file.close()
+            self._trace_file = None
 
 
 class InProcessTransport(BaseTransport):
@@ -148,10 +151,12 @@ class InProcessTransport(BaseTransport):
 
     def __init__(self, agents: dict, schema: WireSchema,
                  trace_path: Optional[str] = None):
+        # before the base opens the trace file
+        self._outboxes: dict[int, deque] = {
+            k: deque([_opening(agent, schema)]) for k, agent in agents.items()
+            if k != schema.layout.server_client}
         super().__init__(agents, schema, trace_path)
         self.agents = agents
-        self._outboxes: dict[int, deque] = {
-            k: deque() for k in agents if k != self.local_client}
 
     def _send(self, k: int, msg: Message) -> None:
         self._record(msg, outgoing=True)
@@ -177,7 +182,9 @@ class SocketTransport(BaseTransport):
     `_ACCEPT_POLL` seconds whether a client thread has failed, so a client
     that cannot connect ends the fit with `ProtocolDesync` instead of
     leaving it waiting forever. A connection that sends no hello within
-    `_HELLO_TIMEOUT` seconds ends it the same way."""
+    `_HELLO_TIMEOUT` seconds ends it the same way, and so does a connected
+    client that sends no record for `_REPLY_TIMEOUT` seconds while the
+    server waits on it."""
 
     def __init__(self, agents: dict, schema: WireSchema,
                  trace_path: Optional[str] = None):
@@ -217,7 +224,7 @@ class SocketTransport(BaseTransport):
             try:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 k = self._read_hello(reader)
-                conn.settimeout(None)
+                conn.settimeout(_REPLY_TIMEOUT)
             except BaseException:
                 reader.close()
                 conn.close()
@@ -258,14 +265,13 @@ class SocketTransport(BaseTransport):
             try:
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 sock.sendall(f"{k}\n".encode())
-                while True:
+                sock.sendall(encode(_opening(agent, self.schema)).encode("utf-8"))
+                while not agent.done:
                     line = reader.readline()
                     if not line:
                         return
                     for reply in self._handle(agent, decode(line)):
                         sock.sendall(encode(reply).encode("utf-8"))
-                    if agent.done:
-                        return
             except BaseException as err:
                 self._errors.append(err)
 
@@ -288,7 +294,11 @@ class SocketTransport(BaseTransport):
         self._conns[k].sendall(line.encode("utf-8"))
 
     def _recv(self, k: int) -> Message:
-        line = self._readers[k].readline()
+        try:
+            line = self._readers[k].readline()
+        except TimeoutError as err:
+            raise ProtocolDesync(f"client {k} sent no record within "
+                                 f"{_REPLY_TIMEOUT} s") from err
         if not line:
             self._check_errors()
             raise ProtocolDesync(f"connection to client {k} closed mid-round")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from vfem import BlockLayout, GenConfig, generate, q_value
+from vfem.messages import ESTEP_LOCAL_FIT, Message
 
 settings.register_profile("repro", derandomize=True)
 settings.load_profile("repro")
@@ -12,6 +13,20 @@ def make_instance(n, dims, rho, seed, **kwargs):
     gen = GenConfig(n=n, layout=BlockLayout(tuple(dims)), rho=rho, seed=seed,
                     **kwargs)
     return generate(gen)
+
+
+class OpeningAgent:
+    """A stand-in agent that opens with a valid t = 0 local fit, zeros on
+    its `observed` rows, and takes no other record."""
+
+    done = False
+
+    def __init__(self, k, observed):
+        self.k, self.observed = k, observed
+
+    def open(self):
+        return Message(0, self.k, ESTEP_LOCAL_FIT,
+                       {"fit": np.zeros(self.observed), "mean": 0.0, "quad": 0.0})
 
 
 def rel_err(a, b, floor=1e-30):

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_instance
+from conftest import OpeningAgent, make_instance
 
 from vfem import BlockLayout, FitConfig, MissingMask, fit
 from vfem.errors import ProtocolDesync, SchemaViolation
 from vfem.messages import (
-    CONTROL,
     ESTEP_BROADCAST,
     ESTEP_LOCAL_FIT,
     MESSAGE_KINDS,
@@ -22,10 +21,11 @@ from vfem.messages import (
 )
 from vfem.transport import InProcessTransport, SocketTransport
 
-# the kinds of the earlier four-round protocol, no longer on the wire
+# the kinds of earlier protocols, no longer on the wire: those of the
+# four-round protocol, and `control`, which opened and closed a fit
 RETIRED_KINDS = ("estep_quad_form", "mstep_local_fit", "mstep_coupling_vec",
                  "mstep_residual_coupling", "mstep_partial_projection",
-                 "mstep_aggregated_projection")
+                 "mstep_aggregated_projection", "control")
 
 
 @pytest.fixture
@@ -51,8 +51,6 @@ def valid_messages():
                                   "restore": False, "last": False}, to=1),
         VARSTEP_SCALAR: Message(0, 2, VARSTEP_SCALAR,
                                 {"value": 0.5}),
-        CONTROL: Message(0, SERVER_ID, CONTROL,
-                         {"event": "round_begin"}, to=1),
     }
 
 
@@ -122,14 +120,14 @@ def test_packed_size_depends_only_on_length(m):
 
 
 def test_malformed_records_rejected():
-    good = encode(Message(0, SERVER_ID, CONTROL,
-                          {"event": "round_begin"}, to=1))
+    good = encode(Message(0, 2, VARSTEP_SCALAR, {"value": 0.5}))
     decode(good)
     for line in ("nope", "[1]", good.replace('"t":0', '"t":"zero"'),
-                 good.replace('{"event":"round_begin"}', '"ab"'),
-                 good.replace('{"event":"round_begin"}', '[["event","x"]]'),
-                 good.replace('"from":0,', ''), good.replace('"to":1,', ''),
-                 good.replace('"to":1', '"to":"one"')):
+                 good.replace('{"value":0.5}', '"ab"'),
+                 good.replace('{"value":0.5}', '[["value",0.5]]'),
+                 good.replace('"from":2,', ''), good.replace('"to":0,', ''),
+                 good.replace('"to":0', '"to":"zero"')):
+        assert line != good
         with pytest.raises(SchemaViolation):
             decode(line)
 
@@ -170,8 +168,7 @@ def test_pattern_keyed_messages_validate_after_round_trip(schema):
 
 def test_every_kind_is_enumerated(schema):
     sch, *_ = schema
-    assert MESSAGE_KINDS == {CONTROL, ESTEP_LOCAL_FIT, ESTEP_BROADCAST,
-                             VARSTEP_SCALAR}
+    assert MESSAGE_KINDS == {ESTEP_LOCAL_FIT, ESTEP_BROADCAST, VARSTEP_SCALAR}
     assert set(valid_messages()) == MESSAGE_KINDS
     for kind in RETIRED_KINDS:
         msg = Message(0, 1, kind, {"value": 1.0})
@@ -224,8 +221,9 @@ def test_recipient_enforced(schema):
 
 @pytest.mark.parametrize("transport_cls", [InProcessTransport, SocketTransport])
 def test_send_to_another_client_rejected(schema, transport_cls):
-    sch, *_ = schema
-    transport = transport_cls({1: None, 2: None}, sch)
+    sch, _layout, mask = schema
+    agents = {k: OpeningAgent(k, mask.observed_rows(k).size) for k in (1, 2)}
+    transport = transport_cls(agents, sch)
     try:
         for msg in valid_messages().values():
             if msg.sender == SERVER_ID:
@@ -295,8 +293,6 @@ def test_raw_covariate_block_rejected(schema):
     for msg in (*msgs.values(), stepped_fit()):
         sch.validate(msg)
         for field in msg.payload:
-            if field == "event":
-                continue
             slots += 1
             for block in blocks[1] + blocks[2]:
                 bad = with_payload(msg, **{field: block})
@@ -352,7 +348,7 @@ def test_envelope_numbers_are_json_integers(field, text):
     # json reads these as str, bool, float and float inf; none is an
     # iteration or a client id, and int() would turn the first three into
     # 7, 1 and 1 and raise OverflowError on the last
-    good = encode(Message(1, SERVER_ID, CONTROL, {"event": "round_begin"}, to=1))
+    good = encode(Message(1, 2, VARSTEP_SCALAR, {"value": 0.5}))
     obj = json.loads(good)
     line = good.replace(f'"{field}":{obj[field]}', f'"{field}":{text}')
     assert line != good
@@ -440,9 +436,8 @@ def test_broadcast_denominators_one_per_pattern(schema):
 def test_broadcast_only_from_server(schema):
     sch, *_ = schema
     msgs = valid_messages()
-    for kind in (ESTEP_BROADCAST, CONTROL):
-        with pytest.raises(SchemaViolation):
-            sch.validate(Message(0, 1, kind, msgs[kind].payload))
+    with pytest.raises(SchemaViolation):
+        sch.validate(Message(0, 1, ESTEP_BROADCAST, msgs[ESTEP_BROADCAST].payload))
     # and the clients' kinds only from clients 1..K, even when addressed as
     # a server record would be
     for kind in (ESTEP_LOCAL_FIT, VARSTEP_SCALAR):
@@ -452,27 +447,25 @@ def test_broadcast_only_from_server(schema):
                                      msgs[kind].payload, to=1))
 
 
-def test_control_events_closed(schema):
+def test_verdict_travels_only_on_the_broadcast(schema):
+    # a restore always halves the step, so no step scale travels at all;
+    # the verdict flags go down on the broadcast and on no other record,
+    # nor on a forged `control` record, the kind that opened and closed a fit
     sch, *_ = schema
-    sch.validate(Message(0, SERVER_ID, CONTROL,
-                         {"event": "round_begin"}, to=1))
-    for payload in ({"event": "upload_raw_data"}, {"event": "round_end"}):
-        with pytest.raises(SchemaViolation):
-            sch.validate(Message(0, SERVER_ID, CONTROL, payload, to=1))
-
-
-def test_control_carries_only_its_event(schema):
-    # the verdict rides on the broadcast, and a restore always halves the
-    # step, so neither a verdict nor a step scale travels on control
-    sch, *_ = schema
+    msgs = valid_messages()
+    carriers = [msgs[ESTEP_LOCAL_FIT], stepped_fit(), msgs[VARSTEP_SCALAR]]
+    carriers += [Message(0, SERVER_ID, "control", {"event": event}, to=1)
+                 for event in ("round_begin", "converged")]
     for extra in ({"best": True}, {"restore": False}, {"last": True},
                   {"restore": True, "eta_scale": 0.5}):
-        for event in ("round_begin", "converged"):
-            msg = Message(0, SERVER_ID, CONTROL, {"event": event, **extra}, to=1)
+        for msg in carriers:
+            bad = with_payload(msg, **extra)
             with pytest.raises(SchemaViolation):
-                sch.validate(msg)
+                sch.validate(bad)
             with pytest.raises(SchemaViolation):
-                encode(msg)
+                encode(bad)
+    with pytest.raises(SchemaViolation):
+        sch.validate(with_payload(msgs[ESTEP_BROADCAST], eta_scale=0.5))
 
 
 def test_broadcast_verdict_flags_are_required_booleans(schema):

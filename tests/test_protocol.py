@@ -5,8 +5,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_instance, moments_gap, rel_err
+from conftest import OpeningAgent, make_instance, moments_gap, rel_err
 
 from vfem import (
     BlockLayout,
@@ -25,7 +27,6 @@ from vfem.data import repair_psd
 from vfem.errors import ProtocolDesync, SchemaViolation
 from vfem.federated import ClientAgent, ServerCoordinator
 from vfem.messages import (
-    CONTROL,
     ESTEP_BROADCAST,
     ESTEP_LOCAL_FIT,
     MESSAGE_KINDS,
@@ -40,15 +41,22 @@ from vfem import transport as transport_module
 from vfem.transport import InProcessTransport, SocketTransport
 
 
-def build_protocol(data, theta, eta=0.5, transport_cls=InProcessTransport,
-                   **transport_kwargs):
-    layout, mask = data.layout, data.mask
+def build_agents(data, theta, eta=0.5):
+    """One `ClientAgent` per client, holding its part of `theta`."""
+    layout = data.layout
     agents = {}
     for k in layout.clients():
-        agent = ClientAgent(data.view(k), layout, mask, eta)
+        agent = ClientAgent(data.view(k), layout, data.mask, eta)
         agent.load_params(theta.beta_block(layout, k), theta.mu[k - 1],
                           theta.sigma_blocks[k - 1])
         agents[k] = agent
+    return agents
+
+
+def build_protocol(data, theta, eta=0.5, transport_cls=InProcessTransport,
+                   **transport_kwargs):
+    layout, mask = data.layout, data.mask
+    agents = build_agents(data, theta, eta)
     schema = WireSchema(layout, mask)
     transport = transport_cls(agents, schema, **transport_kwargs)
     coord = ServerCoordinator(data.y, layout, mask, theta.sigma2, transport)
@@ -144,8 +152,7 @@ class TestClientKernel:
                                    theta.sigma_blocks[k - 1])
                 agent = ClientAgent(data.view(k), layout, mask, eta)
                 agent.load_params(beta, mu, sigma)
-                agent.handle_message(Message(0, SERVER_ID, CONTROL,
-                                             {"event": "round_begin"}, to=k))
+                agent.open()
                 agent.handle_message(broadcast_to(k, mask, theta.sigma2, d, cache.r))
                 ref = per_sample_client_update(data.view(k), mask, eta, beta, mu,
                                                sigma, theta.sigma2, d, cache.r)
@@ -410,6 +417,35 @@ class TestTransports:
             assert np.array_equal(a, b)
         assert res_a.theta.sigma2 == res_b.theta.sigma2
 
+    @settings(max_examples=12, deadline=None)
+    @given(blocks=st.integers(1, 4).flatmap(lambda K: st.lists(
+               st.tuples(st.integers(1, 3), st.sampled_from([0.0, 0.3, 0.9])),
+               min_size=K, max_size=K)),
+           n=st.integers(60, 120), max_iters=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 16))
+    def test_transports_agree_on_any_layout(self, blocks, n, max_iters, seed):
+        # K = 1..4 clients of 1..3 columns, each missing none, some or most
+        # of its rows: both transports fit bit for bit alike, and each sends
+        # one opening per remote client and two records per remote client
+        # and iteration, whatever the stop
+        dims, rates = zip(*blocks)
+        data, _ = make_instance(n, dims, rates, seed=seed)
+        res = {transport: fit(data, FitConfig(engine="federated", max_iters=max_iters,
+                                              transport=transport))
+               for transport in ("inproc", "socket")}
+        a, b = res["inproc"], res["socket"]
+        assert np.array_equal(a.loss_trace, b.loss_trace)
+        assert np.array_equal(a.beta_step_trace, b.beta_step_trace)
+        for x, y in zip((a.theta.beta, *a.theta.mu, *a.theta.sigma_blocks),
+                        (b.theta.beta, *b.theta.mu, *b.theta.sigma_blocks)):
+            assert np.array_equal(x, y)
+        assert repr(a.theta.sigma2) == repr(b.theta.sigma2)
+        assert (a.reason, a.iterations, a.eta_halvings) \
+            == (b.reason, b.iterations, b.eta_halvings)
+        assert a.comm == b.comm
+        R = len(dims) - 1
+        assert a.comm["messages"] == 2 * R * a.iterations + R
+
     def test_socket_connections_disable_nagle(self, monkeypatch):
         # every record is a whole message its peer waits for; Nagle's
         # algorithm could only hold its last segment back. Clients 2 and 3
@@ -437,30 +473,36 @@ class TestTransports:
 
     @pytest.mark.parametrize("stop", ["loss", "max_iters", "stalled", "diverged"])
     def test_socket_client_threads_end_with_the_fit(self, monkeypatch, stop):
-        # each client thread returns once its agent is done; one still
-        # blocked in a read when the fit closes its transport would hold
-        # close() for the 5 s join timeout
-        opened, alive = [], []
+        # a client told `last` returns once it has replied; after a stall
+        # stop the clients are told nothing, and closing their connections
+        # ends them. One still blocked in a read after close() would hold it
+        # for the 5 s join timeout
+        opened, alive, close_s = [], [], []
         init, close = SocketTransport.__init__, SocketTransport.close
 
         def record_init(transport, *args, **kwargs):
             opened.append(transport)
             init(transport, *args, **kwargs)
 
-        def check_then_close(transport):
-            for th in transport._threads:
-                th.join(timeout=2.0)
-            alive.extend(th for th in transport._threads if th.is_alive())
+        def timed_close(transport):
+            if stop != "stalled":
+                for th in transport._threads:
+                    th.join(timeout=2.0)
+                alive.extend(th for th in transport._threads if th.is_alive())
+            started = time.perf_counter()
             close(transport)
+            close_s.append(time.perf_counter() - started)
+            alive.extend(th for th in transport._threads if th.is_alive())
 
         monkeypatch.setattr(SocketTransport, "__init__", record_init)
-        monkeypatch.setattr(SocketTransport, "close", check_then_close)
+        monkeypatch.setattr(SocketTransport, "close", timed_close)
         data, cfg = STOP_INSTANCES[stop]()
         res = fit(data, FitConfig(engine="federated", transport="socket", **cfg))
         assert res.reason == stop
         assert len(opened) == 1
         assert len(opened[0]._threads) == data.layout.num_clients - 1
         assert not alive
+        assert close_s and max(close_s) < 1.0
 
     def test_socket_fit_starts_one_thread_per_remote_client(self, monkeypatch):
         started = []
@@ -548,20 +590,20 @@ class TestTransports:
         assert res.comm["bytes_total"] / (n * res.iterations) <= 1024
 
     def test_one_round_trip_per_iteration(self):
-        # per remote client: round_begin and the first local fit; per
-        # iteration the broadcast and the reply, which is the next local fit
-        # or, on the last iteration, the step alone. Client 1's records stay
-        # in the coordinator's process and are not counted
+        # per remote client: the local fit it opens with; per iteration the
+        # broadcast and the reply, which is the next local fit or, on the
+        # last iteration, the step alone. Client 1's records stay in the
+        # coordinator's process and are not counted
         data, _ = generate(smes_like_config(n=600, seed=3))
         R = data.layout.num_clients - 1
         res = fit(data, FitConfig(engine="federated", max_iters=4, tol=1e-300))
         assert res.iterations == 4
-        assert res.comm["messages"] == 2 * R * res.iterations + 2 * R
+        assert res.comm["messages"] == 2 * R * res.iterations + R
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     @pytest.mark.parametrize("stop", ["loss", "max_iters", "diverged"])
     def test_message_flow_of_a_fit(self, tmp_path, transport, stop):
-        # one round_begin per remote client, then per iteration one
+        # one opening local fit per remote client, then per iteration one
         # broadcast and one reply; the server tells the clients the last
         # iteration, so the fit ends on their step replies and needs no
         # record of its own
@@ -572,28 +614,28 @@ class TestTransports:
         assert res.reason == stop
         R, T = data.layout.num_clients - 1, res.iterations
         kinds = trace_kinds(path)
-        assert kinds == {CONTROL: R, ESTEP_LOCAL_FIT: R * T,
-                         ESTEP_BROADCAST: R * T, VARSTEP_SCALAR: R}
-        assert res.comm["messages"] == 2 * R * T + 2 * R
+        assert kinds == {ESTEP_LOCAL_FIT: R * T, ESTEP_BROADCAST: R * T,
+                         VARSTEP_SCALAR: R}
+        assert res.comm["messages"] == 2 * R * T + R
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     def test_message_flow_of_a_stalled_fit(self, tmp_path, transport):
         # the stall is judged on the step norms that come with the clients'
         # next local fits, after the last broadcast went out without `last`:
-        # those fits go unused and "converged" releases the clients
+        # those fits go unused, and nothing more is sent
         data, cfg = STOP_INSTANCES["stalled"]()
         path = tmp_path / "trace.log"
         res = fit(data, FitConfig(engine="federated", transport=transport,
                                   trace_path=str(path), **cfg))
         assert res.reason == "stalled"
         R, T = data.layout.num_clients - 1, res.iterations
-        assert trace_kinds(path) == {CONTROL: 2 * R, ESTEP_LOCAL_FIT: R * (T + 1),
+        assert trace_kinds(path) == {ESTEP_LOCAL_FIT: R * (T + 1),
                                      ESTEP_BROADCAST: R * T}
-        assert res.comm["messages"] == 2 * R * T + 3 * R
+        assert res.comm["messages"] == 2 * R * T + R
         tail = [decode(line) for line in path.read_text().splitlines()[-R:]]
-        assert all(msg.kind == CONTROL and msg.payload == {"event": "converged"}
-                   and msg.t == T for msg in tail)
-        assert sorted(msg.to for msg in tail) == list(data.layout.clients())[1:]
+        assert all(msg.kind == ESTEP_LOCAL_FIT and msg.t == T
+                   and msg.to == SERVER_ID for msg in tail)
+        assert sorted(msg.sender for msg in tail) == list(data.layout.clients())[1:]
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     def test_bytes_by_kind_add_up_to_the_trace(self, tmp_path, transport):
@@ -658,7 +700,7 @@ class TestHandshake:
 
         schema = WireSchema(BlockLayout((1, 1, 1)), MissingMask(np.zeros((3, 3))))
         with pytest.raises(ProtocolDesync):
-            BadHelloTransport({1: None, 2: None, 3: None}, schema)
+            BadHelloTransport({k: OpeningAgent(k, 3) for k in (1, 2, 3)}, schema)
         transport = opened[0]
         assert transport._listener.fileno() == -1
         # each client blocks reading until the server closes its connection,
@@ -684,7 +726,7 @@ class TestHandshake:
 
         def run():
             try:
-                SilentTransport({1: None, 2: None, 3: None}, schema)
+                SilentTransport({k: OpeningAgent(k, 3) for k in (1, 2, 3)}, schema)
             except BaseException as err:
                 outcome.append(err)
 
@@ -741,9 +783,9 @@ class TestDesync:
         data, _ = make_instance(40, (2, 2), 0.3, seed=5)
         theta = initialize(data, FitConfig())
         agents, coord, transport = build_protocol(data, theta)
+        d = np.ones(len(data.mask.missing_patterns()))
         with pytest.raises(ProtocolDesync):
-            agents[1].handle_message(Message(0, SERVER_ID, CONTROL,
-                                             {"event": "round_begin"}, to=2))
+            agents[1].handle_message(broadcast_to(2, data.mask, 1.0, d, data.y))
 
     def test_crashing_socket_client_releases_the_others(self):
         data, _ = make_instance(40, (2, 2, 2), 0.3, seed=5)
@@ -768,25 +810,129 @@ class TestDesync:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("transport_cls", [InProcessTransport, SocketTransport])
     @pytest.mark.parametrize("client", [1, 2])
-    def test_non_finite_local_fit_is_a_schema_violation(self, transport_cls,
-                                                        client):
+    def test_non_finite_local_fit_is_a_schema_violation(self, tmp_path,
+                                                        transport_cls, client):
         # client 1's records are never encoded, but still validated: its
-        # non-finite fit fails as a remote client's does. A socket client
-        # fails in its own thread, which the server reports as a desync
+        # non-finite opening fails as a remote client's does. The transport
+        # takes the openings of client 1 and of in-process clients when it
+        # is built, before it opens its trace file; a socket client fails
+        # in its own thread, which the server reports as a desync when it
+        # collects the openings
+        data, _ = make_instance(40, (2, 2), 0.3, seed=5)
+        theta = initialize(data, FitConfig())
+        agents = build_agents(data, theta)
+        agents[client].beta[:] = np.inf
+        schema = WireSchema(data.layout, data.mask)
+        path = tmp_path / "trace.log"
+        if transport_cls is InProcessTransport or client == 1:
+            with pytest.raises(SchemaViolation):
+                transport_cls(agents, schema, trace_path=str(path))
+            assert not path.exists()
+            return
+        transport = transport_cls(agents, schema, trace_path=str(path))
+        coord = ServerCoordinator(data.y, data.layout, data.mask, theta.sigma2,
+                                  transport)
+        try:
+            with pytest.raises(ProtocolDesync) as info:
+                coord.evaluate()
+        finally:
+            transport.close()
+        assert isinstance(info.value.__cause__, SchemaViolation)
+
+    @pytest.mark.parametrize("transport_cls", [InProcessTransport, SocketTransport])
+    def test_finished_client_accepts_nothing_more(self, transport_cls):
+        # after its reply to the `last` broadcast a client takes no record:
+        # its agent refuses one, and a socket client has hung up
+        data, _ = make_instance(40, (2, 2, 2), 0.3, seed=5)
+        theta = initialize(data, FitConfig())
+        agents, coord, transport = build_protocol(data, theta,
+                                                  transport_cls=transport_cls)
+        d = np.ones(len(data.mask.missing_patterns()))
+        try:
+            coord.evaluate()
+            coord.advance(last=True)
+            for th in getattr(transport, "_threads", ()):
+                th.join(timeout=2.0)
+                assert not th.is_alive()
+            for k in data.layout.clients():
+                msg = broadcast_to(k, data.mask, 1.0, d, data.y, t=coord.t)
+                assert agents[k].done
+                with pytest.raises(ProtocolDesync):
+                    agents[k].handle_message(msg)
+                with pytest.raises(ProtocolDesync):
+                    transport.send_to_client(k, msg)
+                    transport.recv_from_client(k)
+        finally:
+            transport.close()
+
+    @pytest.mark.parametrize("transport_cls", [InProcessTransport, SocketTransport])
+    def test_forged_control_record_is_a_schema_violation(self, transport_cls):
+        # `control` is no kind of the wire: the server cannot send one
         data, _ = make_instance(40, (2, 2), 0.3, seed=5)
         theta = initialize(data, FitConfig())
         agents, coord, transport = build_protocol(data, theta,
                                                   transport_cls=transport_cls)
-        agents[client].beta[:] = np.inf
         try:
-            with pytest.raises((SchemaViolation, ProtocolDesync)) as info:
-                coord.evaluate()
+            for k in data.layout.clients():
+                for event in ("round_begin", "converged"):
+                    with pytest.raises(SchemaViolation):
+                        transport.send_to_client(
+                            k, Message(0, SERVER_ID, "control", {"event": event}, to=k))
+            assert transport.counters.messages == 0
         finally:
             transport.close()
-        remote_socket = transport_cls is SocketTransport and client != 1
-        err = info.value.__cause__ if remote_socket else info.value
-        assert isinstance(info.value, ProtocolDesync) == remote_socket
-        assert isinstance(err, SchemaViolation)
+
+    def test_forged_control_record_from_a_socket_client_rejected(self):
+        # a record of a kind the wire does not have is rejected when the
+        # server reads it; `encode` cannot write one, so it is forged here
+        line = '{"t":0,"from":2,"to":0,"kind":"control","payload":{"event":"round_begin"}}\n'
+
+        class ForgingTransport(SocketTransport):
+            def _client_loop(self, k, agent, host, port):
+                with socket.create_connection((host, port)) as sock, \
+                        sock.makefile("rb") as reader:
+                    sock.sendall(f"{k}\n{line}".encode())
+                    reader.read()  # until the server hangs up
+
+        data, _ = make_instance(40, (2, 2), 0.3, seed=5)
+        theta = initialize(data, FitConfig())
+        agents, coord, transport = build_protocol(data, theta,
+                                                  transport_cls=ForgingTransport)
+        try:
+            with pytest.raises(SchemaViolation):
+                transport.recv_from_client(2)
+        finally:
+            transport.close()
+        assert not any(th.is_alive() for th in transport._threads)
+
+    def test_hung_socket_client_ends_the_fit(self, monkeypatch):
+        # client 2 stops answering at t = 3: the server gives up on it after
+        # _REPLY_TIMEOUT seconds instead of waiting for its reply
+        monkeypatch.setattr(transport_module, "_REPLY_TIMEOUT", 0.3)
+        on_broadcast = ClientAgent._on_estep_broadcast
+        hung, closed = [], []
+
+        def hang_at_3(agent, msg):
+            if agent.k == 2 and msg.t == 3:
+                hung.append(time.perf_counter())
+                time.sleep(2.0)
+            return on_broadcast(agent, msg)
+
+        close = SocketTransport.close
+
+        def record_close(transport):
+            closed.append(time.perf_counter())
+            close(transport)
+
+        monkeypatch.setattr(ClientAgent, "_on_estep_broadcast", hang_at_3)
+        monkeypatch.setattr(SocketTransport, "close", record_close)
+        data, _ = make_instance(60, (2, 3, 2), 0.3, seed=41)
+        with pytest.raises(ProtocolDesync, match="client 2 sent no record") as info:
+            fit(data, FitConfig(engine="federated", transport="socket",
+                                max_iters=10, tol=1e-300))
+        assert isinstance(info.value.__cause__, TimeoutError)
+        # the fit failed while client 2 still hung
+        assert len(hung) == 1 and closed[0] - hung[0] < 1.8
 
     def test_stale_iteration_detected(self):
         data, _ = make_instance(40, (2, 2), 0.3, seed=5)
