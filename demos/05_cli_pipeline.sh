@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end command-line pipeline in a scratch directory:
 # generate -> fit (with a wire trace, in process and over sockets) -> infer
-# -> montecarlo.
+# -> refit to a tight tolerance -> exact inference -> montecarlo.
 set -e
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
@@ -22,6 +22,11 @@ cmp trace.log trace_socket.log && echo "socket trace identical"
 
 echo "== infer (sketched standard errors) =="
 vfem infer --data data --fit fit.json --out infer.json --stats sketch --seed 1
+
+echo "== refit to a tight tolerance, then exact standard errors =="
+vfem fit --data data --tol 1e-12 --out fit_tight.json
+vfem infer --data data --fit fit_tight.json --out infer_tight.json --stats exact
+echo "tight refit inferred"
 
 echo "== montecarlo =="
 vfem montecarlo --reps 5 --n 400 --clients 2,2 --rho 0.3 \

@@ -6,8 +6,8 @@ one protocol round trip per iteration with a first-order coefficient step;
 the oracle engine iterates `em_map` on per-pattern moments built once per
 fit, so an iteration costs O(G (p+2)^3) whatever n is. The loop in `fit`
 owns everything else, once for both: the loss and step traces, the
-tolerance and stall stops, the divergence guard and the result. Both engines
-monitor the same loss (mean squared residual plus the conditional-covariance
+tolerance stop, the divergence guard and the result. Both engines monitor
+the same loss (mean squared residual plus the conditional-covariance
 corrections) and stop when successive losses differ by less than the
 tolerance.
 
@@ -16,10 +16,9 @@ iteration's start, which is all the loop needs to judge it: whether that
 start is the best iterate so far, whether to restore the best iterate with
 half the step, and whether the fit stops. `advance` then takes the step
 under that verdict, told whether it is the last, and returns the norm of
-the coefficient step, which only the stall stop reads. The federated engine
-thus sends the verdict with its broadcast, and learns the step from the
-replies that carry the clients' next local fits. After a stall stop, which
-those replies decide, nothing more is sent; closing the transport ends it.
+the coefficient step for the step trace. Every stop is decided before the
+iteration's step, so the federated engine sends the verdict with its
+broadcast, and a fit always ends on a broadcast marked `last`.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ class FitConfig:
     engine: str = "federated"
     transport: str = "inproc"
     trace_path: Optional[str] = None
-    beta_stall_tol: float = 1e-10
     divergence_patience: int = 10
 
     def __post_init__(self):
@@ -208,13 +206,6 @@ def plug_in_learning_rate(theta0: ModelParameters) -> float:
     return float(2.0 / (eigs.max() + eigs.min()))
 
 
-def _loss_quiet(loss: float, prev: Optional[float]) -> bool:
-    # relative plateau check for the stagnation stop; the distributional
-    # parameters keep settling after the coefficients freeze, so a frozen
-    # coefficient step alone must not end the loop
-    return prev is not None and abs(loss - prev) <= 1e-8 * max(1.0, abs(loss))
-
-
 class _OracleEngine:
     """The closed-form EM map, `em_map` on the data's per-pattern moments;
     the per-sample `estep` and `closed_form_m_step` stay as its reference.
@@ -319,8 +310,7 @@ class _FederatedEngine:
 
     def finish(self) -> tuple[ModelParameters, Optional[dict]]:
         # socket clients update in their own threads; closing the transport
-        # ends them, after a stop without `last` too, and joins them before
-        # theta is read
+        # joins them before theta is read
         self.transport.close()
         theta = _collect_theta(self.agents, self.coord, self.layout)
         return theta, self.transport.counters.snapshot()
@@ -376,12 +366,6 @@ def fit(data: VerticalDataset, cfg: FitConfig,
             last = stop or t == cfg.max_iters - 1
             step = engine.advance(t, is_best, restore, last, inspect)
             steps.append(step)
-            if (not (restore or stop) and step < cfg.beta_stall_tol
-                    and _loss_quiet(loss, prev)):
-                # frozen coefficients and a quiet loss: nothing left to move,
-                # but the tolerance itself never fired
-                reason, stop = "stalled", True
-
             prev = None if restore else loss
             if stop:
                 break

@@ -24,12 +24,13 @@ depends only on r, d and sigma2, so the server judges an iteration before
 it broadcasts, and its verdict rides on the broadcast; each client's reply
 is its local fit for the next iteration, with the norm of the step it just
 took. One iteration is thus one record down and one up per client, and a
-client opens the fit unasked with its first local fit. Client 1 hosts the
-coordinator, so its records are handed over in process and only the other
-clients' cross the transport; the agents and the coordinator do not tell
-the two apart. The coordinator never stores covariate-dimensional raw
-data, only the enumerated statistics; Sigma_k beta_k never leaves its
-client.
+client opens the fit unasked with its first local fit. Every fit's final
+broadcast is marked `last`: a client answers it with its step alone and
+takes no record after that. Client 1 hosts the coordinator, so its records
+are handed over in process and only the other clients' cross the
+transport; the agents and the coordinator do not tell the two apart. The
+coordinator never stores covariate-dimensional raw data, only the
+enumerated statistics; Sigma_k beta_k never leaves its client.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ class ClientAgent:
         """This client's first record, sent unasked: its local fit at t = 0."""
         return self._local_fit()
 
-    def handle_message(self, msg: Message) -> list[Message]:
+    def handle_message(self, msg: Message) -> Message:
+        """This client's one reply to a broadcast."""
         if (self.done or msg.kind != ESTEP_BROADCAST or msg.t != self._t
                 or msg.to != self.k):
             raise ProtocolDesync(
@@ -156,7 +158,7 @@ class ClientAgent:
             pay["step"] = step
         return Message(self._t, self.k, ESTEP_LOCAL_FIT, pay)
 
-    def _on_estep_broadcast(self, msg: Message) -> list[Message]:
+    def _on_estep_broadcast(self, msg: Message) -> Message:
         pay = msg.payload
         sigma2 = float(pay["sigma2"])
         d = np.asarray(pay["denom"], dtype=float)
@@ -194,8 +196,8 @@ class ClientAgent:
         self._t += 1
         if pay["last"]:
             self.done = True
-            return [Message(self._t, self.k, VARSTEP_SCALAR, {"value": step})]
-        return [self._local_fit(step)]
+            return Message(self._t, self.k, VARSTEP_SCALAR, {"value": step})
+        return self._local_fit(step)
 
 
 class ServerCoordinator:

@@ -20,11 +20,9 @@ rows (length m_k), two scalars, mu_k' beta_k and beta_k' Sigma_k beta_k,
 and `step`, the norm of the coefficient step it just took. A client opens
 the fit unasked with its t = 0 local fit, which carries no step; the reply
 to a `last` broadcast is `varstep_scalar`, that step norm alone. Either
-reply to the broadcast of iteration t is stamped t + 1. A fit that stops
-on a frozen step, which the server judges only once the replies are in,
-sends nothing more: the local fits that came with those replies go unused.
-So a fit sends its clients' openings and then two records per client and
-iteration, whatever its stop reason.
+reply to the broadcast of iteration t is stamped t + 1. Every fit ends on
+a `last` broadcast, so a fit sends its clients' openings and then two
+records per client and iteration, whatever its stop reason.
 
 The server is the coordinator role of client 1, which holds the response.
 Client 1's own records are validated against this schema like any other,

@@ -5,16 +5,16 @@ recv_from_client) and deliver a record only to the client it is addressed
 to. The coordinator sits with `BlockLayout.server_client` (client 1, which
 holds the response), so the records between the two never leave the
 coordinator's process: on both transports they are validated and handed
-over as `Message` objects, never encoded, counted or traced. That client's
-agent reads its records when the server collects its reply, so the records
-to the other clients leave first.
+over as `Message` objects, never encoded, counted or traced.
 
-Every record to or from another client crosses the transport. Both
-transports count and trace those with the same canonical encoding, so byte
-counters, traces, and numerical results are identical across transports.
-The in-process variant steps each of those agents inline (single-threaded
-round robin); the socket variant runs one thread per remote client
-speaking newline-delimited records.
+An agent stepped in the server's process, client 1 on both transports and
+every client in process, reads the records queued for it when the server
+collects its reply, so the records to the other clients leave first. Every
+record to or from another client crosses the transport. Both transports
+count and trace those with the same canonical encoding, so byte counters,
+traces, and numerical results are identical across transports. The socket
+variant runs one thread per remote client speaking newline-delimited
+records.
 
 The transport takes each agent's opening record (`ClientAgent.open`) when
 it is built; a socket client sends its own right after its hello. Trace
@@ -22,16 +22,18 @@ records are appended in the server's event order: a send when the server
 emits it, a client's record when the server collects it.
 
 A socket client's thread returns once its agent is done, after its reply
-to the `last` broadcast, or when the server closes its connection; so
-closing the transport never waits on a client blocked in a read.
+to the `last` broadcast that ends every fit, or when the server closes its
+connection; so closing the transport never waits on a client blocked in a
+read, and waits `_JOIN_TIMEOUT` seconds in all for one that hangs.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
+import time
 from collections import deque
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import ProtocolDesync
 from .messages import Message, WireSchema, decode, encode
@@ -43,6 +45,8 @@ _ACCEPT_POLL = 0.05
 _HELLO_TIMEOUT = 5.0
 # seconds the server waits on a connected client for its next record
 _REPLY_TIMEOUT = 60.0
+# seconds `SocketTransport.close` waits, in all, for the client threads
+_JOIN_TIMEOUT = 5.0
 
 
 class ByteCounters:
@@ -76,18 +80,21 @@ def _opening(agent, schema: WireSchema) -> Message:
 
 
 class BaseTransport:
-    """The checks every record passes and the local path to the server
-    client; a subclass carries the records of the other (remote) clients
-    in `_send` and `_recv`."""
+    """The checks every record passes and the queues of the agents stepped
+    in the server's process; a subclass carries the records of the other
+    clients in `_send` and `_recv`."""
 
-    def __init__(self, agents: dict, schema: WireSchema,
+    def __init__(self, agents: dict, schema: WireSchema, local: Iterable[int],
                  trace_path: Optional[str] = None):
         self.schema = schema
         self.num_clients = len(agents)
         self.local_client = schema.layout.server_client
-        self._local_agent = agents[self.local_client]
-        self._local_inbox: deque = deque()
-        self._local_outbox = deque([_opening(self._local_agent, schema)])
+        # the agents in `local` each read their queued records when the
+        # server collects their reply
+        self._agents = {k: agents[k] for k in local}
+        self._inboxes = {k: deque() for k in local}
+        self._outboxes = {k: deque([_opening(agent, schema)])
+                          for k, agent in self._agents.items()}
         self.counters = ByteCounters()
         # opened last, so a failing opening leaves no file open
         self._trace_file = open(trace_path, "w") if trace_path else None
@@ -106,31 +113,34 @@ class BaseTransport:
             raise ProtocolDesync(f"{msg.kind!r} addressed to client {msg.to} "
                                  f"sent to client {k}")
 
-    def _handle(self, agent, msg: Message) -> list[Message]:
-        """An agent's replies to one record, each validated as it is sent."""
-        replies = agent.handle_message(msg)
-        for reply in replies:
-            self.schema.validate(reply)
-        return replies
+    def _handle(self, agent, msg: Message) -> Message:
+        """An agent's reply to one record, validated as it is sent."""
+        reply = agent.handle_message(msg)
+        self.schema.validate(reply)
+        return reply
 
     def send_to_client(self, k: int, msg: Message) -> None:
         self._check_recipient(k, msg)
         self.schema.validate(msg)
-        if k == self.local_client:
-            self._local_inbox.append(msg)
-        else:
+        if k not in self._agents:
             self._send(k, msg)
+            return
+        if k != self.local_client:
+            self._record(msg, outgoing=True)
+        self._inboxes[k].append(msg)
 
     def recv_from_client(self, k: int) -> Message:
-        if k != self.local_client:
+        if k not in self._agents:
             return self._recv(k)
-        # the local agent reads every record queued for it
-        while self._local_inbox:
-            self._local_outbox.extend(
-                self._handle(self._local_agent, self._local_inbox.popleft()))
-        if not self._local_outbox:
+        inbox, outbox = self._inboxes[k], self._outboxes[k]
+        while inbox:
+            outbox.append(self._handle(self._agents[k], inbox.popleft()))
+        if not outbox:
             raise ProtocolDesync(f"no pending message from client {k}")
-        return self._local_outbox.popleft()
+        msg = outbox.popleft()
+        if k != self.local_client:
+            self._record(msg, outgoing=False)
+        return msg
 
     def _send(self, k: int, msg: Message) -> None:
         raise NotImplementedError
@@ -145,29 +155,12 @@ class BaseTransport:
 
 
 class InProcessTransport(BaseTransport):
-    """Single-threaded round robin: delivering a message immediately steps
-    the addressed remote agent; its replies queue until the server collects
-    them."""
+    """Single-threaded round robin: every agent is stepped in the server's
+    process when the server collects its reply."""
 
     def __init__(self, agents: dict, schema: WireSchema,
                  trace_path: Optional[str] = None):
-        # before the base opens the trace file
-        self._outboxes: dict[int, deque] = {
-            k: deque([_opening(agent, schema)]) for k, agent in agents.items()
-            if k != schema.layout.server_client}
-        super().__init__(agents, schema, trace_path)
-        self.agents = agents
-
-    def _send(self, k: int, msg: Message) -> None:
-        self._record(msg, outgoing=True)
-        self._outboxes[k].extend(self._handle(self.agents[k], msg))
-
-    def _recv(self, k: int) -> Message:
-        if not self._outboxes[k]:
-            raise ProtocolDesync(f"no pending message from client {k}")
-        msg = self._outboxes[k].popleft()
-        self._record(msg, outgoing=False)
-        return msg
+        super().__init__(agents, schema, agents, trace_path)
 
 
 class SocketTransport(BaseTransport):
@@ -188,7 +181,8 @@ class SocketTransport(BaseTransport):
 
     def __init__(self, agents: dict, schema: WireSchema,
                  trace_path: Optional[str] = None):
-        super().__init__(agents, schema, trace_path)
+        super().__init__(agents, schema, (schema.layout.server_client,),
+                         trace_path)
         self._listener: Optional[socket.socket] = None
         self._threads = []
         self._errors: list[BaseException] = []
@@ -270,8 +264,8 @@ class SocketTransport(BaseTransport):
                     line = reader.readline()
                     if not line:
                         return
-                    for reply in self._handle(agent, decode(line)):
-                        sock.sendall(encode(reply).encode("utf-8"))
+                    reply = self._handle(agent, decode(line))
+                    sock.sendall(encode(reply).encode("utf-8"))
             except BaseException as err:
                 self._errors.append(err)
 
@@ -316,6 +310,8 @@ class SocketTransport(BaseTransport):
                 pass
         if self._listener is not None:
             self._listener.close()
+        # one deadline for all threads, so hung clients hold it once
+        deadline = time.monotonic() + _JOIN_TIMEOUT
         for th in self._threads:
-            th.join(timeout=5.0)
+            th.join(timeout=max(0.0, deadline - time.monotonic()))
         super().close()

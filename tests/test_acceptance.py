@@ -288,8 +288,7 @@ def test_criterion_08_rate_matrix_sanity():
     radii, diag_means = [], []
     for rho2 in (0.1, 0.5, 0.9):
         data, _ = make_instance(1500, (2, 2, 2), (0.0, rho2, 0.0), seed=77)
-        res = fit(data, FitConfig(engine="oracle", max_iters=50000, tol=1e-13,
-                                  beta_stall_tol=0.0))
+        res = fit(data, FitConfig(engine="oracle", max_iters=50000, tol=1e-13))
         vec = ThetaVectorizer(data.layout, scope="beta")
         gamma = sem_jacobian(res.theta, pattern_moments(data), vec)
         radii.append(float(np.abs(np.linalg.eigvals(gamma)).max()))
@@ -297,8 +296,7 @@ def test_criterion_08_rate_matrix_sanity():
     for n, dims, rho, seed in random_battery(np.random.default_rng(88), 4,
                                              n_max=400, p_max=8, rho_max=0.4):
         data, _ = make_instance(n, dims, rho, seed=seed)
-        res = fit(data, FitConfig(engine="oracle", max_iters=50000, tol=1e-13,
-                                  beta_stall_tol=0.0))
+        res = fit(data, FitConfig(engine="oracle", max_iters=50000, tol=1e-13))
         vec = ThetaVectorizer(data.layout, scope="beta")
         gamma = sem_jacobian(res.theta, pattern_moments(data), vec)
         radii.append(float(np.abs(np.linalg.eigvals(gamma)).max()))

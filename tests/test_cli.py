@@ -176,6 +176,21 @@ def test_infer_sketch_switches_accept_only_booleans(dataset_dir, tmp_path, capsy
     assert report["sketch_exact_within"] is False
 
 
+def test_tight_refit_converges_and_infers(tmp_path, capsys):
+    # the refit `vfem infer` suggests for a loose fit: at tol 1e-12 the loss
+    # stop ends it, however small the coefficient steps have become
+    data_dir, fit_path = tmp_path / "data", tmp_path / "fit.json"
+    assert main(["generate", "--n", "3000", "--clients", "2,2,2", "--rho", "0.3",
+                 "--seed", "1", "--out", str(data_dir)]) == EXIT_OK
+    assert main(["fit", "--data", str(data_dir), "--tol", "1e-12",
+                 "--out", str(fit_path)]) == EXIT_OK
+    report = json.loads(fit_path.read_text())["fit"]
+    assert report["reason"] == "loss" and report["converged"] is True
+    assert report["iterations"] == 59
+    assert main(["infer", "--data", str(data_dir), "--fit", str(fit_path),
+                 "--out", str(tmp_path / "infer.json")]) == EXIT_OK
+
+
 def test_fit_reports_deterministic(dataset_dir, tmp_path):
     outs = []
     for run in range(2):

@@ -50,6 +50,8 @@ def test_cli_pipeline_demo_runs(tmp_path):
     assert "report written to infer.json" in proc.stdout, proc.stdout
     # the transports write the same trace, byte for byte
     assert "socket trace identical" in proc.stdout, proc.stdout
+    # the tight refit `vfem infer` suggests converges and is accepted
+    assert "tight refit inferred" in proc.stdout, proc.stdout
 
 
 def test_readme_quick_start_runs():

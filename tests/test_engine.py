@@ -100,8 +100,7 @@ class TestFit:
         data, _ = make_instance(150, (2, 2), 0.0, seed=4)
         x = data.full_design()
         beta_ls = np.linalg.solve(x.T @ x, x.T @ data.y)
-        res = fit(data, FitConfig(engine="oracle", max_iters=3, tol=1e-300,
-                                  beta_stall_tol=0.0))
+        res = fit(data, FitConfig(engine="oracle", max_iters=3, tol=1e-300))
         # the first maximization already lands on the solution
         assert rel_err(res.theta.beta, beta_ls) < 1e-10
 

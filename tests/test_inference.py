@@ -33,8 +33,7 @@ from vfem.inference import two_sided_p
 
 
 def tight_fit(data):
-    return fit(data, FitConfig(engine="oracle", max_iters=50000, tol=1e-13,
-                               beta_stall_tol=0.0))
+    return fit(data, FitConfig(engine="oracle", max_iters=50000, tol=1e-13))
 
 
 def gram_at(theta, data):

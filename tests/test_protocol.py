@@ -236,8 +236,7 @@ class TestRounds:
 
     def test_noise_variance_stays_positive_across_iterations(self):
         data, _ = make_instance(120, (2, 2), 0.4, seed=31)
-        res = fit(data, FitConfig(engine="federated", max_iters=100, tol=1e-300,
-                                  beta_stall_tol=0.0))
+        res = fit(data, FitConfig(engine="federated", max_iters=100, tol=1e-300))
         # an exact floating-point fixed point may stop the loop early
         assert res.iterations == 100 or res.loss_trace[-1] == res.loss_trace[-2]
         assert np.all(res.loss_trace > 0)
@@ -251,8 +250,6 @@ STOP_INSTANCES = {
     "diverged": lambda: (make_instance(200, (2, 2), 0.3, seed=14)[0],
                          {"learning_rate": 1000.0, "divergence_patience": 3,
                           "max_iters": 1500, "tol": 1e-9}),
-    "stalled": lambda: (make_instance(400, (2, 1, 3), 0.3, seed=5)[0],
-                        {"tol": 1e-10}),
 }
 
 
@@ -471,12 +468,11 @@ class TestTransports:
         finally:
             transport.close()
 
-    @pytest.mark.parametrize("stop", ["loss", "max_iters", "stalled", "diverged"])
+    @pytest.mark.parametrize("stop", ["loss", "max_iters", "diverged"])
     def test_socket_client_threads_end_with_the_fit(self, monkeypatch, stop):
-        # a client told `last` returns once it has replied; after a stall
-        # stop the clients are told nothing, and closing their connections
-        # ends them. One still blocked in a read after close() would hold it
-        # for the 5 s join timeout
+        # every fit ends on a `last` broadcast: a client told `last` returns
+        # once it has replied, before the transport closes. One still blocked
+        # in a read after close() would hold it for the join timeout
         opened, alive, close_s = [], [], []
         init, close = SocketTransport.__init__, SocketTransport.close
 
@@ -485,10 +481,9 @@ class TestTransports:
             init(transport, *args, **kwargs)
 
         def timed_close(transport):
-            if stop != "stalled":
-                for th in transport._threads:
-                    th.join(timeout=2.0)
-                alive.extend(th for th in transport._threads if th.is_alive())
+            for th in transport._threads:
+                th.join(timeout=2.0)
+            alive.extend(th for th in transport._threads if th.is_alive())
             started = time.perf_counter()
             close(transport)
             close_s.append(time.perf_counter() - started)
@@ -548,7 +543,7 @@ class TestTransports:
         path = tmp_path / "trace.log"
         res = fit(data, FitConfig(engine="federated", transport=transport,
                                   max_iters=6000, tol=1e-12, trace_path=str(path)))
-        assert res.reason in ("loss", "stalled")
+        assert res.reason == "loss"
         assert res.comm["messages"] == 0 and res.comm["bytes_total"] == 0
         assert res.comm["bytes_by_kind"] == {}
         assert path.read_bytes() == b""
@@ -617,25 +612,23 @@ class TestTransports:
         assert kinds == {ESTEP_LOCAL_FIT: R * T, ESTEP_BROADCAST: R * T,
                          VARSTEP_SCALAR: R}
         assert res.comm["messages"] == 2 * R * T + R
-
-    @pytest.mark.parametrize("transport", ["inproc", "socket"])
-    def test_message_flow_of_a_stalled_fit(self, tmp_path, transport):
-        # the stall is judged on the step norms that come with the clients'
-        # next local fits, after the last broadcast went out without `last`:
-        # those fits go unused, and nothing more is sent
-        data, cfg = STOP_INSTANCES["stalled"]()
-        path = tmp_path / "trace.log"
-        res = fit(data, FitConfig(engine="federated", transport=transport,
-                                  trace_path=str(path), **cfg))
-        assert res.reason == "stalled"
-        R, T = data.layout.num_clients - 1, res.iterations
-        assert trace_kinds(path) == {ESTEP_LOCAL_FIT: R * (T + 1),
-                                     ESTEP_BROADCAST: R * T}
-        assert res.comm["messages"] == 2 * R * T + R
         tail = [decode(line) for line in path.read_text().splitlines()[-R:]]
-        assert all(msg.kind == ESTEP_LOCAL_FIT and msg.t == T
+        assert all(msg.kind == VARSTEP_SCALAR and msg.t == T
                    and msg.to == SERVER_ID for msg in tail)
         assert sorted(msg.sender for msg in tail) == list(data.layout.clients())[1:]
+
+    @pytest.mark.parametrize("transport", ["inproc", "socket"])
+    def test_fit_once_stopped_on_a_frozen_step_converges(self, transport):
+        # its coefficient step falls below 1e-10, with the loss quiet to 1e-8
+        # relative, two iterations before the loss tolerance fires: the fit
+        # runs on to that tolerance and converges
+        data, _ = make_instance(400, (2, 1, 3), 0.3, seed=5)
+        res = fit(data, FitConfig(engine="federated", transport=transport,
+                                  tol=1e-10))
+        assert res.reason == "loss" and res.converged
+        assert res.iterations == 61
+        R, T = data.layout.num_clients - 1, res.iterations
+        assert res.comm["messages"] == 2 * R * T + R
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
     def test_bytes_by_kind_add_up_to_the_trace(self, tmp_path, transport):
@@ -933,6 +926,45 @@ class TestDesync:
         assert isinstance(info.value.__cause__, TimeoutError)
         # the fit failed while client 2 still hung
         assert len(hung) == 1 and closed[0] - hung[0] < 1.8
+
+    def test_close_waits_once_for_all_hung_clients(self, monkeypatch):
+        # clients 2..4 hang in their first update: the server gives up on
+        # client 2 after _REPLY_TIMEOUT, and close() then waits _JOIN_TIMEOUT
+        # in all, not once per hung thread (3 x 0.2 s)
+        monkeypatch.setattr(transport_module, "_REPLY_TIMEOUT", 0.3)
+        monkeypatch.setattr(transport_module, "_JOIN_TIMEOUT", 0.2)
+        on_broadcast = ClientAgent._on_estep_broadcast
+        opened, close_s = [], []
+        init, close = SocketTransport.__init__, SocketTransport.close
+
+        def hang(agent, msg):
+            if agent.k != 1:
+                time.sleep(1.5)
+            return on_broadcast(agent, msg)
+
+        def record_init(transport, *args, **kwargs):
+            opened.append(transport)
+            init(transport, *args, **kwargs)
+
+        def timed_close(transport):
+            started = time.perf_counter()
+            close(transport)
+            close_s.append(time.perf_counter() - started)
+
+        monkeypatch.setattr(ClientAgent, "_on_estep_broadcast", hang)
+        monkeypatch.setattr(SocketTransport, "__init__", record_init)
+        monkeypatch.setattr(SocketTransport, "close", timed_close)
+        data, _ = make_instance(60, (2, 2, 2, 2), 0.3, seed=41)
+        try:
+            with pytest.raises(ProtocolDesync, match="client 2 sent no record"):
+                fit(data, FitConfig(engine="federated", transport="socket",
+                                    max_iters=10, tol=1e-300))
+            assert len(opened) == 1 and len(opened[0]._threads) == 3
+            assert close_s and close_s[0] < 0.4
+        finally:
+            # the hung clients wake, find their connections closed and end
+            for th in opened[0]._threads if opened else ():
+                th.join(timeout=10.0)
 
     def test_stale_iteration_detected(self):
         data, _ = make_instance(40, (2, 2), 0.3, seed=5)
