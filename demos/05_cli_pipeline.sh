@@ -15,7 +15,7 @@ vfem fit --data data --engine federated --transport inproc \
     --trace trace.log --out fit.json
 wc -l trace.log
 
-echo "== fit again over loopback sockets: the same trace, byte for byte =="
+echo "== fit again over sockets: the same trace, byte for byte =="
 vfem fit --data data --engine federated --transport socket \
     --trace trace_socket.log --out fit_socket.json
 cmp trace.log trace_socket.log && echo "socket trace identical"

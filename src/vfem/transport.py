@@ -1,4 +1,4 @@
-"""Message transports: in-process queues and loopback TCP sockets.
+"""Message transports: in-process queues and connected socket pairs.
 
 Both present the same server-side interface (send_to_client /
 recv_from_client) and deliver a record only to the client it is addressed
@@ -14,12 +14,12 @@ record to or from another client crosses the transport. Both transports
 count and trace those with the same canonical encoding, so byte counters,
 traces, and numerical results are identical across transports. The socket
 variant runs one thread per remote client speaking newline-delimited
-records.
+records over its own socket pair.
 
 The transport takes each agent's opening record (`ClientAgent.open`) when
-it is built; a socket client sends its own right after its hello. Trace
-records are appended in the server's event order: a send when the server
-emits it, a client's record when the server collects it.
+it is built; a socket client sends its own as soon as its thread starts.
+Trace records are appended in the server's event order: a send when the
+server emits it, a client's record when the server collects it.
 
 A socket client's thread returns once its agent is done, after its reply
 to the `last` broadcast that ends every fit, or when the server closes its
@@ -38,11 +38,6 @@ from typing import Iterable, Optional
 from .errors import ProtocolDesync
 from .messages import Message, WireSchema, decode, encode
 
-_MAX_HELLO = 32  # characters read for a connection's hello line
-# seconds between checks for failed client threads while waiting to accept
-_ACCEPT_POLL = 0.05
-# seconds a new connection has to send its hello line
-_HELLO_TIMEOUT = 5.0
 # seconds the server waits on a connected client for its next record
 _REPLY_TIMEOUT = 60.0
 # seconds `SocketTransport.close` waits, in all, for the client threads
@@ -87,7 +82,6 @@ class BaseTransport:
     def __init__(self, agents: dict, schema: WireSchema, local: Iterable[int],
                  trace_path: Optional[str] = None):
         self.schema = schema
-        self.num_clients = len(agents)
         self.local_client = schema.layout.server_client
         # the agents in `local` each read their queued records when the
         # server collects their reply
@@ -164,101 +158,51 @@ class InProcessTransport(BaseTransport):
 
 
 class SocketTransport(BaseTransport):
-    """One loopback TCP connection and one thread per remote client; the
-    server client has neither, and a one-client fit opens no listener.
+    """One connected socket pair and one thread per remote client; the
+    server client has neither, so a one-client fit opens no socket.
 
-    Both ends set TCP_NODELAY: every record is a whole message its peer is
-    waiting for, so holding its last segment back to coalesce it with later
-    writes can only delay the round.
-
-    While waiting for the clients to connect, the server checks every
-    `_ACCEPT_POLL` seconds whether a client thread has failed, so a client
-    that cannot connect ends the fit with `ProtocolDesync` instead of
-    leaving it waiting forever. A connection that sends no hello within
-    `_HELLO_TIMEOUT` seconds ends it the same way, and so does a connected
-    client that sends no record for `_REPLY_TIMEOUT` seconds while the
-    server waits on it."""
+    The server keeps one end of each pair and the client's thread the
+    other. A client that sends no record for `_REPLY_TIMEOUT` seconds while
+    the server waits on it, or whose connection fails, ends the fit with
+    `ProtocolDesync`."""
 
     def __init__(self, agents: dict, schema: WireSchema,
                  trace_path: Optional[str] = None):
         super().__init__(agents, schema, (schema.layout.server_client,),
                          trace_path)
-        self._listener: Optional[socket.socket] = None
         self._threads = []
         self._errors: list[BaseException] = []
         self._conns: dict[int, socket.socket] = {}
         self._readers = {}
-        remote = {k: agent for k, agent in agents.items()
-                  if k != self.local_client}
         try:
-            if remote:
-                self._connect(remote)
+            for k, agent in agents.items():
+                if k != self.local_client:
+                    self._start_client(k, agent)
         except BaseException:
             self.close()
             raise
 
-    def _connect(self, remote: dict) -> None:
-        """Start one thread per remote client and accept its connection."""
-        self._listener = socket.create_server(("127.0.0.1", 0))
-        host, port = self._listener.getsockname()
-        for k, agent in remote.items():
-            th = threading.Thread(target=self._client_loop,
-                                  args=(k, agent, host, port), daemon=True)
-            th.start()
-            self._threads.append(th)
-        self._listener.settimeout(_ACCEPT_POLL)
-        while len(self._conns) < len(remote):
-            try:
-                conn, _addr = self._listener.accept()
-            except socket.timeout:
-                self._check_errors()
-                continue
-            conn.settimeout(_HELLO_TIMEOUT)
-            reader = conn.makefile("r", encoding="utf-8")
-            try:
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                k = self._read_hello(reader)
-                conn.settimeout(_REPLY_TIMEOUT)
-            except BaseException:
-                reader.close()
-                conn.close()
-                raise
-            self._conns[k] = conn
-            self._readers[k] = reader
-
-    def _read_hello(self, reader) -> int:
-        """The client id a new connection announces; any local process can
-        connect, so it must be a decimal id in 1..K, not the server
-        client's and not yet taken."""
+    def _start_client(self, k: int, agent) -> None:
+        """Connect client `k` and start its thread, which owns its end."""
+        conn, client_end = socket.socketpair()
+        self._conns[k] = conn
         try:
-            hello = reader.readline(_MAX_HELLO)
-        except (OSError, UnicodeDecodeError) as err:
-            raise ProtocolDesync(f"unreadable hello: {err}") from err
-        text = hello[:-1] if hello.endswith("\n") else None
-        if not (text and text.isascii() and text.isdigit()):
-            raise ProtocolDesync(f"malformed hello {hello!r}")
-        k = int(text)
-        if not 1 <= k <= self.num_clients:
-            raise ProtocolDesync(f"hello from unknown client id {k}")
-        if k == self.local_client:
-            raise ProtocolDesync(f"hello from client id {k}, the server client")
-        if k in self._conns:
-            raise ProtocolDesync(f"second connection for client id {k}")
-        return k
+            conn.settimeout(_REPLY_TIMEOUT)
+            self._readers[k] = conn.makefile("r", encoding="utf-8")
+            th = threading.Thread(target=self._client_loop,
+                                  args=(k, agent, client_end), daemon=True)
+            th.start()
+        except BaseException:
+            client_end.close()
+            raise
+        self._threads.append(th)
 
-    def _client_loop(self, k: int, agent, host: str, port: int) -> None:
+    def _client_loop(self, k: int, agent, sock: socket.socket) -> None:
         # a failure is surfaced on the next server-side call; it is recorded
         # before the connection closes, so a server that reads the end of
         # the stream finds its cause
-        try:
-            sock = socket.create_connection((host, port))
-        except BaseException as err:
-            self._errors.append(err)
-            return
         with sock, sock.makefile("r", encoding="utf-8") as reader:
             try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                sock.sendall(f"{k}\n".encode())
                 sock.sendall(encode(_opening(agent, self.schema)).encode("utf-8"))
                 while not agent.done:
                     line = reader.readline()
@@ -285,7 +229,12 @@ class SocketTransport(BaseTransport):
     def _send(self, k: int, msg: Message) -> None:
         line = encode(msg)
         self._record(msg, outgoing=True, line=line)
-        self._conns[k].sendall(line.encode("utf-8"))
+        try:
+            self._conns[k].sendall(line.encode("utf-8"))
+        except OSError as err:
+            # a client that failed and hung up is the cause, not its hang-up
+            self._check_errors()
+            raise ProtocolDesync(f"connection to client {k} lost: {err!r}") from err
 
     def _recv(self, k: int) -> Message:
         try:
@@ -293,6 +242,9 @@ class SocketTransport(BaseTransport):
         except TimeoutError as err:
             raise ProtocolDesync(f"client {k} sent no record within "
                                  f"{_REPLY_TIMEOUT} s") from err
+        except OSError as err:
+            self._check_errors()
+            raise ProtocolDesync(f"connection to client {k} lost: {err!r}") from err
         if not line:
             self._check_errors()
             raise ProtocolDesync(f"connection to client {k} closed mid-round")
@@ -308,8 +260,6 @@ class SocketTransport(BaseTransport):
                 handle.close()
             except OSError:
                 pass
-        if self._listener is not None:
-            self._listener.close()
         # one deadline for all threads, so hung clients hold it once
         deadline = time.monotonic() + _JOIN_TIMEOUT
         for th in self._threads:

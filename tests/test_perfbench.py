@@ -72,7 +72,7 @@ def test_default_infer_benchmark_run_is_correct():
 
 
 def test_pair_socket_benchmark_run_is_correct():
-    # the socket workload: two clients over loopback, run to convergence
+    # the socket workload: two clients over sockets, run to convergence
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
                            "pair-socket", "--seed", "1", "--seconds", "0.1",
                            "--trace", "0"], cwd=ROOT, capture_output=True,

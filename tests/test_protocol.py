@@ -1,4 +1,4 @@
-import socket
+import select
 import threading
 import time
 from collections import Counter
@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import OpeningAgent, make_instance, moments_gap, rel_err
+from conftest import make_instance, moments_gap, rel_err
 
 from vfem import (
     BlockLayout,
     FitConfig,
-    MissingMask,
     ModelParameters,
     fit,
     generate,
@@ -23,6 +22,7 @@ from vfem import (
     smes_like_config,
 )
 from vfem.centralized import closed_form_m_step, estep, observed_loss
+from vfem.cli import EXIT_OK, EXIT_PROTOCOL, main
 from vfem.data import repair_psd
 from vfem.errors import ProtocolDesync, SchemaViolation
 from vfem.federated import ClientAgent, ServerCoordinator
@@ -443,31 +443,6 @@ class TestTransports:
         R = len(dims) - 1
         assert a.comm["messages"] == 2 * R * a.iterations + R
 
-    def test_socket_connections_disable_nagle(self, monkeypatch):
-        # every record is a whole message its peer waits for; Nagle's
-        # algorithm could only hold its last segment back. Clients 2 and 3
-        # connect; client 1 is the coordinator's own party and does not
-        clients = []
-        connect = socket.create_connection
-
-        def capture(*args, **kwargs):
-            sock = connect(*args, **kwargs)
-            clients.append(sock)
-            return sock
-
-        monkeypatch.setattr(transport_module.socket, "create_connection", capture)
-        data, _ = make_instance(40, (2, 2, 2), 0.3, seed=5)
-        theta = initialize(data, FitConfig())
-        _agents, _coord, transport = build_protocol(
-            data, theta, transport_cls=SocketTransport)
-        try:
-            conns = list(transport._conns.values())
-            assert len(conns) == len(clients) == 2
-            for sock in conns + clients:
-                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-        finally:
-            transport.close()
-
     @pytest.mark.parametrize("stop", ["loss", "max_iters", "diverged"])
     def test_socket_client_threads_end_with_the_fit(self, monkeypatch, stop):
         # every fit ends on a `last` broadcast: a client told `last` returns
@@ -500,6 +475,8 @@ class TestTransports:
         assert close_s and max(close_s) < 1.0
 
     def test_socket_fit_starts_one_thread_per_remote_client(self, monkeypatch):
+        # each remote client gets a connected socket pair: the fit opens no
+        # listener and makes no connection
         started = []
 
         class RecordingThread(threading.Thread):
@@ -507,7 +484,12 @@ class TestTransports:
                 started.append(self)
                 super().start()
 
+        def no_tcp(*args, **kwargs):
+            raise AssertionError("a socket fit opened a TCP socket")
+
         monkeypatch.setattr(transport_module.threading, "Thread", RecordingThread)
+        monkeypatch.setattr(transport_module.socket, "create_server", no_tcp)
+        monkeypatch.setattr(transport_module.socket, "create_connection", no_tcp)
         data, _ = make_instance(60, (2, 3, 2), 0.3, seed=41)
         res = fit(data, FitConfig(engine="federated", transport="socket",
                                   max_iters=3, tol=1e-300))
@@ -535,10 +517,10 @@ class TestTransports:
                                             transport):
         # with one client every record is the coordinator's own: nothing
         # is sent, counted or traced, and no socket is opened
-        def no_listener(*args, **kwargs):
-            raise AssertionError("a one-client fit opened a listener")
+        def no_socket(*args, **kwargs):
+            raise AssertionError("a one-client fit opened a socket")
 
-        monkeypatch.setattr(transport_module.socket, "create_server", no_listener)
+        monkeypatch.setattr(transport_module.socket, "socketpair", no_socket)
         data, _ = make_instance(200, (3,), 0.3, seed=12)
         path = tmp_path / "trace.log"
         res = fit(data, FitConfig(engine="federated", transport=transport,
@@ -669,93 +651,6 @@ class TestTransports:
         assert growth.max() / growth.min() < 1.25
 
 
-class TestHandshake:
-    @pytest.mark.parametrize("hello", [b"abc\n", b"", b"2", b"+2\n", b"\xff\n",
-                                       b"0\n", b"4\n", b"3\n", b"1\n"],
-                             ids=["not-integer", "empty", "unterminated",
-                                  "signed", "not-utf8", "below-range",
-                                  "above-range", "duplicate", "server-client"])
-    def test_bad_hello_is_a_protocol_error(self, hello):
-        # client 2 announces itself wrongly; client 3 says "3" as it should,
-        # and client 1, the coordinator's own party, never connects
-        opened = []
-
-        class BadHelloTransport(SocketTransport):
-            def _client_loop(self, k, agent, host, port):
-                opened.append(self)
-                if k != 2:
-                    return super()._client_loop(k, agent, host, port)
-                with socket.create_connection((host, port)) as sock, \
-                        sock.makefile("rb") as reader:
-                    sock.sendall(hello)
-                    sock.shutdown(socket.SHUT_WR)
-                    reader.read()  # until the server hangs up
-
-        schema = WireSchema(BlockLayout((1, 1, 1)), MissingMask(np.zeros((3, 3))))
-        with pytest.raises(ProtocolDesync):
-            BadHelloTransport({k: OpeningAgent(k, 3) for k in (1, 2, 3)}, schema)
-        transport = opened[0]
-        assert transport._listener.fileno() == -1
-        # each client blocks reading until the server closes its connection,
-        # and closing the transport has joined every client thread
-        assert not any(th.is_alive() for th in transport._threads)
-
-    def test_silent_connection_ends_the_handshake(self, monkeypatch):
-        # client 2 connects and never says hello; the hello read must give up
-        monkeypatch.setattr(transport_module, "_HELLO_TIMEOUT", 0.2,
-                            raising=False)
-        opened, outcome = [], []
-
-        class SilentTransport(SocketTransport):
-            def _client_loop(self, k, agent, host, port):
-                opened.append(self)
-                if k != 2:
-                    return super()._client_loop(k, agent, host, port)
-                with socket.create_connection((host, port)) as sock, \
-                        sock.makefile("rb") as reader:
-                    reader.read()  # until the server hangs up
-
-        schema = WireSchema(BlockLayout((1, 1, 1)), MissingMask(np.zeros((3, 3))))
-
-        def run():
-            try:
-                SilentTransport({k: OpeningAgent(k, 3) for k in (1, 2, 3)}, schema)
-            except BaseException as err:
-                outcome.append(err)
-
-        runner = threading.Thread(target=run, daemon=True)
-        runner.start()
-        runner.join(timeout=10.0)
-        assert not runner.is_alive(), "server still waiting for a hello"
-        assert len(outcome) == 1 and isinstance(outcome[0], ProtocolDesync)
-        transport = opened[0]
-        assert transport._listener.fileno() == -1
-        assert not any(th.is_alive() for th in transport._threads)
-
-    def test_client_that_cannot_connect_ends_the_fit(self, monkeypatch):
-        # the failure lands in a client thread while the server waits to
-        # accept; it must surface as a protocol error, not a hang
-        def refuse(*args, **kwargs):
-            raise ConnectionRefusedError("refused")
-
-        monkeypatch.setattr(transport_module.socket, "create_connection", refuse)
-        data, _ = make_instance(40, (2, 2), 0.3, seed=5)
-        outcome = []
-
-        def run():
-            try:
-                fit(data, FitConfig(engine="federated", transport="socket"))
-            except BaseException as err:
-                outcome.append(err)
-
-        runner = threading.Thread(target=run, daemon=True)
-        runner.start()
-        runner.join(timeout=10.0)
-        assert not runner.is_alive(), "fit still waiting for the clients"
-        assert len(outcome) == 1 and isinstance(outcome[0], ProtocolDesync)
-        assert isinstance(outcome[0].__cause__, ConnectionRefusedError)
-
-
 class TestDesync:
     def test_dropped_broadcast_detected(self):
         data, _ = make_instance(40, (2, 2), 0.3, seed=5)
@@ -881,10 +776,9 @@ class TestDesync:
         line = '{"t":0,"from":2,"to":0,"kind":"control","payload":{"event":"round_begin"}}\n'
 
         class ForgingTransport(SocketTransport):
-            def _client_loop(self, k, agent, host, port):
-                with socket.create_connection((host, port)) as sock, \
-                        sock.makefile("rb") as reader:
-                    sock.sendall(f"{k}\n{line}".encode())
+            def _client_loop(self, k, agent, sock):
+                with sock, sock.makefile("rb") as reader:
+                    sock.sendall(line.encode())
                     reader.read()  # until the server hangs up
 
         data, _ = make_instance(40, (2, 2), 0.3, seed=5)
@@ -897,6 +791,36 @@ class TestDesync:
         finally:
             transport.close()
         assert not any(th.is_alive() for th in transport._threads)
+
+    def test_client_that_hangs_up_unread_ends_the_fit(self, monkeypatch,
+                                                       tmp_path):
+        # client 2 sends its opening, then hangs up with the broadcast
+        # unread, so the server's next read or write on its connection
+        # fails: a protocol error (exit code 4), not a raw socket error
+        def hang_up(transport, k, agent, sock):
+            with sock:
+                sock.sendall(encode(agent.open()).encode("utf-8"))
+                select.select([sock], [], [], 10.0)
+
+        monkeypatch.setattr(SocketTransport, "_client_loop", hang_up)
+        data, _ = make_instance(40, (2, 2), 0.3, seed=5)
+        theta = initialize(data, FitConfig())
+        agents, coord, transport = build_protocol(data, theta,
+                                                  transport_cls=SocketTransport)
+        try:
+            coord.evaluate()
+            with pytest.raises(ProtocolDesync) as info:
+                coord.advance()
+        finally:
+            transport.close()
+        assert isinstance(info.value.__cause__, OSError)
+        assert not any(th.is_alive() for th in transport._threads)
+        out = tmp_path / "data"
+        assert main(["generate", "--n", "100", "--clients", "2,2",
+                     "--seed", "1", "--out", str(out)]) == EXIT_OK
+        assert main(["fit", "--data", str(out), "--engine", "federated",
+                     "--transport", "socket",
+                     "--out", str(tmp_path / "f.json")]) == EXIT_PROTOCOL
 
     def test_hung_socket_client_ends_the_fit(self, monkeypatch):
         # client 2 stops answering at t = 3: the server gives up on it after
