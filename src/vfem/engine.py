@@ -25,25 +25,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from .centralized import em_map, pattern_moments
 from .data import BlockLayout, ModelParameters, VerticalDataset, repair_psd
-from .errors import (
-    ConfigError,
-    DegenerateVariance,
-    InsufficientCompleteCases,
-    InsufficientData,
-)
+from .errors import ConfigError, DegenerateVariance, InsufficientData
 from .federated import ClientAgent, ServerCoordinator
 from .messages import WireSchema
 from .transport import InProcessTransport, SocketTransport
 
 ENGINES = ("federated", "oracle")
 TRANSPORTS = ("inproc", "socket")
-INIT_STRATEGIES = ("zeros", "cc-ols")
 # step halvings the divergence guard allows before a fit ends as "diverged"
 _MAX_HALVINGS = 8
 
@@ -53,7 +47,7 @@ class FitConfig:
     max_iters: int = 2000
     tol: float = 1e-8
     learning_rate: Optional[float] = None   # None = plug-in spectral step
-    init: Union[str, np.ndarray] = "zeros"
+    init: Optional[np.ndarray] = None       # None = zero coefficients
     engine: str = "federated"
     transport: str = "inproc"
     trace_path: Optional[str] = None
@@ -72,8 +66,8 @@ class FitConfig:
             raise ConfigError(f"engine must be one of {ENGINES}")
         if self.transport not in TRANSPORTS:
             raise ConfigError(f"transport must be one of {TRANSPORTS}")
-        if isinstance(self.init, str) and self.init not in INIT_STRATEGIES:
-            raise ConfigError(f"init must be an array or one of {INIT_STRATEGIES}")
+        if self.init is not None and np.ndim(self.init) != 1:
+            raise ConfigError("init must be None (zeros) or a coefficient vector")
 
 
 @dataclass
@@ -180,21 +174,12 @@ def initialize(data: VerticalDataset, cfg: FitConfig) -> ModelParameters:
     if sigma2_0 <= 0.0:
         raise DegenerateVariance("response has zero variance")
 
-    if isinstance(cfg.init, np.ndarray) or isinstance(cfg.init, (list, tuple)):
+    if cfg.init is None:
+        beta0 = np.zeros(layout.total_dim)
+    else:
         beta0 = np.asarray(cfg.init, dtype=float)
         if beta0.shape != (layout.total_dim,):
             raise ConfigError("initial coefficients have the wrong length")
-    elif cfg.init == "zeros":
-        beta0 = np.zeros(layout.total_dim)
-    else:  # complete-case least squares
-        rows = mask.complete_rows()
-        p = layout.total_dim
-        if rows.size < p + 2:
-            raise InsufficientCompleteCases(
-                f"{rows.size} complete rows; need at least {p + 2}")
-        x_cc = np.concatenate([data.view(k).x[rows] for k in layout.clients()],
-                              axis=1)
-        beta0, *_ = np.linalg.lstsq(x_cc, y[rows], rcond=None)
 
     return ModelParameters(beta=beta0, mu=tuple(mu0),
                            sigma_blocks=tuple(sig0), sigma2=sigma2_0)

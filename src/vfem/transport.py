@@ -35,7 +35,7 @@ import time
 from collections import deque
 from typing import Iterable, Optional
 
-from .errors import ProtocolDesync
+from .errors import ProtocolDesync, SchemaViolation
 from .messages import Message, WireSchema, decode, encode
 
 # seconds the server waits on a connected client for its next record
@@ -242,6 +242,9 @@ class SocketTransport(BaseTransport):
         except TimeoutError as err:
             raise ProtocolDesync(f"client {k} sent no record within "
                                  f"{_REPLY_TIMEOUT} s") from err
+        except UnicodeDecodeError as err:
+            raise SchemaViolation(f"client {k} sent a record that is not "
+                                  f"UTF-8: {err}") from err
         except OSError as err:
             self._check_errors()
             raise ProtocolDesync(f"connection to client {k} lost: {err!r}") from err

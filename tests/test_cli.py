@@ -175,6 +175,15 @@ def test_infer_sketch_switches_accept_only_booleans(dataset_dir, tmp_path, capsy
     assert report["sketch_shared"] is False
     assert report["sketch_exact_within"] is False
 
+    # the same switches as command-line flags
+    out.unlink()
+    assert main(["infer", "--data", str(dataset_dir), "--fit", str(fit_path),
+                 "--out", str(out), "--shared", "false",
+                 "--exact-within", "false"]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["sketch_shared"] is False
+    assert report["sketch_exact_within"] is False
+
 
 def test_tight_refit_converges_and_infers(tmp_path, capsys):
     # the refit `vfem infer` suggests for a loose fit: at tol 1e-12 the loss
@@ -252,6 +261,57 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     manifest = json.loads((out / "layout.json").read_text())
     assert manifest["n"] == 60            # flag wins
     assert manifest["missing_rates_config"] == [0.25, 0.25]
+
+
+def test_fit_flag_beats_config_file(dataset_dir, tmp_path, capsys):
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("engine = oracle\ntol = 1e-14\nmax_iters = 2\n")
+    out = tmp_path / "f.json"
+    code = main(["fit", "--config", str(cfg), "--data", str(dataset_dir),
+                 "--max-iters", "3", "--out", str(out)])
+    assert code == EXIT_NOT_CONVERGED
+    report = json.loads(out.read_text())["fit"]
+    assert report["engine"] == "oracle"   # from the file
+    assert report["iterations"] == 3      # flag wins
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["fit", "--engine", "foo"], None),
+    (["fit", "--bogus", "1"], None),
+    ([], None),
+    (["fit", "--max-iter", "3"], None),
+    (["fit"], "max_iter = 3"),
+    (["fit"], "toll = 5"),
+    (["fit"], "max_iters = 3.5"),
+    (["fit"], "max_iters = true"),
+    (["fit"], "max_iters"),
+    (["fit"], "= 3"),
+    (["infer", "--fit", "fit.json"], "bogus = 1"),
+], ids=["bad-choice", "unknown-flag", "no-subcommand", "abbreviated-flag",
+        "abbreviated-key", "mistyped-key", "float-for-int", "bool-for-int",
+        "no-equals", "no-key", "unknown-infer-key"])
+def test_usage_errors_exit_3(tmp_path, capsys, argv, config):
+    # argparse would exit 2, the code of a fit that did not converge
+    out = tmp_path / "out.json"
+    if argv:
+        argv = [*argv, "--data", str(tmp_path / "data"), "--out", str(out)]
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config + "\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if config is not None:
+        assert str(cfg) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["fit", "--help"]])
+def test_help_and_version_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
 
 
 def test_montecarlo_and_benchmark_run(tmp_path, capsys):

@@ -52,6 +52,11 @@ def test_cli_pipeline_demo_runs(tmp_path):
     assert "socket trace identical" in proc.stdout, proc.stdout
     # the tight refit `vfem infer` suggests converges and is accepted
     assert "tight refit inferred" in proc.stdout, proc.stdout
+    # options from a config file reach the report
+    assert "config file applied: full scope, exact statistics" in proc.stdout, \
+        proc.stdout
+    # a usage error exits 3, not argparse's 2
+    assert "usage error exit status: 3" in proc.stdout, proc.stdout
 
 
 def test_readme_quick_start_runs():

@@ -18,12 +18,17 @@ from vfem import (
     predict,
 )
 import vfem.engine as engine_module
-from vfem.errors import (
-    ConfigError,
-    DegenerateVariance,
-    InsufficientCompleteCases,
-    InsufficientData,
-)
+from vfem.errors import ConfigError, DegenerateVariance, InsufficientData
+
+
+def complete_case_ols(data):
+    """Least squares on the fully observed rows, pooled in one process: a
+    start for oracle fits only."""
+    rows = data.mask.complete_rows()
+    x_cc = np.concatenate([data.view(k).x[rows] for k in data.layout.clients()],
+                          axis=1)
+    beta, *_ = np.linalg.lstsq(x_cc, data.y[rows], rcond=None)
+    return beta
 
 
 class TestFitConfig:
@@ -36,8 +41,9 @@ class TestFitConfig:
             FitConfig(learning_rate=-1.0)
         with pytest.raises(ConfigError):
             FitConfig(engine="mystery")
-        with pytest.raises(ConfigError):
-            FitConfig(init="warm")
+        for init in ("warm", "zeros", "cc-ols", 1.0):
+            with pytest.raises(ConfigError):
+                FitConfig(init=init)
         for patience in (0, -1):
             with pytest.raises(ConfigError):
                 FitConfig(divergence_patience=patience)
@@ -81,13 +87,6 @@ class TestInitialize:
                             np.arange(5.0), mask)
         with pytest.raises(InsufficientData):
             initialize(data, FitConfig())
-
-    def test_complete_case_start_needs_complete_rows(self):
-        data, _ = make_instance(40, (2, 2, 2), 0.7, seed=3)
-        if data.mask.complete_rows().size >= 8:
-            pytest.skip("mask draw left enough complete rows")
-        with pytest.raises(InsufficientCompleteCases):
-            initialize(data, FitConfig(init="cc-ols"))
 
     def test_masking_rate_bookkeeping(self):
         data, truth = make_instance(20000, (2, 2), (0.3, 0.6), seed=42)
@@ -135,8 +134,9 @@ class TestFit:
 
     def test_robust_to_initialization(self):
         data, _ = make_instance(400, (2, 2, 2), 0.45, seed=9)
-        res_zero = fit(data, FitConfig(engine="oracle", tol=1e-12, init="zeros"))
-        res_cc = fit(data, FitConfig(engine="oracle", tol=1e-12, init="cc-ols"))
+        res_zero = fit(data, FitConfig(engine="oracle", tol=1e-12))
+        res_cc = fit(data, FitConfig(engine="oracle", tol=1e-12,
+                                     init=complete_case_ols(data)))
         assert np.linalg.norm(res_zero.theta.beta - res_cc.theta.beta) < 1e-4
 
     def test_user_supplied_start(self):
@@ -206,7 +206,8 @@ class TestDivergenceGuard:
 
         monkeypatch.setattr(engine_module, "em_map", inflated)
         data, _ = make_instance(200, (2, 2), 0.3, seed=14)
-        cfg = FitConfig(engine="oracle", init="cc-ols", max_iters=200)
+        cfg = FitConfig(engine="oracle", init=complete_case_ols(data),
+                        max_iters=200)
         snaps = []
         res = fit(data, cfg, inspect=snaps.append)
         assert res.reason == "diverged" and not res.converged

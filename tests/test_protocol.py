@@ -770,15 +770,14 @@ class TestDesync:
         finally:
             transport.close()
 
-    def test_forged_control_record_from_a_socket_client_rejected(self):
-        # a record of a kind the wire does not have is rejected when the
-        # server reads it; `encode` cannot write one, so it is forged here
-        line = '{"t":0,"from":2,"to":0,"kind":"control","payload":{"event":"round_begin"}}\n'
-
+    @staticmethod
+    def _read_forged_record(line: bytes):
+        # a socket client whose opening is `line`: the server's first read
+        # of it must raise the transport's typed error
         class ForgingTransport(SocketTransport):
             def _client_loop(self, k, agent, sock):
                 with sock, sock.makefile("rb") as reader:
-                    sock.sendall(line.encode())
+                    sock.sendall(line)
                     reader.read()  # until the server hangs up
 
         data, _ = make_instance(40, (2, 2), 0.3, seed=5)
@@ -791,6 +790,18 @@ class TestDesync:
         finally:
             transport.close()
         assert not any(th.is_alive() for th in transport._threads)
+
+    def test_forged_control_record_from_a_socket_client_rejected(self):
+        # a record of a kind the wire does not have is rejected when the
+        # server reads it; `encode` cannot write one, so it is forged here
+        self._read_forged_record(
+            b'{"t":0,"from":2,"to":0,"kind":"control",'
+            b'"payload":{"event":"round_begin"}}\n')
+
+    def test_non_utf8_record_from_a_socket_client_rejected(self):
+        # bytes the server's reader cannot decode are a malformed record,
+        # not a raw UnicodeDecodeError
+        self._read_forged_record(b"\xff\xfe\n")
 
     def test_client_that_hangs_up_unread_ends_the_fit(self, monkeypatch,
                                                        tmp_path):
