@@ -67,11 +67,11 @@ def run_baseline(kind: BaselineKind, data: VerticalDataset,
 
     if kind is BaselineKind.SINGLE:
         p1 = layout.dim(1)
-        rows = mask.observed_rows(1)
-        if rows.size < p1 + 2:
+        view = data.view(1)
+        if view.rows.size < p1 + 2:
             raise InsufficientCompleteCases(
-                f"server client has {rows.size} observed rows; need {p1 + 2}")
-        fit_ols = ols(data.view(1).x[rows], y[rows])
+                f"server client has {view.rows.size} observed rows; need {p1 + 2}")
+        fit_ols = ols(view.x_obs, y[view.rows])
         beta = np.full(p, np.nan)
         se = np.full(p, np.nan)
         support = np.zeros(p, dtype=bool)
@@ -83,7 +83,7 @@ def run_baseline(kind: BaselineKind, data: VerticalDataset,
         if rows.size < p + 2:
             raise InsufficientCompleteCases(
                 f"{rows.size} fully observed rows; need at least {p + 2}")
-        x_cc = np.concatenate([data.view(k).x[rows] for k in layout.clients()],
+        x_cc = np.concatenate([data.view(k).x_on(rows) for k in layout.clients()],
                               axis=1)
         fit_ols = ols(x_cc, y[rows])
         beta, se = fit_ols.beta, fit_ols.std_errors
@@ -92,10 +92,8 @@ def run_baseline(kind: BaselineKind, data: VerticalDataset,
         filled = []
         for k in layout.clients():
             view = data.view(k)
-            obs = mask.observed_rows(k)
-            col_means = view.x[obs].mean(axis=0)
-            block = np.tile(col_means, (data.n, 1))
-            block[obs] = view.x[obs]
+            block = np.tile(view.x_obs.mean(axis=0), (data.n, 1))
+            block[view.rows] = view.x_obs
             filled.append(block)
         x_imp = np.concatenate(filled, axis=1)
         fit_ols = ols(x_imp, y)
@@ -106,8 +104,7 @@ def run_baseline(kind: BaselineKind, data: VerticalDataset,
 
     mse = None
     if test is not None:
-        x_test = np.concatenate([test.view(k).x for k in test.layout.clients()],
-                                axis=1)
+        x_test = test.full_design()
         used = np.where(support, beta, 0.0)
         resid = test.y - x_test @ used
         mse = float(np.mean(resid ** 2))

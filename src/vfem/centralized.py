@@ -84,10 +84,9 @@ def estep(theta: ModelParameters, data: VerticalDataset) -> EStepCache:
         bk = theta.beta_block(layout, k)
         base = float(theta.mu[k - 1] @ bk)
         contrib = np.full(n, base)
-        obs = mask.observed_rows(k)
-        contrib[obs] = view.x[obs] @ bk
+        contrib[view.rows] = view.x_obs @ bk
         fit_bar += contrib
-        x_tilde[obs, cols] = view.x[obs]
+        x_tilde[view.rows, cols] = view.x_obs
 
     d = sigma2 + mask.indicators @ v1
     if d.size and d.min() <= _D_FLOOR:
@@ -296,17 +295,16 @@ def centred_rows(data: VerticalDataset) -> tuple[np.ndarray, np.ndarray, float]:
     """The (n, p+2) rows z_i = [x_obs - c (0 on missing columns), y - c_y, 1]
     with the observed column means c and the mean c_y of y; returns z, c
     and c_y."""
-    layout, mask = data.layout, data.mask
+    layout = data.layout
     n, p = data.n, layout.total_dim
     z = np.zeros((n, p + 2))
     center = np.zeros(p)
     for k in layout.clients():
-        obs = mask.observed_rows(k)
+        view = data.view(k)
         cols = layout.block_slice(k)
-        if obs.size:
-            x_obs = data.view(k).x[obs]
-            center[cols] = x_obs.mean(axis=0)
-            z[obs, cols] = x_obs - center[cols]
+        if view.rows.size:
+            center[cols] = view.x_obs.mean(axis=0)
+            z[view.rows, cols] = view.x_obs - center[cols]
     center_y = float(data.y.mean())
     z[:, p] = data.y - center_y
     z[:, p + 1] = 1.0
@@ -452,7 +450,7 @@ def observed_loglik(theta: ModelParameters, data: VerticalDataset) -> float:
         mean_y = sum(float(theta.mu[k - 1] @ theta.beta_block(layout, k))
                      for k in missing) * np.ones(rows.size)
         for k in observed:
-            x_k = data.view(k).x[rows]
+            x_k = data.view(k).x_on(rows)
             mean_y += x_k @ theta.beta_block(layout, k)
             centered = x_k - theta.mu[k - 1]
             sign, logdet = np.linalg.slogdet(theta.sigma_blocks[k - 1])

@@ -2,8 +2,8 @@
 
 Clients are indexed 1..K throughout the public API; the first client holds
 the response vector and doubles as the coordinator. A sample is either fully
-observed or fully missing within a client's column block, and masked entries
-are stored as NaN so that any accidental read poisons the result.
+observed or fully missing within a client's column block, and a client's
+view stores only the rows it observes, so no masked entry exists to read.
 
 The kernels index samples per client (`MissingMask.observed_rows`,
 `missing_rows`) and per missingness pattern (`MissingMask.patterns()`, the
@@ -143,42 +143,48 @@ class MissingMask:
 class ClientView:
     """One client's slice of the data.
 
-    `x` is (n, p_k) with NaN on masked rows; the first client additionally
-    holds the fully observed response.
+    `x_obs` is the (m_k, p_k) block on the m_k rows the client observes and
+    `rows` their sorted sample indices among the `n` samples; the rows it
+    misses are not stored. The first client additionally holds the fully
+    observed response `y`.
     """
 
     client_index: int
-    x: np.ndarray
-    observed: np.ndarray  # bool (n,)
+    x_obs: np.ndarray
+    rows: np.ndarray
+    n: int
     y: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        obs = np.asarray(self.observed, dtype=bool)
-        if x.ndim != 2 or obs.shape != (x.shape[0],):
-            raise ValueError("x must be (n, p_k) and observed (n,)")
-        x[~obs] = np.nan  # sentinel-poison masked blocks
-        if not np.all(np.isfinite(x[obs])):
+        x = _read_only(np.array(self.x_obs, dtype=float))
+        rows = _read_only(np.array(self.rows, dtype=np.intp))
+        if x.ndim != 2 or rows.shape != (x.shape[0],):
+            raise ValueError("x_obs must be (m_k, p_k) with one row index per row")
+        if np.any(np.diff(rows) <= 0) or not np.all((0 <= rows) & (rows < self.n)):
+            raise ValueError(f"rows must be increasing sample indices below {self.n}")
+        if not np.all(np.isfinite(x)):
             raise ValueError("observed rows must be finite")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        obs = obs.copy()
-        obs.setflags(write=False)
-        object.__setattr__(self, "observed", obs)
+        object.__setattr__(self, "x_obs", x)
+        object.__setattr__(self, "rows", rows)
         if self.y is not None:
-            y = np.array(self.y, dtype=float)
-            if y.shape != (x.shape[0],) or not np.all(np.isfinite(y)):
+            y = _read_only(np.array(self.y, dtype=float))
+            if y.shape != (self.n,) or not np.all(np.isfinite(y)):
                 raise ValueError("response must be finite with one entry per sample")
-            y.setflags(write=False)
             object.__setattr__(self, "y", y)
 
     @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
     def dim(self) -> int:
-        return self.x.shape[1]
+        return self.x_obs.shape[1]
+
+    def x_on(self, rows: np.ndarray) -> np.ndarray:
+        """The block on the given samples, in their order; raises ValueError
+        on a sample this client does not observe."""
+        rows = np.asarray(rows, dtype=np.intp)
+        missed = rows[~np.isin(rows, self.rows)]
+        if missed.size:
+            raise ValueError(f"client {self.client_index} does not observe "
+                             f"row {int(missed[0])}")
+        return self.x_obs[np.searchsorted(self.rows, rows)]
 
 
 @dataclass(frozen=True)
@@ -200,7 +206,7 @@ class VerticalDataset:
                 raise ValueError("clients must hold the same samples")
             if view.dim != self.layout.dim(k):
                 raise ValueError(f"client {k} dimension mismatch")
-            if not np.array_equal(~view.observed, self.mask.indicators[:, k - 1]):
+            if not np.array_equal(view.rows, self.mask.observed_rows(k)):
                 raise ValueError(f"client {k} observed rows disagree with mask")
         if self.clients[0].y is None:
             raise ValueError("first client must hold the response")
@@ -220,21 +226,19 @@ class VerticalDataset:
         """Pooled (n, p) design; only defined when nothing is missing."""
         if self.mask.indicators.any():
             raise ValueError("full design undefined under missingness")
-        return np.concatenate([v.x for v in self.clients], axis=1)
+        return np.concatenate([v.x_obs for v in self.clients], axis=1)
 
     def subset(self, rows: np.ndarray) -> "VerticalDataset":
         rows = np.asarray(rows)
         mask = MissingMask(self.mask.indicators[rows])
-        views = tuple(
-            ClientView(
-                client_index=v.client_index,
-                x=np.nan_to_num(v.x[rows], nan=0.0),
-                observed=v.observed[rows],
-                y=None if v.y is None else v.y[rows],
-            )
-            for v in self.clients
-        )
-        return VerticalDataset(self.layout, mask, views)
+        views = []
+        for v in self.clients:
+            kept = mask.observed_rows(v.client_index)
+            views.append(ClientView(
+                client_index=v.client_index, x_obs=v.x_on(rows[kept]),
+                rows=kept, n=rows.size,
+                y=None if v.y is None else v.y[rows]))
+        return VerticalDataset(self.layout, mask, tuple(views))
 
 
 def make_dataset(layout: BlockLayout, x_blocks: Sequence[np.ndarray],
@@ -243,14 +247,13 @@ def make_dataset(layout: BlockLayout, x_blocks: Sequence[np.ndarray],
     mask = MissingMask(mask_indicators)
     views = []
     for k in layout.clients():
-        obs = ~mask.indicators[:, k - 1]
-        block = np.array(x_blocks[k - 1], dtype=float)
+        block = np.asarray(x_blocks[k - 1], dtype=float)
         if block.shape[0] != mask.n:
             raise ValueError(f"client {k} block has {block.shape[0]} rows, "
                              f"expected {mask.n}")
-        block[~obs] = 0.0  # value irrelevant; ClientView re-poisons with NaN
+        rows = mask.observed_rows(k)
         views.append(ClientView(
-            client_index=k, x=block, observed=obs,
+            client_index=k, x_obs=block[rows], rows=rows, n=mask.n,
             y=np.asarray(y, dtype=float) if k == 1 else None,
         ))
     return VerticalDataset(layout, mask, tuple(views))
@@ -353,6 +356,16 @@ class ModelParameters:
 
     def beta_block(self, layout: BlockLayout, k: int) -> np.ndarray:
         return self.beta[layout.block_slice(k)]
+
+    def to_json_dict(self) -> dict:
+        return {"beta": self.beta.tolist(), "mu": [m.tolist() for m in self.mu],
+                "sigma_blocks": [s.tolist() for s in self.sigma_blocks],
+                "sigma2": self.sigma2}
+
+    @classmethod
+    def from_json_dict(cls, obj: dict) -> "ModelParameters":
+        """Parameters from `to_json_dict`'s keys; other keys are ignored."""
+        return cls(**{key: obj[key] for key in ("beta", "mu", "sigma_blocks", "sigma2")})
 
     def replace(self, **kwargs) -> "ModelParameters":
         data = {

@@ -60,6 +60,8 @@ def write_dataset(out_dir: str, data: VerticalDataset,
 
     for k in layout.clients():
         view = data.view(k)
+        missing = data.mask.indicators[:, k - 1]
+        observed = iter(view.x_obs)
         path = os.path.join(out_dir, f"client_{k}.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -67,18 +69,13 @@ def write_dataset(out_dir: str, data: VerticalDataset,
             writer.writerow(header)
             for i in range(data.n):
                 row = [_fmt(view.y[i])] if k == 1 else []
-                if view.observed[i]:
-                    row += [_fmt(v) for v in view.x[i]]
-                else:
-                    row += [""] * view.dim
+                row += ([""] * view.dim if missing[i]
+                        else [_fmt(v) for v in next(observed)])
                 writer.writerow(row)
 
     if truth is not None:
         payload = {
-            "beta": truth.params.beta.tolist(),
-            "mu": [m.tolist() for m in truth.params.mu],
-            "sigma_blocks": [s.tolist() for s in truth.params.sigma_blocks],
-            "sigma2": truth.params.sigma2,
+            **truth.params.to_json_dict(),
             "mechanism": truth.mechanism,
             "seed": truth.seed,
             "empirical_rates": list(truth.empirical_rates),
@@ -90,13 +87,7 @@ def write_dataset(out_dir: str, data: VerticalDataset,
 
 def read_truth(data_dir: str) -> ModelParameters:
     with open(os.path.join(data_dir, TRUTH_NAME)) as fh:
-        obj = json.load(fh)
-    return ModelParameters(
-        beta=np.asarray(obj["beta"], dtype=float),
-        mu=tuple(np.asarray(m, dtype=float) for m in obj["mu"]),
-        sigma_blocks=tuple(np.asarray(s, dtype=float) for s in obj["sigma_blocks"]),
-        sigma2=float(obj["sigma2"]),
-    )
+        return ModelParameters.from_json_dict(json.load(fh))
 
 
 def read_dataset(data_dir: str) -> tuple[VerticalDataset, dict]:

@@ -24,6 +24,7 @@ broadcast, and a fit always ends on a broadcast marked `last`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -54,8 +55,12 @@ class FitConfig:
     divergence_patience: int = 10
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ConfigError("max_iters must be at least 1")
+        # a bool is an int to Python, but no iteration count
+        if (isinstance(self.max_iters, bool)
+                or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
+            raise ConfigError(f"max_iters must be an integer of at least 1, "
+                              f"got {self.max_iters!r}")
         if not (self.tol > 0):
             raise ConfigError("tolerance must be positive")
         if self.learning_rate is not None and not (self.learning_rate > 0):
@@ -66,8 +71,10 @@ class FitConfig:
             raise ConfigError(f"engine must be one of {ENGINES}")
         if self.transport not in TRANSPORTS:
             raise ConfigError(f"transport must be one of {TRANSPORTS}")
-        if self.init is not None and np.ndim(self.init) != 1:
-            raise ConfigError("init must be None (zeros) or a coefficient vector")
+        init = None if self.init is None else np.asarray(self.init)
+        if init is not None and (init.ndim != 1 or init.dtype.kind not in "iuf"
+                                 or not np.all(np.isfinite(init))):
+            raise ConfigError("init must be None (zeros) or a finite coefficient vector")
 
 
 @dataclass
@@ -100,25 +107,13 @@ class FitResult:
             "loss_trace": [float(v) for v in self.loss_trace],
             "beta_step_trace": [float(v) for v in self.beta_step_trace],
             "comm": self.comm,
-            "theta": {
-                "beta": self.theta.beta.tolist(),
-                "mu": [m.tolist() for m in self.theta.mu],
-                "sigma_blocks": [s.tolist() for s in self.theta.sigma_blocks],
-                "sigma2": self.theta.sigma2,
-            },
+            "theta": self.theta.to_json_dict(),
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "FitResult":
-        th = obj["theta"]
-        theta = ModelParameters(
-            beta=np.asarray(th["beta"], dtype=float),
-            mu=tuple(np.asarray(m, dtype=float) for m in th["mu"]),
-            sigma_blocks=tuple(np.asarray(s, dtype=float) for s in th["sigma_blocks"]),
-            sigma2=float(th["sigma2"]),
-        )
         return cls(
-            theta=theta,
+            theta=ModelParameters.from_json_dict(obj["theta"]),
             loss_trace=np.asarray(obj["loss_trace"], dtype=float),
             iterations=int(obj["iterations"]),
             converged=bool(obj["converged"]),
@@ -152,20 +147,20 @@ class IterationSnapshot:
 def initialize(data: VerticalDataset, cfg: FitConfig) -> ModelParameters:
     """Starting parameters: response variance, observed-row client moments
     (divisor m_k), and the configured coefficient start."""
-    layout, mask = data.layout, data.mask
+    layout = data.layout
     if data.n < 2:
         raise InsufficientData("need at least two samples")
 
     mu0, sig0 = [], []
     for k in layout.clients():
-        rows = mask.observed_rows(k)
-        if rows.size < 2:
+        x_obs = data.view(k).x_obs
+        m_k = x_obs.shape[0]
+        if m_k < 2:
             raise InsufficientData(
-                f"client {k} has {rows.size} observed rows; need at least 2")
-        x_obs = data.view(k).x[rows]
+                f"client {k} has {m_k} observed rows; need at least 2")
         mu_k = x_obs.mean(axis=0)
         centered = x_obs - mu_k
-        sig_k = centered.T @ centered / rows.size
+        sig_k = centered.T @ centered / m_k
         mu0.append(mu_k)
         sig0.append(repair_psd(sig_k))
 
@@ -379,13 +374,13 @@ def predict(theta: ModelParameters, data: VerticalDataset) -> PredictionResult:
     independent across clients, so the conditional mean of a missing block
     given the observed ones reduces to the client mean.
     """
-    layout, mask = data.layout, data.mask
+    layout = data.layout
     y_hat = np.zeros(data.n)
     for k in layout.clients():
+        view = data.view(k)
         bk = theta.beta_block(layout, k)
         contrib = np.full(data.n, float(theta.mu[k - 1] @ bk))
-        rows = mask.observed_rows(k)
-        contrib[rows] = data.view(k).x[rows] @ bk
+        contrib[view.rows] = view.x_obs @ bk
         y_hat += contrib
     mse = None
     if data.clients[0].y is not None:

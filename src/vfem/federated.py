@@ -94,9 +94,9 @@ class ClientAgent:
         self.eta = float(eta)
         self.dim = view.dim
 
-        self.obs_rows = mask.observed_rows(self.k)
+        self.obs_rows = view.rows
         self.mis_rows = mask.missing_rows(self.k)
-        self._x_obs = view.x[self.obs_rows]
+        self._x_obs = view.x_obs
         self._center = self._x_obs.sum(axis=0) / max(self.obs_rows.size, 1)
         centered = self._x_obs - self._center
         self._obs_scatter = centered.T @ centered

@@ -29,6 +29,13 @@ class OpeningAgent:
                        {"fit": np.zeros(self.observed), "mean": 0.0, "quad": 0.0})
 
 
+def full_block(view):
+    """A client's (n, p_k) block, with zeros on the rows it misses."""
+    block = np.zeros((view.n, view.dim))
+    block[view.rows] = view.x_obs
+    return block
+
+
 def rel_err(a, b, floor=1e-30):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

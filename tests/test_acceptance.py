@@ -348,7 +348,7 @@ def test_criterion_10_privacy_schema_audit(tmp_path):
     assert kinds == MESSAGE_KINDS  # every kind of the vocabulary exercised
 
     # a raw covariate block cannot be serialized through the transport
-    raw = data.view(1).x[data.mask.observed_rows(1)]
+    raw = data.view(1).x_obs
     with pytest.raises(SchemaViolation):
         schema.validate(Message(0, 1, ESTEP_LOCAL_FIT,
                                 {"fit": raw}))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_instance, rel_err
+from conftest import full_block, make_instance, rel_err
 
 from vfem import BaselineKind, run_baseline
 from vfem.baselines import ols
@@ -19,7 +19,7 @@ def test_all_baselines_coincide_without_missingness():
     assert rel_err(imp.beta, pooled.beta) < 1e-8
     # the server-only fit coincides on its own block against its own design
     assert rel_err(single.beta[:2],
-                   ols(data.view(1).x, data.y).beta) < 1e-8
+                   ols(full_block(data.view(1)), data.y).beta) < 1e-8
     assert np.isnan(single.beta[2:]).all()
 
 
@@ -28,7 +28,7 @@ def test_complete_case_uses_exactly_the_complete_rows():
     rows = data.mask.complete_rows()
     res = run_baseline(BaselineKind.COMPLETE_CASE, data)
     assert res.n_used == rows.size
-    x_cc = np.concatenate([data.view(k).x[rows] for k in data.layout.clients()],
+    x_cc = np.concatenate([full_block(data.view(k))[rows] for k in data.layout.clients()],
                           axis=1)
     assert rel_err(res.beta, ols(x_cc, data.y[rows]).beta) < 1e-12
 
@@ -53,10 +53,11 @@ def test_mean_impute_fills_with_observed_column_means():
     data, _ = make_instance(150, (2, 2), (0.0, 0.4), seed=5)
     res = run_baseline(BaselineKind.MEAN_IMPUTE, data)
     obs = data.mask.observed_rows(2)
-    means = data.view(2).x[obs].mean(axis=0)
+    block = full_block(data.view(2))
+    means = block[obs].mean(axis=0)
     filled = np.tile(means, (data.n, 1))
-    filled[obs] = data.view(2).x[obs]
-    x_imp = np.concatenate([data.view(1).x, filled], axis=1)
+    filled[obs] = block[obs]
+    x_imp = np.concatenate([full_block(data.view(1)), filled], axis=1)
     assert rel_err(res.beta, ols(x_imp, data.y).beta) < 1e-12
     assert res.n_used == data.n
 
@@ -64,7 +65,7 @@ def test_mean_impute_fills_with_observed_column_means():
 def test_adjusted_r2_uses_method_support_size():
     data, _ = make_instance(100, (3, 2), 0.0, seed=6)
     single = run_baseline(BaselineKind.SINGLE, data)
-    f1 = ols(data.view(1).x, data.y)
+    f1 = ols(full_block(data.view(1)), data.y)
     n = data.n
     expected = 1.0 - (1.0 - f1.r2) * (n - 1) / (n - 3 - 1)
     assert single.adj_r2 == pytest.approx(expected)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fd_beta_gradient, make_instance, rel_err
+from conftest import fd_beta_gradient, full_block, make_instance, rel_err
 
 from vfem import (
     BlockLayout,
@@ -284,7 +284,7 @@ class TestMStep:
         # The reference solves the same system in exact rational arithmetic.
         data, truth = make_instance(2000, (2, 2, 2), 0.3, seed=5)
         shift = 1e6
-        blocks = [np.nan_to_num(data.view(k).x) + shift for k in data.layout.clients()]
+        blocks = [full_block(data.view(k)) + shift for k in data.layout.clients()]
         y = data.y + shift * truth.params.beta.sum()
         data = make_dataset(data.layout, blocks, y, data.mask.indicators)
         theta = truth.params.replace(mu=tuple(m + shift for m in truth.params.mu))
@@ -299,7 +299,7 @@ class TestMStep:
         # an intercept-like column centres to zero; beta still solves the
         # uncentred system to rounding, with no ridge
         data, _ = make_instance(500, (2, 2), (0.0, 0.3), seed=3)
-        blocks = [np.nan_to_num(v.x) for v in data.clients]
+        blocks = [full_block(v) for v in data.clients]
         blocks[0][:, 0] = 1.0
         data = make_dataset(data.layout, blocks, data.y + 2.0, data.mask.indicators)
         theta = moved_theta(data)
@@ -399,7 +399,7 @@ class TestEmMapFromPatternMoments:
         # number ~6e12); TestMStep checks it against an exact solve.
         data, truth = make_instance(2000, (2, 2, 2), 0.3, seed=5)
         shift = 1e6
-        blocks = [np.nan_to_num(data.view(k).x) + shift for k in data.layout.clients()]
+        blocks = [full_block(data.view(k)) + shift for k in data.layout.clients()]
         data = make_dataset(data.layout, blocks, data.y, data.mask.indicators)
         theta = truth.params.replace(mu=tuple(m + shift for m in truth.params.mu))
         gaps = map_gaps(data, theta, nuisance_free)

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vfem import (BlockLayout, ClientView, FitConfig, GenConfig, MissingMask,
-                  ModelParameters, generate, initialize, make_dataset)
+                  ModelParameters, generate, initialize, make_dataset,
+                  smes_like_config)
 from vfem.centralized import em_map, pattern_moments
 from vfem.data import repair_psd, repaired_block
+from vfem.engine import _FederatedEngine
 from vfem.errors import DegenerateVariance
 
 
@@ -64,14 +66,40 @@ def test_mask_patterns_are_computed_once_and_read_only():
     assert all(rows is dict(second)[key] for key, rows in missing)
 
 
-def test_client_view_poisons_masked_rows():
+def test_client_view_holds_only_observed_rows():
     x = np.arange(8.0).reshape(4, 2)
-    view = ClientView(client_index=1, x=x, observed=np.array([1, 0, 1, 0], bool),
-                      y=np.zeros(4))
-    assert np.isnan(view.x[1]).all() and np.isnan(view.x[3]).all()
-    assert np.array_equal(view.x[0], [0.0, 1.0])
-    with pytest.raises(ValueError):
-        view.x[0, 0] = 99.0  # immutable
+    mask = np.array([[False], [True], [False], [True]])
+    view = make_dataset(BlockLayout((2,)), [x], np.zeros(4), mask).view(1)
+    assert (view.n, view.dim) == (4, 2)
+    assert view.rows.tolist() == [0, 2]
+    assert np.array_equal(view.x_obs, x[[0, 2]])
+    for arr in (view.x_obs, view.rows):
+        with pytest.raises(ValueError):
+            arr[0] = 99  # immutable
+    assert np.array_equal(view.x_on([2, 0, 2]), x[[2, 0, 2]])
+    for masked in ([1], [0, 3], [4]):
+        with pytest.raises(ValueError, match="does not observe"):
+            view.x_on(masked)
+
+
+def test_client_view_rejects_bad_rows():
+    for rows in ([1, 0], [0, 0], [0, 4], [-1, 2]):
+        with pytest.raises(ValueError):
+            ClientView(client_index=1, x_obs=np.zeros((2, 1)), rows=rows, n=4)
+
+
+def test_views_store_each_observed_row_once():
+    data, _ = generate(smes_like_config(n=3000, seed=1))
+    expected = sum(data.mask.observed_rows(k).size * data.layout.dim(k) * 8
+                   for k in data.layout.clients())
+    assert sum(v.x_obs.nbytes for v in data.clients) == expected
+    cfg = FitConfig()
+    fed = _FederatedEngine(data, cfg, initialize(data, cfg))
+    try:
+        for k, agent in fed.agents.items():
+            assert np.shares_memory(agent._x_obs, data.view(k).x_obs)
+    finally:
+        fed.close()
 
 
 def test_dataset_requires_aligned_samples():

@@ -13,8 +13,8 @@ def test_same_seed_bit_identical():
     assert np.array_equal(d1.y, d2.y)
     assert np.array_equal(d1.mask.indicators, d2.mask.indicators)
     for k in d1.layout.clients():
-        rows = d1.mask.observed_rows(k)
-        assert np.array_equal(d1.view(k).x[rows], d2.view(k).x[rows])
+        assert np.array_equal(d1.view(k).rows, d2.view(k).rows)
+        assert np.array_equal(d1.view(k).x_obs, d2.view(k).x_obs)
     assert np.array_equal(t1.latent_blocks[0], t2.latent_blocks[0])
 
 
@@ -69,7 +69,7 @@ def test_equicorrelated_blocks():
     gen = GenConfig(n=200_000, layout=BlockLayout((3,)), rho=0.0, seed=9,
                     sigma=("equicorrelated", 0.6))
     data, truth = generate(gen)
-    emp = np.corrcoef(data.view(1).x.T)
+    emp = np.corrcoef(data.view(1).x_obs.T)
     assert emp[0, 1] == pytest.approx(0.6, abs=0.02)
 
 

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import make_instance, rel_err
+from conftest import full_block, make_instance, rel_err
 
 from vfem import (
     BlockLayout,
@@ -25,7 +25,7 @@ def complete_case_ols(data):
     """Least squares on the fully observed rows, pooled in one process: a
     start for oracle fits only."""
     rows = data.mask.complete_rows()
-    x_cc = np.concatenate([data.view(k).x[rows] for k in data.layout.clients()],
+    x_cc = np.concatenate([full_block(data.view(k))[rows] for k in data.layout.clients()],
                           axis=1)
     beta, *_ = np.linalg.lstsq(x_cc, data.y[rows], rcond=None)
     return beta
@@ -33,15 +33,17 @@ def complete_case_ols(data):
 
 class TestFitConfig:
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            FitConfig(max_iters=0)
+        for max_iters in (0, 2.5, True, "10"):
+            with pytest.raises(ConfigError):
+                FitConfig(max_iters=max_iters)
         with pytest.raises(ConfigError):
             FitConfig(tol=0.0)
         with pytest.raises(ConfigError):
             FitConfig(learning_rate=-1.0)
         with pytest.raises(ConfigError):
             FitConfig(engine="mystery")
-        for init in ("warm", "zeros", "cc-ols", 1.0):
+        for init in ("warm", "zeros", "cc-ols", 1.0, ["a", "b"],
+                     [np.nan, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0]):
             with pytest.raises(ConfigError):
                 FitConfig(init=init)
         for patience in (0, -1):
@@ -54,7 +56,7 @@ class TestInitialize:
         data, truth = make_instance(200, (2, 2), 0.0, seed=1)
         theta0 = initialize(data, FitConfig())
         for k in data.layout.clients():
-            x = data.view(k).x
+            x = full_block(data.view(k))
             assert np.allclose(theta0.mu[k - 1], x.mean(axis=0))
             centered = x - x.mean(axis=0)
             assert np.allclose(theta0.sigma_blocks[k - 1],
@@ -66,7 +68,7 @@ class TestInitialize:
         data, _ = make_instance(300, (2, 2), 0.5, seed=2)
         theta0 = initialize(data, FitConfig())
         rows = data.mask.observed_rows(1)
-        x = data.view(1).x[rows]
+        x = full_block(data.view(1))[rows]
         centered = x - x.mean(axis=0)
         assert np.allclose(theta0.sigma_blocks[0],
                            centered.T @ centered / rows.size)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_instance, rel_err
+from conftest import full_block, make_instance, rel_err
 
 from vfem import (
     BlockLayout,
@@ -357,7 +357,7 @@ class TestOneGram:
         for data, theta in instances:
             layout, p = data.layout, data.layout.total_dim
             data = make_dataset(
-                layout, [np.nan_to_num(data.view(k).x) + 1e3 for k in layout.clients()],
+                layout, [full_block(data.view(k)) + 1e3 for k in layout.clients()],
                 data.y + 1e3 * theta.beta.sum(), data.mask.indicators)
             theta = theta.replace(mu=tuple(mu + 1e3 for mu in theta.mu))
             gram = gram_at(theta, data)

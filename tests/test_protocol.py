@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_instance, moments_gap, rel_err
+from conftest import full_block, make_instance, moments_gap, rel_err
 
 from vfem import (
     BlockLayout,
@@ -69,14 +69,13 @@ def per_sample_client_update(view, mask, eta, beta, mu, sigma, sigma2, d, r):
     misses. Returns the new (beta, mu, sigma), the gradient, and the column
     sum and (unrepaired) scatter of the block."""
     k, n = view.client_index, view.n
-    obs, mis = mask.observed_rows(k), mask.missing_rows(k)
+    mis = mask.missing_rows(k)
     nonempty = [(key, rows) for key, rows in mask.patterns() if key]
     row_patterns = np.zeros(n, dtype=np.intp)
     for g, (_key, rows) in enumerate(nonempty):
         row_patterns[rows] = g + 1
     u = sigma @ beta
-    x_tilde = np.zeros((n, view.dim))
-    x_tilde[obs] = view.x[obs]
+    x_tilde = full_block(view)
     alpha = np.zeros((mis.size, view.dim))
     for g, (key, rows) in enumerate(nonempty):
         if k in key:
@@ -112,7 +111,7 @@ def broadcast_to(k, mask, sigma2, d, r, t=0):
 
 def shifted(data, truth, shift):
     """Every covariate moved by `shift`, the response by shift * sum(beta)."""
-    blocks = [np.nan_to_num(data.view(k).x) + shift for k in data.layout.clients()]
+    blocks = [full_block(data.view(k)) + shift for k in data.layout.clients()]
     y = data.y + shift * truth.params.beta.sum()
     return make_dataset(data.layout, blocks, y, data.mask.indicators)
 
@@ -125,7 +124,7 @@ def kernel_instances():
         yield make_instance(n, dims, rho, seed=seed, min_complete=2)
     yield generate(smes_like_config(n=1000, seed=3))
     data, truth = make_instance(150, (2, 3, 2), 0.3, seed=61)
-    blocks = [np.nan_to_num(v.x) for v in data.clients]
+    blocks = [full_block(v) for v in data.clients]
     ind = data.mask.indicators.copy()
     ind[:, 1] = False
     yield make_dataset(data.layout, blocks, data.y, ind), truth
@@ -172,13 +171,13 @@ class TestRounds:
         # rebuild with client 3 fully observed
         ind = data.mask.indicators.copy()
         ind[:, 2] = False
-        blocks = [np.nan_to_num(v.x, nan=0.0) for v in data.clients]
+        blocks = [full_block(v) for v in data.clients]
         data2 = make_dataset(data.layout, blocks, data.y, ind)
         theta = initialize(data2, FitConfig())
         agents, coord, transport = build_protocol(data2, theta)
         coord.run_iteration()
         # its moments are those of the raw block, and nothing is imputed
-        x = data2.view(3).x
+        x = data2.view(3).x_obs
         centered = x - theta.mu[2]
         moments = agents[3].last_moments
         assert rel_err(moments.colsum, x.sum(axis=0)) < 1e-14
@@ -216,7 +215,7 @@ class TestRounds:
             # each missing row is imputed by the client mean
             rows = data.mask.observed_rows(k)
             m_mis = data.n - rows.size
-            expected = data.view(k).x[rows].sum(axis=0) + m_mis * theta.mu[k - 1]
+            expected = data.view(k).x_obs.sum(axis=0) + m_mis * theta.mu[k - 1]
             assert np.allclose(agents[k].last_moments.colsum, expected)
             assert np.allclose(agents[k].last_alpha, 0.0)
         # residuals with zero coefficients are the responses themselves
