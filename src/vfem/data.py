@@ -87,7 +87,6 @@ class MissingMask:
         m.setflags(write=False)
         self.indicators = m
         self._patterns: Optional[tuple] = None
-        self._missing_patterns: Optional[tuple] = None
 
     @property
     def n(self) -> int:
@@ -129,14 +128,6 @@ class MissingMask:
             out.sort(key=lambda kr: kr[0])
             self._patterns = tuple(out)
         return list(self._patterns)
-
-    def missing_patterns(self) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
-        """The `patterns()` that miss a client, in the same order: the index
-        of the wire's per-pattern denominators. Computed once per mask."""
-        if self._missing_patterns is None:
-            self._missing_patterns = tuple(
-                (key, rows) for key, rows in self.patterns() if key)
-        return self._missing_patterns
 
 
 @dataclass(frozen=True)

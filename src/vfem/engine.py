@@ -55,18 +55,19 @@ class FitConfig:
     divergence_patience: int = 10
 
     def __post_init__(self):
-        # a bool is an int to Python, but no iteration count
-        if (isinstance(self.max_iters, bool)
-                or not isinstance(self.max_iters, numbers.Integral)
-                or self.max_iters < 1):
-            raise ConfigError(f"max_iters must be an integer of at least 1, "
-                              f"got {self.max_iters!r}")
+        for name in ("max_iters", "divergence_patience"):
+            value = getattr(self, name)
+            # a bool is an int to Python, but no count
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise ConfigError(f"{name} must be an integer of at least 1, "
+                                  f"got {value!r}")
         if not (self.tol > 0):
             raise ConfigError("tolerance must be positive")
-        if self.learning_rate is not None and not (self.learning_rate > 0):
-            raise ConfigError("learning rate must be positive")
-        if self.divergence_patience < 1:
-            raise ConfigError("divergence_patience must be at least 1")
+        if self.learning_rate is not None and not (
+                self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ConfigError(f"learning rate must be finite and positive, "
+                              f"got {self.learning_rate!r}")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}")
         if self.transport not in TRANSPORTS:
@@ -133,14 +134,16 @@ class IterationSnapshot:
     federated engine fills `moments`, `e`, `alpha` and `grad`; the oracle
     leaves them None. No party forms a client's pseudo-complete block on
     the rows it misses, so the snapshot holds each client's own moments of
-    that block, not the block."""
+    that block, not the block. No party forms `alpha` either: the snapshot
+    computes it from the server's denominators and each client's
+    iteration-start parameters, for comparison with the centralized E-step."""
 
     t: int
     theta: ModelParameters           # iteration-start parameters
     sigma2_new: float                # the iteration's loss
     moments: Optional[dict] = None   # client -> its `ClientMoments`
     e: Optional[np.ndarray] = None
-    alpha: Optional[dict] = None     # client -> (rows, (len(rows), p_k) array)
+    alpha: Optional[dict] = None     # client -> (missed rows, (len(rows), p_k) array)
     grad: Optional[np.ndarray] = None    # exact objective gradient, length p
 
 
@@ -241,8 +244,14 @@ def _federated_snapshot(t: int, agents: dict, coord: ServerCoordinator,
     theta_pre = ModelParameters(beta=beta_pre, mu=mu_pre, sigma_blocks=sig_pre,
                                 sigma2=coord._sigma2_pre)
     moments = {k: agents[k].last_moments for k in layout.clients()}
-    alpha = {k: (agents[k].mis_rows.copy(), agents[k].last_alpha.copy())
-             for k in layout.clients()}
+    # alpha = sigma2 Sigma_k beta_k / d_g on each row client k misses
+    scale = coord._sigma2_pre / coord._d
+    alpha = {}
+    for k in layout.clients():
+        pre = agents[k]._pre_update
+        missing = coord._rows[k][1]
+        alpha[k] = (missing.copy(),
+                    np.outer(scale[coord._mis_patterns[k]], pre.sigma @ pre.beta))
     grad_printed = np.concatenate([agents[k].last_gradient for k in layout.clients()])
     return IterationSnapshot(t=t, theta=theta_pre, moments=moments,
                              e=coord.last_residuals.copy(), alpha=alpha,
@@ -262,7 +271,7 @@ class _FederatedEngine:
                     else plug_in_learning_rate(theta0))
         self.agents = {}
         for k in layout.clients():
-            agent = ClientAgent(data.view(k), layout, mask, self.eta)
+            agent = ClientAgent(data.view(k), self.eta)
             agent.load_params(theta0.beta_block(layout, k), theta0.mu[k - 1],
                               theta0.sigma_blocks[k - 1])
             self.agents[k] = agent

@@ -12,12 +12,15 @@ a missing client's imputed block is mu_k + a Sigma_k beta_k with
 a = r / d_g, and the variance correction is sigma2 (d_g - sigma2) / d_g. A
 client's coefficient step and its mean and covariance updates read its
 observed rows' fixed centre and scatter, one product X_obs' e_obs and two
-sums over its missing rows, of a and of a^2 - 1 / d_g. So the server sends
-each client its own record: (sigma2, d), r on the rows that client observes
-and those two sums, which the server takes over the rows it misses. No
-client receives a per-sample value on a row it does not hold, and a client
-update costs O(m_k p_k + p_k^2) per iteration. The server owns the
-response, the noise variance and the loss.
+sums over its missing rows, of a and of a^2 - 1 / d_g. The server forms e
+for its loss anyway, so it sends each client its own record: sigma2, e on
+the rows that client observes and those two sums, which the server takes
+over the rows it misses. No client receives a per-sample value on a row it
+does not hold, nor any denominator d_g, whose differences would give it
+the other clients' quadratic forms. A client agent is built from its own
+view alone, and its update costs O(m_k p_k + p_k^2) per iteration. The
+server owns the response, the noise variance, the loss and the only
+row-to-pattern index.
 
 All updates within an iteration use the iteration-start snapshot. The loss
 depends only on r, d and sigma2, so the server judges an iteration before
@@ -68,50 +71,24 @@ class ClientMoments(NamedTuple):
     sum_q: float
 
 
-def _row_patterns(n: int, missing: tuple) -> np.ndarray:
-    """Per sample, 1 + the index of its pattern among
-    `MissingMask.missing_patterns()`, or 0 on a complete row."""
-    out = np.zeros(n, dtype=np.intp)
-    for g, (_key, rows) in enumerate(missing):
-        out[rows] = g + 1
-    return out
-
-
-def _m_step_residuals(r: np.ndarray, sigma2: float, d: np.ndarray,
-                      row_patterns: np.ndarray) -> np.ndarray:
-    """y minus the pseudo-complete fit: sigma2 r / d_g on rows of pattern g,
-    r itself on complete rows."""
-    return r * np.concatenate(([1.0], sigma2 / d))[row_patterns]
-
-
 class ClientAgent:
     """Holds one client's covariate block and its local parameter estimates."""
 
-    def __init__(self, view: ClientView, layout: BlockLayout, mask: MissingMask,
-                 eta: float):
+    def __init__(self, view: ClientView, eta: float):
         self.k = view.client_index
         self.n = view.n
         self.eta = float(eta)
-        self.dim = view.dim
 
-        self.obs_rows = view.rows
-        self.mis_rows = mask.missing_rows(self.k)
         self._x_obs = view.x_obs
-        self._center = self._x_obs.sum(axis=0) / max(self.obs_rows.size, 1)
+        self._m_obs = view.rows.size
+        self._center = self._x_obs.sum(axis=0) / max(self._m_obs, 1)
         centered = self._x_obs - self._center
         self._obs_scatter = centered.T @ centered
-
-        missing = mask.missing_patterns()
-        row_patterns = _row_patterns(self.n, missing)
-        self._obs_patterns = row_patterns[self.obs_rows]
-        self._mis_patterns = row_patterns[self.mis_rows] - 1
 
         self.beta: np.ndarray | None = None
         self.mu: np.ndarray | None = None
         self.sigma: np.ndarray | None = None
 
-        # (sigma2, d, u) of the last E-step; before one, alpha reads 0
-        self._last = (1.0, np.ones(len(missing)), np.zeros(self.dim))
         self.last_moments: Optional[ClientMoments] = None
         self._pre_update: Optional[_Snapshot] = None
         self._best: Optional[_Snapshot] = None
@@ -124,12 +101,6 @@ class ClientAgent:
         self.beta = np.array(beta_k, dtype=float)
         self.mu = np.array(mu_k, dtype=float)
         self.sigma = np.array(sigma_k, dtype=float)
-
-    @property
-    def last_alpha(self) -> np.ndarray:
-        """The last E-step's u sigma2 / d_g on each missing row, for inspection."""
-        sigma2, d, u = self._last
-        return np.outer(sigma2 / d[self._mis_patterns], u)
 
     # -- message handling ---------------------------------------------------
 
@@ -161,25 +132,22 @@ class ClientAgent:
     def _on_estep_broadcast(self, msg: Message) -> Message:
         pay = msg.payload
         sigma2 = float(pay["sigma2"])
-        d = np.asarray(pay["denom"], dtype=float)
-        r_obs = np.asarray(pay["resid"], dtype=float)
+        e_obs = np.asarray(pay["resid"], dtype=float)
         sum_a, sum_q = float(pay["sum_a"]), float(pay["sum_q"])
         beta_old, mu_old, sigma_old, u = self.beta, self.mu, self.sigma, self._u
         self._pre_update = _Snapshot(beta_old.copy(), mu_old.copy(), sigma_old.copy())
         if pay["best"]:
             self._best = self._pre_update
-        self._last = (sigma2, d, u)
 
         # on a missing row x~ = mu + a u and e = sigma2 a, with a = r / d_g;
         # those rows enter only through sum a and sum (a^2 - 1 / d_g)
-        e_obs = _m_step_residuals(r_obs, sigma2, d, self._obs_patterns)
         grad = (self._x_obs.T @ e_obs + sigma2 * (mu_old * sum_a + u * sum_q)) / self.n
         self.last_gradient = grad
 
         self.beta = beta_old + self.eta * grad
         step = float(np.linalg.norm(self.beta - beta_old))
 
-        m_obs, m_mis = self.obs_rows.size, self.mis_rows.size
+        m_obs, m_mis = self._m_obs, self.n - self._m_obs
         delta = mu_old - self._center
         scatter = (self._obs_scatter + m_obs * np.outer(delta, delta)
                    + sum_q * np.outer(u, u) + m_mis * sigma_old)
@@ -213,10 +181,14 @@ class ServerCoordinator:
 
         self.n = self.y.shape[0]
         self._has_complete = mask.complete_rows().size > 0
-        missing = mask.missing_patterns()
+        missing = [(key, rows) for key, rows in mask.patterns() if key]
         self._keys = [key for key, _rows in missing]
         self._counts = np.array([rows.size for _key, rows in missing], dtype=float)
-        self._row_patterns = _row_patterns(self.n, missing)
+        # per sample, 1 + the index of its pattern in `missing`, or 0 on a
+        # complete row
+        self._row_patterns = np.zeros(self.n, dtype=np.intp)
+        for g, (_key, rows) in enumerate(missing):
+            self._row_patterns[rows] = g + 1
         self._rows = {k: (mask.observed_rows(k), mask.missing_rows(k))
                       for k in layout.clients()}
         self._mis_patterns = {k: self._row_patterns[missing] - 1
@@ -266,8 +238,9 @@ class ServerCoordinator:
             raise DegenerateVariance(f"conditional denominator {lowest:.3e}")
         r = self.y - fit_bar
 
-        # new noise variance and loss, from the same closed forms
-        e = _m_step_residuals(r, sigma2, d, self._row_patterns)
+        # y minus the pseudo-complete fit, sigma2 r / d_g on the rows of
+        # pattern g and r on complete rows; the new noise variance and loss
+        e = r * np.concatenate(([1.0], sigma2 / d))[self._row_patterns]
         quad = d - sigma2
         self._r, self._d = r, d
         self.last_residuals = e
@@ -278,18 +251,18 @@ class ServerCoordinator:
 
     def advance(self, best: bool = False, restore: bool = False,
                 last: bool = False) -> list[float]:
-        """Send each client (sigma2, d), r on its observed rows, its two sums
-        over the rows it misses and the verdict on iteration t, then collect
-        one reply per client: its local fit for t + 1, or on the `last`
+        """Send each client sigma2, e on its observed rows, its two sums over
+        the rows it misses and the verdict on iteration t, then collect one
+        reply per client: its local fit for t + 1, or on the `last`
         iteration its step alone. Returns the clients' step norms."""
-        r, d, sigma2 = self._r, self._d, self._sigma2_pre
+        r, d, e, sigma2 = self._r, self._d, self.last_residuals, self._sigma2_pre
         verdict = {"best": bool(best), "restore": bool(restore), "last": bool(last)}
         for k in self.layout.clients():
             observed, missing = self._rows[k]
             d_mis = d[self._mis_patterns[k]]
             a = r[missing] / d_mis
             self._send(k, ESTEP_BROADCAST,
-                       {"sigma2": sigma2, "denom": d, "resid": r[observed],
+                       {"sigma2": sigma2, "resid": e[observed],
                         "sum_a": float(a.sum()),
                         "sum_q": float(a @ a - (1.0 / d_mis).sum()), **verdict})
         if best:

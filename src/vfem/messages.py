@@ -7,17 +7,18 @@ variant: sends are validated, so an attempt to smuggle an (m_k, p_k) or
 (n, p_k) block fails before it reaches a channel.
 
 One iteration is one statistics round trip per client. Down goes
-`estep_broadcast`, one record per client: the noise variance, one
-denominator per non-empty missingness pattern, the residuals on the rows
-that client observes (length m_k) and two sums over the rows it misses, of
-a = r / d_g and of a^2 - 1 / d_g. No client receives a per-sample value on
-a row it does not hold. The broadcast also carries the server's verdict on
-the iteration: whether its start is the best iterate so far (`best`),
-whether to restore the best iterate with half the step (`restore`) and
-whether it is the fit's last (`last`). Up comes the client's reply, which
-is its `estep_local_fit` for the next iteration: its fit on its observed
-rows (length m_k), two scalars, mu_k' beta_k and beta_k' Sigma_k beta_k,
-and `step`, the norm of the coefficient step it just took. A client opens
+`estep_broadcast`, one record per client: the noise variance, the
+pseudo-complete residuals e on the rows that client observes (length m_k)
+and two sums over the rows it misses, of a = r / d_g and of
+a^2 - 1 / d_g. No client receives a per-sample value on a row it does not
+hold, nor a per-pattern denominator d_g. The broadcast also carries the
+server's verdict on the iteration: whether its start is the best iterate so
+far (`best`), whether to restore the best iterate with half the step
+(`restore`) and whether it is the fit's last (`last`). Up comes the
+client's reply, which is its `estep_local_fit` for the next iteration: its
+fit on its observed rows (length m_k), two scalars, mu_k' beta_k and
+beta_k' Sigma_k beta_k, and `step`, the norm of the coefficient step it
+just took. A client opens
 the fit unasked with its t = 0 local fit, which carries no step; the reply
 to a `last` broadcast is `varstep_scalar`, that step norm alone. Either
 reply to the broadcast of iteration t is stamped t + 1. Every fit ends on
@@ -64,9 +65,9 @@ MESSAGE_KINDS = frozenset({ESTEP_LOCAL_FIT, ESTEP_BROADCAST, VARSTEP_SCALAR})
 # vector (see `_pack`), False a plain JSON value
 _PAYLOAD_FIELDS = {
     ESTEP_LOCAL_FIT: {"fit": True, "mean": False, "quad": False, "step": False},
-    ESTEP_BROADCAST: {"sigma2": False, "denom": True, "resid": True,
-                      "sum_a": False, "sum_q": False, "best": False,
-                      "restore": False, "last": False},
+    ESTEP_BROADCAST: {"sigma2": False, "resid": True, "sum_a": False,
+                      "sum_q": False, "best": False, "restore": False,
+                      "last": False},
     VARSTEP_SCALAR: {"value": False},
 }
 
@@ -208,17 +209,14 @@ class WireSchema:
     The layout and missingness pattern are common knowledge; covariate
     values are not. Every validator pins payload shapes to quantities
     derivable from that public metadata alone: a client's fit, and the
-    residuals sent to it, have one entry per row it observes, and the
-    denominators one per non-empty missingness pattern, in
-    `MissingMask.missing_patterns()` order. Every other payload field is a scalar.
+    residuals sent to it, have one entry per row it observes. Every other
+    payload field is a scalar, or on the broadcast a boolean flag.
     A server record names one client 1..K as its recipient, and a client's
     record names none (0).
     """
 
     def __init__(self, layout: BlockLayout, mask: MissingMask):
         self.layout = layout
-        self.mask = mask
-        self._num_patterns = len(mask.missing_patterns())
         self._observed = {k: mask.observed_rows(k).size for k in layout.clients()}
 
     def _require(self, cond: bool, what: str):
@@ -257,10 +255,8 @@ class WireSchema:
         elif kind == ESTEP_BROADCAST:
             self._require(msg.sender == SERVER_ID, f"{kind}: server only")
             self._require_scalars(pay, ("sigma2", "sum_a", "sum_q"), kind)
-            denom = _as_vector(pay.get("denom"), self._num_patterns, kind)
             _as_vector(pay.get("resid"), self._observed[msg.to], kind)
-            self._require(pay["sigma2"] > 0 and bool(np.all(denom > 0)),
-                          f"{kind}: variances must be positive")
+            self._require(pay["sigma2"] > 0, f"{kind}: sigma2 must be positive")
             for key in ("best", "restore", "last"):
                 self._require(isinstance(pay.get(key), (bool, np.bool_)),
                               f"{kind}: {key} must be boolean")

@@ -33,10 +33,6 @@ def test_mask_sets_partition_clients():
     m = MissingMask(np.array([[0, 1, 0], [1, 1, 0], [0, 0, 0]], dtype=bool))
     assert [(key, rows.tolist()) for key, rows in m.patterns()] == [
         ((), [2]), ((1, 2), [1]), ((2,), [0])]
-    # the patterns that miss a client, in the same order, index the wire's
-    # per-pattern denominators
-    assert [(key, rows.tolist()) for key, rows in m.missing_patterns()] == [
-        ((1, 2), [1]), ((2,), [0])]
     assert m.missing_rows(2).tolist() == [0, 1]
     assert m.observed_rows(2).tolist() == [2]
     assert m.complete_rows().tolist() == [2]
@@ -61,9 +57,6 @@ def test_mask_patterns_are_computed_once_and_read_only():
             a[0] = 0
     first.clear()   # the caller's list is its own
     assert len(m.patterns()) == len(second)
-    missing = m.missing_patterns()
-    assert missing is m.missing_patterns()
-    assert all(rows is dict(second)[key] for key, rows in missing)
 
 
 def test_client_view_holds_only_observed_rows():

@@ -38,15 +38,16 @@ class TestFitConfig:
                 FitConfig(max_iters=max_iters)
         with pytest.raises(ConfigError):
             FitConfig(tol=0.0)
-        with pytest.raises(ConfigError):
-            FitConfig(learning_rate=-1.0)
+        for rate in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ConfigError):
+                FitConfig(learning_rate=rate)
         with pytest.raises(ConfigError):
             FitConfig(engine="mystery")
         for init in ("warm", "zeros", "cc-ols", 1.0, ["a", "b"],
                      [np.nan, 0.0, 0.0, 0.0], [0.0, np.inf, 0.0, 0.0]):
             with pytest.raises(ConfigError):
                 FitConfig(init=init)
-        for patience in (0, -1):
+        for patience in (0, -1, 2.5, True):
             with pytest.raises(ConfigError):
                 FitConfig(divergence_patience=patience)
 

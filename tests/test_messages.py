@@ -45,8 +45,7 @@ def valid_messages():
         ESTEP_LOCAL_FIT: Message(0, 1, ESTEP_LOCAL_FIT,
                                  {"fit": np.zeros(3), "mean": 0.5, "quad": 0.25}),
         ESTEP_BROADCAST: Message(0, SERVER_ID, ESTEP_BROADCAST,
-                                 {"sigma2": 1.0, "denom": np.array([2.0, 1.5]),
-                                  "resid": np.zeros(3), "sum_a": 0.5,
+                                 {"sigma2": 1.0, "resid": np.zeros(3), "sum_a": 0.5,
                                   "sum_q": -0.25, "best": True,
                                   "restore": False, "last": False}, to=1),
         VARSTEP_SCALAR: Message(0, 2, VARSTEP_SCALAR,
@@ -89,21 +88,19 @@ def test_encode_decode_round_trip(schema):
     assert list(json.loads(line)) == ["t", "from", "to", "kind", "payload"]
     assert back.to == 0
 
-    # the broadcast's scalars and both vectors keep their bits, and its
+    # the broadcast's scalars and its vector keep their bits, and its
     # recipient travels in the envelope
     bcast = with_payload(valid_messages()[ESTEP_BROADCAST], sigma2=0.1,
-                         denom=edge[[3, 6]], resid=edge[:3], sum_a=-2.5e-17,
-                         sum_q=edge[3])
+                         resid=edge[:3], sum_a=-2.5e-17, sum_q=edge[3])
     line = encode(bcast)
     back = decode(line)
     sch.validate(back)
     assert back.to == 1 and json.loads(line)["to"] == 1
     assert (back.payload["sigma2"], back.payload["sum_a"],
             back.payload["sum_q"]) == (0.1, -2.5e-17, edge[3])
-    for field in ("denom", "resid"):
-        got, sent = back.payload[field], bcast.payload[field]
-        assert got.shape == sent.shape and got.tobytes() == sent.tobytes()
-        assert got.flags.writeable
+    got, sent = back.payload["resid"], bcast.payload["resid"]
+    assert got.shape == sent.shape and got.tobytes() == sent.tobytes()
+    assert got.flags.writeable
     assert encode(back) == line
 
 
@@ -145,7 +142,7 @@ def test_malformed_records_rejected():
         (vec_msg, "fit", packed2.rstrip("=")),       # unpadded
         (vec_msg, "fit", "\u00e9AAA"),               # not ASCII
         (vec_msg, "fit", "AAAA"),                    # 3 bytes: not whole float64s
-        (msgs[ESTEP_BROADCAST], "denom", [2.0, 1.5]),
+        (msgs[ESTEP_BROADCAST], "resid", [2.0, 1.5, 0.0]),
         (msgs[ESTEP_BROADCAST], "resid", [packed2, packed2]),
         (msgs[ESTEP_BROADCAST], "resid", {"0": packed2}),
     ]
@@ -157,7 +154,7 @@ def test_malformed_records_rejected():
 
 
 def test_pattern_keyed_messages_validate_after_round_trip(schema):
-    # every kind, the per-pattern denominators included, survives the wire
+    # every kind survives the wire
     sch, *_ = schema
     for msg in valid_messages().values():
         sch.validate(msg)
@@ -241,8 +238,10 @@ def test_traced_broadcasts_carry_the_recipients_rows(tmp_path, transport):
     # stay in the coordinator's process
     data, _ = make_instance(80, (2, 3, 1), (0.3, 0.5, 0.2), seed=8)
     path = tmp_path / "trace.log"
+    snaps = []
     res = fit(data, FitConfig(engine="federated", transport=transport,
-                              max_iters=3, tol=1e-300, trace_path=str(path)))
+                              max_iters=3, tol=1e-300, trace_path=str(path)),
+              inspect=snaps.append)
     schema = WireSchema(data.layout, data.mask)
     observed = {k: data.mask.observed_rows(k).size for k in data.layout.clients()}
     assert len(set(observed.values()) | {data.n}) == 4
@@ -254,7 +253,13 @@ def test_traced_broadcasts_carry_the_recipients_rows(tmp_path, transport):
         schema.validate(msg)
         assert (msg.to == SERVER_ID) == (msg.sender != SERVER_ID)
         if msg.kind == ESTEP_BROADCAST:
+            # the seven fields, and e on the recipient's rows bit for bit:
+            # no denominator, and no residual on a row it misses
+            assert list(msg.payload) == ["sigma2", "resid", "sum_a", "sum_q",
+                                         "best", "restore", "last"]
             assert msg.payload["resid"].shape == (observed[msg.to],)
+            e = snaps[msg.t].e[data.mask.observed_rows(msg.to)]
+            assert msg.payload["resid"].tobytes() == e.tobytes()
             broadcasts[msg.to] += 1
     assert broadcasts == dict.fromkeys(data.layout.clients()[1:], res.iterations)
 
@@ -300,12 +305,12 @@ def test_raw_covariate_block_rejected(schema):
                     sch.validate(bad)
                 with pytest.raises(SchemaViolation):
                     encode(bad)
-    assert slots == 16
+    assert slots == 15
 
     # packed into a vector slot, a block's bytes decode to a vector of
     # length m_k * p_k or n * p_k: a client's own block does not fit its
-    # fit, so no block reaches the server, and no block fits the
-    # denominators or the residuals sent to the client that holds it
+    # fit, so no block reaches the server, and no block fits the residuals
+    # sent to the client that holds it
     fit = msgs[ESTEP_LOCAL_FIT]
     bcast = msgs[ESTEP_BROADCAST]
     for k in layout.clients():
@@ -318,10 +323,9 @@ def test_raw_covariate_block_rejected(schema):
             assert back.payload["fit"].tobytes() == block.tobytes()
             with pytest.raises(SchemaViolation):
                 sch.validate(back)
-            for field in ("denom", "resid"):
-                bad = with_payload(to_k, **{field: block.ravel()})
-                with pytest.raises(SchemaViolation):
-                    sch.validate(decode(encode(bad)))
+            bad = with_payload(to_k, resid=block.ravel())
+            with pytest.raises(SchemaViolation):
+                sch.validate(decode(encode(bad)))
     # the one coincidence of lengths: client 2's (1, 3) block holds as many
     # floats as client 1 observes rows. Shapes cannot tell values apart; what
     # keeps that block off the downlink is that it never fits the uplink
@@ -386,7 +390,6 @@ def test_non_finite_payload_rejected(schema):
                 sch.validate(with_payload(msg, **{field: value}))
     bad = [
         with_payload(msgs[ESTEP_LOCAL_FIT], fit=np.array([0.0, np.nan, 0.0])),
-        with_payload(msgs[ESTEP_BROADCAST], denom=np.array([2.0, np.inf])),
         with_payload(msgs[ESTEP_BROADCAST],
                      resid=np.array([0.0, -np.inf, 0.0])),
     ]
@@ -419,15 +422,22 @@ def test_varstep_scalars_one_per_pattern(schema):
             sch.validate(Message(0, 2, VARSTEP_SCALAR, payload))
 
 
-def test_broadcast_denominators_one_per_pattern(schema):
+def test_broadcast_carries_no_denominators(schema):
+    # the server sends e itself, so no per-pattern denominator goes down: a
+    # broadcast that carries them, one per pattern as the earlier protocol
+    # sent them or in any other shape, is rejected
     sch, *_ = schema
     ok = valid_messages()[ESTEP_BROADCAST]
-    # one denominator per sample (the old layout), per pattern including the
-    # complete one, too few, non-positive
-    for denom in (np.ones(4), np.ones(3), np.ones(1), np.array([1.0, 0.0]),
-                  np.array([1.0, -2.0]), np.ones((2, 1))):
+    sch.validate(ok)
+    sch.validate(decode(encode(ok)))
+    assert list(ok.payload) == ["sigma2", "resid", "sum_a", "sum_q", "best",
+                                "restore", "last"]
+    for denom in (np.array([2.0, 1.5]), np.ones(4), np.ones(1), 2.0):
+        bad = with_payload(ok, denom=denom)
         with pytest.raises(SchemaViolation):
-            sch.validate(with_payload(ok, denom=denom))
+            sch.validate(bad)
+        with pytest.raises(SchemaViolation):
+            encode(bad)
     for sigma2 in (0.0, -1.0):
         with pytest.raises(SchemaViolation):
             sch.validate(with_payload(ok, sigma2=sigma2))

@@ -24,6 +24,7 @@ from vfem import (
 from vfem.centralized import closed_form_m_step, estep, observed_loss
 from vfem.cli import EXIT_OK, EXIT_PROTOCOL, main
 from vfem.data import repair_psd
+from vfem.engine import _federated_snapshot
 from vfem.errors import ProtocolDesync, SchemaViolation
 from vfem.federated import ClientAgent, ServerCoordinator
 from vfem.messages import (
@@ -46,7 +47,7 @@ def build_agents(data, theta, eta=0.5):
     layout = data.layout
     agents = {}
     for k in layout.clients():
-        agent = ClientAgent(data.view(k), layout, data.mask, eta)
+        agent = ClientAgent(data.view(k), eta)
         agent.load_params(theta.beta_block(layout, k), theta.mu[k - 1],
                           theta.sigma_blocks[k - 1])
         agents[k] = agent
@@ -61,6 +62,11 @@ def build_protocol(data, theta, eta=0.5, transport_cls=InProcessTransport,
     transport = transport_cls(agents, schema, **transport_kwargs)
     coord = ServerCoordinator(data.y, layout, mask, theta.sigma2, transport)
     return agents, coord, transport
+
+
+def snapshot(agents, coord, layout):
+    """The lockstep snapshot of the iteration `coord` last ran."""
+    return _federated_snapshot(coord.t - 1, agents, coord, layout, coord.sigma2)
 
 
 def per_sample_client_update(view, mask, eta, beta, mu, sigma, sigma2, d, r):
@@ -93,18 +99,20 @@ def per_sample_client_update(view, mask, eta, beta, mu, sigma, sigma2, d, r):
 
 
 def broadcast_to(k, mask, sigma2, d, r, t=0):
-    """The server's record to client k from the full residual vector, its
-    two sums taken pattern by pattern over the rows the client misses, with
-    a verdict that neither marks, restores nor stops."""
+    """The server's record to client k from the full residual vector: e on
+    the rows it observes and its two sums, both taken pattern by pattern,
+    with a verdict that neither marks, restores nor stops."""
+    e = r.copy()
     sum_a = sum_q = 0.0
     for g, (key, rows) in enumerate((key, rows) for key, rows in mask.patterns()
                                     if key):
+        e[rows] = r[rows] * (sigma2 / d[g])
         if k in key:
             a = r[rows] / d[g]
             sum_a += float(a.sum())
             sum_q += float(a @ a) - rows.size / d[g]
     return Message(t, SERVER_ID, ESTEP_BROADCAST,
-                   {"sigma2": sigma2, "denom": d, "resid": r[mask.observed_rows(k)],
+                   {"sigma2": sigma2, "resid": e[mask.observed_rows(k)],
                     "sum_a": sum_a, "sum_q": sum_q, "best": False,
                     "restore": False, "last": False}, to=k)
 
@@ -149,7 +157,7 @@ class TestClientKernel:
             for k in layout.clients():
                 beta, mu, sigma = (theta.beta_block(layout, k), theta.mu[k - 1],
                                    theta.sigma_blocks[k - 1])
-                agent = ClientAgent(data.view(k), layout, mask, eta)
+                agent = ClientAgent(data.view(k), eta)
                 agent.load_params(beta, mu, sigma)
                 agent.open()
                 agent.handle_message(broadcast_to(k, mask, theta.sigma2, d, cache.r))
@@ -183,7 +191,8 @@ class TestRounds:
         assert rel_err(moments.colsum, x.sum(axis=0)) < 1e-14
         assert rel_err(moments.scatter, centered.T @ centered) < 1e-14
         assert (moments.sum_a, moments.sum_q) == (0.0, 0.0)
-        assert agents[3].last_alpha.shape == (0, data2.layout.dim(3))
+        alpha = snapshot(agents, coord, data2.layout).alpha
+        assert alpha[3][1].shape == (0, data2.layout.dim(3))
 
     def test_scalar_imputation_through_the_wire(self):
         # one client, one column; missing row with y=2 under unit parameters
@@ -204,20 +213,22 @@ class TestRounds:
         assert moments.colsum[0] == pytest.approx(1.0, abs=1e-15)
         # conditional covariance times beta for the same sample:
         # alpha = u sigma2 / d = 1 * 1 / 2
-        assert agents[1].last_alpha[0, 0] == pytest.approx(0.5, abs=1e-15)
+        alpha = snapshot(agents, coord, layout).alpha
+        assert alpha[1][1][0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_coefficients_impute_client_means(self, small_instance):
         data, _ = small_instance
         theta = initialize(data, FitConfig())  # zeros start
         agents, coord, transport = build_protocol(data, theta, eta=0.0)
         coord.run_iteration()
+        alpha = snapshot(agents, coord, data.layout).alpha
         for k in data.layout.clients():
             # each missing row is imputed by the client mean
             rows = data.mask.observed_rows(k)
             m_mis = data.n - rows.size
             expected = data.view(k).x_obs.sum(axis=0) + m_mis * theta.mu[k - 1]
             assert np.allclose(agents[k].last_moments.colsum, expected)
-            assert np.allclose(agents[k].last_alpha, 0.0)
+            assert np.allclose(alpha[k][1], 0.0)
         # residuals with zero coefficients are the responses themselves
         assert np.allclose(coord.last_residuals, data.y)
 
@@ -670,7 +681,7 @@ class TestDesync:
         data, _ = make_instance(40, (2, 2), 0.3, seed=5)
         theta = initialize(data, FitConfig())
         agents, coord, transport = build_protocol(data, theta)
-        d = np.ones(len(data.mask.missing_patterns()))
+        d = np.ones(sum(1 for key, _rows in data.mask.patterns() if key))
         with pytest.raises(ProtocolDesync):
             agents[1].handle_message(broadcast_to(2, data.mask, 1.0, d, data.y))
 
@@ -734,7 +745,7 @@ class TestDesync:
         theta = initialize(data, FitConfig())
         agents, coord, transport = build_protocol(data, theta,
                                                   transport_cls=transport_cls)
-        d = np.ones(len(data.mask.missing_patterns()))
+        d = np.ones(sum(1 for key, _rows in data.mask.patterns() if key))
         try:
             coord.evaluate()
             coord.advance(last=True)
