@@ -62,12 +62,14 @@ class FitConfig:
                     or value < 1):
                 raise ConfigError(f"{name} must be an integer of at least 1, "
                                   f"got {value!r}")
-        if not (self.tol > 0):
-            raise ConfigError("tolerance must be positive")
-        if self.learning_rate is not None and not (
-                self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise ConfigError(f"learning rate must be finite and positive, "
-                              f"got {self.learning_rate!r}")
+        for name in ("tol", "learning_rate"):
+            value = getattr(self, name)
+            if name == "learning_rate" and value is None:
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 < value < math.inf):
+                raise ConfigError(f"{name} must be a finite positive number, "
+                                  f"got {value!r}")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}")
         if self.transport not in TRANSPORTS:

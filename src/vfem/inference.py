@@ -27,6 +27,7 @@ of sketched ("hybrid", the default) since they never leave their owner.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -142,10 +143,14 @@ class SketchConfig:
     exact_within_block: bool = True  # hybrid: local products computed exactly
 
     def __post_init__(self):
-        if self.m is not None and self.m < 1:
-            raise ConfigError("sketch dimension must be >= 1")
-        if self.replicates is not None and self.replicates < 1:
-            raise ConfigError("replicate count must be >= 1")
+        for name in ("m", "replicates"):
+            value = getattr(self, name)
+            # a bool is an int to Python, but no count
+            if value is not None and (
+                    isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < 1):
+                raise ConfigError(f"{name} must be an integer of at least 1, "
+                                  f"got {value!r}")
 
     def resolve(self, n: int, num_clients: int) -> tuple[int, int]:
         m = self.m if self.m is not None else num_clients * math.ceil(math.log(n))

@@ -1,29 +1,26 @@
 """Closed wire vocabulary for the federated rounds.
 
 Every statistic that may cross a client boundary has exactly one message
-kind here, and every kind has a shape validator tied to the (public)
-layout and missingness pattern. Raw covariate blocks do not fit any
-variant: sends are validated, so an attempt to smuggle an (m_k, p_k) or
-(n, p_k) block fails before it reaches a channel.
+kind here. `_WIRE` is the one declaration of the format: each kind's
+sender and its payload fields in wire order, each with its type. `encode`,
+`decode` and `WireSchema.validate` read that table and nothing else, so a
+new field is one row of it. A vector field has one entry per row observed
+by the client the record comes from or goes to, a length fixed by the
+public layout and missingness pattern; every other field is a number or a
+flag. Raw covariate blocks fit no field: sends are validated, so an
+attempt to smuggle an (m_k, p_k) or (n, p_k) block fails before it
+reaches a channel.
 
-One iteration is one statistics round trip per client. Down goes
-`estep_broadcast`, one record per client: the noise variance, the
-pseudo-complete residuals e on the rows that client observes (length m_k)
-and two sums over the rows it misses, of a = r / d_g and of
-a^2 - 1 / d_g. No client receives a per-sample value on a row it does not
-hold, nor a per-pattern denominator d_g. The broadcast also carries the
-server's verdict on the iteration: whether its start is the best iterate so
-far (`best`), whether to restore the best iterate with half the step
-(`restore`) and whether it is the fit's last (`last`). Up comes the
-client's reply, which is its `estep_local_fit` for the next iteration: its
-fit on its observed rows (length m_k), two scalars, mu_k' beta_k and
-beta_k' Sigma_k beta_k, and `step`, the norm of the coefficient step it
-just took. A client opens
-the fit unasked with its t = 0 local fit, which carries no step; the reply
-to a `last` broadcast is `varstep_scalar`, that step norm alone. Either
-reply to the broadcast of iteration t is stamped t + 1. Every fit ends on
-a `last` broadcast, so a fit sends its clients' openings and then two
-records per client and iteration, whatever its stop reason.
+One iteration is one statistics round trip per client. Down goes one
+`estep_broadcast` to each client, which also carries the server's verdict
+on the iteration; no client receives a per-sample value on a row it does
+not hold, nor a per-pattern denominator d_g. Up comes the client's reply,
+its `estep_local_fit` for the next iteration. A client opens the fit
+unasked with its t = 0 local fit, which carries no step; the reply to a
+`last` broadcast is `varstep_scalar`, the step norm alone. Either reply to
+the broadcast of iteration t is stamped t + 1. Every fit ends on a `last`
+broadcast, so a fit sends its clients' openings and then two records per
+client and iteration, whatever its stop reason.
 
 The server is the coordinator role of client 1, which holds the response.
 Client 1's own records are validated against this schema like any other,
@@ -36,8 +33,8 @@ client's record to the server), `kind` and `payload`; the kind alone fixes
 the step of the iteration a record belongs to. `t`, `from` and `to` must
 be JSON integers. Float vectors travel packed, as the base64 text of their
 raw little-endian float64 bytes, about 10.7 bytes per float whatever the
-value. Scalars are written with 17 significant digits. Records therefore round-trip bit for bit and traces are
-byte-reproducible.
+value. Scalars are written with 17 significant digits. Records therefore
+round-trip bit for bit and traces are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -59,17 +56,39 @@ ESTEP_LOCAL_FIT = "estep_local_fit"
 ESTEP_BROADCAST = "estep_broadcast"
 VARSTEP_SCALAR = "varstep_scalar"
 
-MESSAGE_KINDS = frozenset({ESTEP_LOCAL_FIT, ESTEP_BROADCAST, VARSTEP_SCALAR})
+# field types, each named by what it admits (see `_checked`)
+VECTOR = "a float vector"  # one entry per row the client observes, packed
+NUMBER = "a finite number"
+NON_NEGATIVE = "a finite number >= 0"
+POSITIVE = "a finite number > 0"
+FLAG = "a boolean"
 
-# payload fields of each kind in wire order; True marks a packed float
-# vector (see `_pack`), False a plain JSON value
-_PAYLOAD_FIELDS = {
-    ESTEP_LOCAL_FIT: {"fit": True, "mean": False, "quad": False, "step": False},
-    ESTEP_BROADCAST: {"sigma2": False, "resid": True, "sum_a": False,
-                      "sum_q": False, "best": False, "restore": False,
-                      "last": False},
-    VARSTEP_SCALAR: {"value": False},
+# The one declaration of the wire format: each kind's sender, "client" (a
+# client 1..K, to the server) or "server" (to one client 1..K), and its
+# payload fields in wire order with their types. A vector has one entry per
+# row observed by the client the record comes from or goes to.
+_WIRE = {
+    ESTEP_LOCAL_FIT: ("client", {
+        "fit": VECTOR,          # the client's fit x_k beta_k on its rows
+        "mean": NUMBER,         # mu_k' beta_k
+        "quad": NUMBER,         # beta_k' Sigma_k beta_k
+        "step": NON_NEGATIVE,   # norm of the step just taken; none at t = 0
+    }),
+    ESTEP_BROADCAST: ("server", {
+        "sigma2": POSITIVE,     # the noise variance
+        "resid": VECTOR,        # e on the recipient's rows
+        "sum_a": NUMBER,        # sum of a = r / d_g over its missed rows
+        "sum_q": NUMBER,        # sum of a^2 - 1 / d_g over them
+        "best": FLAG,           # the iteration starts at the best iterate
+        "restore": FLAG,        # restore the best iterate, half the step
+        "last": FLAG,           # the fit's last iteration
+    }),
+    VARSTEP_SCALAR: ("client", {
+        "value": NON_NEGATIVE,  # the reply to `last`: the step norm alone
+    }),
 }
+
+MESSAGE_KINDS = frozenset(_WIRE)
 
 
 @dataclass(frozen=True)
@@ -81,52 +100,63 @@ class Message:
     to: int = SERVER_ID  # the receiving client; 0 on a client's record
 
 
-def _fmt_float(v: float) -> str:
-    if v != v or v in (float("inf"), float("-inf")):
-        raise SchemaViolation("non-finite value in payload")
-    return format(v, ".17g")
-
-
-def _pack(value: Any) -> str:
-    """A float vector as the quoted base64 of its little-endian float64
-    bytes."""
-    try:
-        arr = np.asarray(value, dtype="<f8")
-    except (TypeError, ValueError):
-        raise SchemaViolation("float array payload is not numeric") from None
-    if arr.ndim != 1:
-        raise SchemaViolation(f"expected a float vector, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise SchemaViolation("non-finite value in payload")
-    return '"' + base64.b64encode(arr.tobytes()).decode("ascii") + '"'
-
-
-def _encode_value(value: Any) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt_float(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise SchemaViolation(f"unserializable payload value of type {type(value)!r}")
+def _checked(what: str, ftype: str, value: Any, length: int | None = None):
+    """`value` if a field of type `ftype` admits it, a vector as a float64
+    array of `length` entries (of any length when None); raises
+    SchemaViolation otherwise."""
+    if ftype == VECTOR:
+        try:
+            arr = np.asarray(value, dtype="<f8")
+        except (TypeError, ValueError):
+            raise SchemaViolation(f"{what}: not a numeric array") from None
+        if arr.ndim != 1 or (length is not None and arr.size != length):
+            raise SchemaViolation(f"{what}: expected a flat vector of length "
+                                  f"{length}, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise SchemaViolation(f"{what}: non-finite entries")
+        return arr
+    if ftype == FLAG:
+        ok = isinstance(value, (bool, np.bool_))
+    else:
+        try:  # a bool is no number, and an int too large for a float64 none
+            ok = (not isinstance(value, bool)
+                  and isinstance(value, (int, float, np.integer, np.floating))
+                  and math.isfinite(value)
+                  and (ftype != NON_NEGATIVE or value >= 0)
+                  and (ftype != POSITIVE or value > 0))
+        except OverflowError:
+            ok = False
+    if not ok:
+        raise SchemaViolation(f"{what} must be {ftype}, got {value!r:.40}")
+    return value
 
 
 def encode(msg: Message) -> str:
-    """Canonical one-line encoding with a fixed key order."""
-    fields = _PAYLOAD_FIELDS.get(msg.kind)
-    if fields is None:
+    """Canonical one-line encoding with a fixed key order. A vector is
+    packed as the base64 of its little-endian float64 bytes, an integer
+    written as one and any other number with 17 significant digits. A
+    declared field that is absent is skipped: `WireSchema.validate`, not
+    the codec, decides which fields a record needs."""
+    if msg.kind not in _WIRE:
         raise SchemaViolation(f"unknown message kind {msg.kind!r}")
+    _sender, fields = _WIRE[msg.kind]
     extra = set(msg.payload) - set(fields)
     if extra:
         raise SchemaViolation(f"unexpected payload fields {sorted(extra)}")
     items = []
-    for key, packed in fields.items():
-        if key in msg.payload:
-            value = msg.payload[key]
-            text = _pack(value) if packed else _encode_value(value)
-            items.append(f'"{key}":{text}')
+    for key, ftype in fields.items():
+        if key not in msg.payload:
+            continue
+        value = _checked(f"{msg.kind}.{key}", ftype, msg.payload[key])
+        if ftype == VECTOR:
+            text = '"' + base64.b64encode(value.tobytes()).decode("ascii") + '"'
+        elif ftype == FLAG:
+            text = "true" if value else "false"
+        elif isinstance(value, (int, np.integer)):
+            text = str(int(value))
+        else:
+            text = format(float(value), ".17g")
+        items.append(f'"{key}":{text}')
     body = "{" + ",".join(items) + "}"
     return (f'{{"t":{int(msg.t)},"from":{int(msg.sender)},"to":{int(msg.to)},'
             f'"kind":{json.dumps(msg.kind)},"payload":{body}}}\n')
@@ -172,95 +202,47 @@ def decode(line: str) -> Message:
                       to=_envelope_int(obj, "to"))
     except (KeyError, TypeError, ValueError) as err:
         raise SchemaViolation(f"malformed record: {err}") from None
-    for field, packed in _PAYLOAD_FIELDS.get(msg.kind, {}).items():
-        if packed and field in payload:
+    _sender, fields = _WIRE.get(msg.kind, (None, {}))
+    for field, ftype in fields.items():
+        if ftype == VECTOR and field in payload:
             payload[field] = _unpack(payload[field], f"{msg.kind}.{field}")
     return msg
 
 
-def _is_finite_number(value) -> bool:
-    """Whether `value` is a real scalar with a finite float64 value; an
-    integer too large for a float64 is not."""
-    if (isinstance(value, bool)
-            or not isinstance(value, (int, float, np.integer, np.floating))):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _as_vector(value, length: int, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise SchemaViolation(f"{what}: not a numeric array") from None
-    if arr.shape != (length,):
-        raise SchemaViolation(f"{what}: expected flat vector of length {length}, "
-                              f"got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise SchemaViolation(f"{what}: non-finite entries")
-    return arr
-
-
 class WireSchema:
-    """Shape validator for the closed message set, bound to public metadata.
+    """Validator of the closed message set against `_WIRE`, bound to
+    public metadata.
 
     The layout and missingness pattern are common knowledge; covariate
-    values are not. Every validator pins payload shapes to quantities
-    derivable from that public metadata alone: a client's fit, and the
-    residuals sent to it, have one entry per row it observes. Every other
-    payload field is a scalar, or on the broadcast a boolean flag.
-    A server record names one client 1..K as its recipient, and a client's
-    record names none (0).
+    values are not. A record must come from its kind's sender and carry
+    exactly its kind's fields, each of its declared type; a vector has one
+    entry per row observed by the client the record comes from or goes to.
+    A local fit carries `step` exactly when t > 0.
     """
 
     def __init__(self, layout: BlockLayout, mask: MissingMask):
         self.layout = layout
         self._observed = {k: mask.observed_rows(k).size for k in layout.clients()}
 
-    def _require(self, cond: bool, what: str):
-        if not cond:
-            raise SchemaViolation(what)
-
-    def _require_scalars(self, pay: dict, keys, kind: str) -> None:
-        for key in keys:
-            self._require(_is_finite_number(pay.get(key)),
-                          f"{kind}: {key} must be a finite scalar")
-
     def validate(self, msg: Message) -> None:
-        if msg.kind not in MESSAGE_KINDS:
-            raise SchemaViolation(f"unknown kind {msg.kind!r}")
-        pay = msg.payload
-        kind = msg.kind
-        extra = set(pay) - set(_PAYLOAD_FIELDS[kind])
-        self._require(not extra, f"{kind}: unexpected payload fields {sorted(extra)}")
-        from_client = 1 <= msg.sender <= self.layout.num_clients
-        if from_client:
-            self._require(msg.to == SERVER_ID, f"{kind}: a client writes to the server")
+        kind, pay = msg.kind, msg.payload
+        if kind not in _WIRE:
+            raise SchemaViolation(f"unknown kind {kind!r}")
+        sender, fields = _WIRE[kind]
+        # `client` is the client the record comes from or goes to
+        if sender == "client":
+            client, ok = msg.sender, msg.to == SERVER_ID
         else:
-            self._require(1 <= msg.to <= self.layout.num_clients,
-                          f"{kind}: bad recipient {msg.to!r}")
-
-        if kind == ESTEP_LOCAL_FIT:
-            self._require(from_client, f"{kind}: bad sender")
-            _as_vector(pay.get("fit"), self._observed[msg.sender], kind)
-            self._require_scalars(pay, ("mean", "quad"), kind)
-            # the first local fit follows no step; every later one follows one
-            self._require(("step" in pay) == (msg.t > 0),
-                          f"{kind}: a step norm comes exactly when t > 0")
-            if msg.t > 0:
-                self._require_scalars(pay, ("step",), kind)
-                self._require(pay["step"] >= 0, f"{kind}: a step norm is not negative")
-        elif kind == ESTEP_BROADCAST:
-            self._require(msg.sender == SERVER_ID, f"{kind}: server only")
-            self._require_scalars(pay, ("sigma2", "sum_a", "sum_q"), kind)
-            _as_vector(pay.get("resid"), self._observed[msg.to], kind)
-            self._require(pay["sigma2"] > 0, f"{kind}: sigma2 must be positive")
-            for key in ("best", "restore", "last"):
-                self._require(isinstance(pay.get(key), (bool, np.bool_)),
-                              f"{kind}: {key} must be boolean")
-        elif kind == VARSTEP_SCALAR:
-            self._require(from_client, f"{kind}: bad sender")
-            self._require_scalars(pay, ("value",), kind)
-            self._require(pay["value"] >= 0, f"{kind}: a step norm is not negative")
+            client, ok = msg.to, msg.sender == SERVER_ID
+        if not (ok and 1 <= client <= self.layout.num_clients):
+            raise SchemaViolation(f"{kind}: a {sender} record may not go from "
+                                  f"{msg.sender!r} to {msg.to!r}")
+        declared = fields.keys()
+        if kind == ESTEP_LOCAL_FIT and not msg.t > 0:
+            declared -= {"step"}  # the first local fit follows no step
+        if set(pay) != declared:
+            raise SchemaViolation(f"{kind}: payload fields {sorted(pay)}, "
+                                  f"expected {sorted(declared)}")
+        for key, ftype in fields.items():
+            if key in pay:
+                _checked(f"{kind}.{key}", ftype, pay[key], self._observed[client])

@@ -36,9 +36,12 @@ class TestFitConfig:
         for max_iters in (0, 2.5, True, "10"):
             with pytest.raises(ConfigError):
                 FitConfig(max_iters=max_iters)
-        with pytest.raises(ConfigError):
-            FitConfig(tol=0.0)
-        for rate in (-1.0, 0.0, np.inf, np.nan):
+        # a bool is a number to Python, but no tolerance or step size:
+        # tol=inf and tol=True would stop a fit whose loss is still moving
+        for tol in (0.0, -1e-8, np.inf, np.nan, True, "1e-8", None):
+            with pytest.raises(ConfigError):
+                FitConfig(tol=tol)
+        for rate in (-1.0, 0.0, np.inf, np.nan, True, "0.5"):
             with pytest.raises(ConfigError):
                 FitConfig(learning_rate=rate)
         with pytest.raises(ConfigError):

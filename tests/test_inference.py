@@ -28,7 +28,7 @@ from vfem import (
 )
 from vfem import centralized, inference
 from vfem.centralized import centred_rows, estep
-from vfem.errors import NotAFixedPoint
+from vfem.errors import ConfigError, NotAFixedPoint
 from vfem.inference import two_sided_p
 
 
@@ -219,6 +219,15 @@ class TestSketches:
             assert np.allclose(st.centered_xsum[sl], exact.centered_xsum[sl],
                                atol=1e-10 * np.linalg.norm(exact.xsum))
         assert not np.allclose(st.xx[0:2, 2:4], exact.xx[0:2, 2:4])
+
+    def test_sizes_are_integers_of_at_least_one(self):
+        # a bool is an int to Python, but no count; a fraction is not
+        # truncated
+        for name in ("m", "replicates"):
+            for value in (0, -1, 2.5, True, False, "4", np.float64(4.0)):
+                with pytest.raises(ConfigError):
+                    SketchConfig(**{name: value})
+        assert SketchConfig(m=np.int64(4), replicates=1).resolve(800, 3) == (4, 1)
 
     def test_default_sizing_follows_sample_count(self):
         cfg = SketchConfig()

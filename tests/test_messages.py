@@ -519,3 +519,155 @@ def test_local_fit_carries_a_step_exactly_after_the_first_iteration(schema):
     back = decode(encode(later))
     sch.validate(back)
     assert back.payload["step"] == 0.125
+
+
+# every kind's payload fields and the type of each, as the battery below
+# probes them: a float vector with one entry per row the client observes,
+# a finite number, one that is >= 0 or > 0, or a boolean flag
+FIELD_TYPES = {
+    ESTEP_LOCAL_FIT: {"fit": "vector", "mean": "number", "quad": "number",
+                      "step": "non-negative"},
+    ESTEP_BROADCAST: {"sigma2": "positive", "resid": "vector",
+                      "sum_a": "number", "sum_q": "number", "best": "flag",
+                      "restore": "flag", "last": "flag"},
+    VARSTEP_SCALAR: {"value": "non-negative"},
+}
+
+# the valid records of the fixture: each kind, and the opening local fit,
+# which follows no step; client 1 observes 3 rows
+RECORDS = {
+    "opening": valid_messages()[ESTEP_LOCAL_FIT],
+    ESTEP_LOCAL_FIT: stepped_fit(),
+    ESTEP_BROADCAST: valid_messages()[ESTEP_BROADCAST],
+    VARSTEP_SCALAR: valid_messages()[VARSTEP_SCALAR],
+}
+FIELD_CASES = [(name, field) for name, msg in RECORDS.items()
+               for field in FIELD_TYPES[msg.kind]]
+
+
+def wrong_values(ftype, length):
+    """Values that a field of type `ftype` must refuse."""
+    bad = ["0.5", None]
+    if ftype == "flag":
+        return bad + [0, 1, 0.0, 1.0, np.float64(1.0), "true", [True]]
+    if ftype == "vector":
+        bad += [np.zeros(length - 1), np.zeros(length + 1),
+                np.zeros((length, 1)), np.zeros((1, length)), 0.5]
+        for value in (np.nan, np.inf, -np.inf):
+            vec = np.zeros(length)
+            vec[1] = value
+            bad.append(vec)
+        return bad
+    bad += [True, False, np.bool_(True), np.nan, np.inf, -np.inf, [0.5],
+            np.zeros(1), 10 ** 400]
+    if ftype == "non-negative":
+        bad += [-0.5, -1e-300, -1]
+    if ftype == "positive":
+        bad += [0.0, 0, -0.0, -0.5]
+    return bad
+
+
+def right_values(ftype, length):
+    """Values that a field of type `ftype` must accept."""
+    if ftype == "flag":
+        return [True, False, np.bool_(True), np.bool_(False)]
+    if ftype == "vector":
+        return [np.ones(length), [0.5] * length, np.arange(length),
+                np.full(length, -1e300)]
+    good = [2, 0.5, 1e300, np.float64(0.25), np.int64(3), np.float32(0.5)]
+    if ftype == "number":
+        good += [0, -0.0, -2.5, -1e300]
+    elif ftype == "non-negative":
+        good += [0, 0.0, -0.0]
+    return good
+
+
+def without(msg, field):
+    payload = dict(msg.payload)
+    del payload[field]
+    return Message(msg.t, msg.sender, msg.kind, payload, to=msg.to)
+
+
+def test_battery_covers_every_kind():
+    assert {msg.kind for msg in RECORDS.values()} == MESSAGE_KINDS == set(FIELD_TYPES)
+    for name, msg in RECORDS.items():
+        declared = list(FIELD_TYPES[msg.kind])
+        if name == "opening":
+            declared.remove("step")
+        assert list(msg.payload) == declared
+
+
+@pytest.mark.parametrize("name,field", FIELD_CASES)
+def test_every_declared_field_is_required(schema, name, field):
+    # the opening local fit carries every field but `step`, which it must not
+    sch, *_ = schema
+    msg = RECORDS[name]
+    sch.validate(msg)
+    if field in msg.payload:
+        with pytest.raises(SchemaViolation):
+            sch.validate(without(msg, field))
+    else:
+        assert (name, field) == ("opening", "step")
+        with pytest.raises(SchemaViolation):
+            sch.validate(with_payload(msg, step=0.125))
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_no_undeclared_field_is_accepted(schema, name):
+    # neither a new name nor a field that another kind declares
+    sch, *_ = schema
+    msg = RECORDS[name]
+    others = {f for fields in FIELD_TYPES.values() for f in fields}
+    extras = ["extra", "denom", "eta_scale", "x"] + sorted(
+        others - set(FIELD_TYPES[msg.kind]))
+    for field in extras:
+        for value in (0.5, True, np.zeros(3)):
+            with pytest.raises(SchemaViolation):
+                sch.validate(with_payload(msg, **{field: value}))
+
+
+@pytest.mark.parametrize("name,field", FIELD_CASES)
+def test_every_field_refuses_wrong_values(schema, name, field):
+    sch, *_ = schema
+    msg = RECORDS[name]
+    if field not in msg.payload:
+        return  # the opening's step: absent, whatever its value
+    ftype = FIELD_TYPES[msg.kind][field]
+    for value in wrong_values(ftype, 3):
+        with pytest.raises(SchemaViolation):
+            sch.validate(with_payload(msg, **{field: value}))
+
+
+@pytest.mark.parametrize("name,field", FIELD_CASES)
+def test_every_field_takes_its_type_across_the_wire(schema, name, field):
+    # each valid record, and each valid value of each field, validates as
+    # it is and after a round trip through `encode` and `decode`, and
+    # comes back equal
+    sch, *_ = schema
+    msg = RECORDS[name]
+    variants = [msg]
+    if field in msg.payload:
+        ftype = FIELD_TYPES[msg.kind][field]
+        variants += [with_payload(msg, **{field: value})
+                     for value in right_values(ftype, 3)]
+    for variant in variants:
+        sch.validate(variant)
+        back = decode(encode(variant))
+        sch.validate(back)
+        assert list(back.payload) == list(variant.payload)
+        for key, value in variant.payload.items():
+            assert np.array_equal(back.payload[key], value)
+
+
+@pytest.mark.parametrize("name,field", FIELD_CASES)
+def test_encode_checks_each_field_as_validate_does(name, field):
+    # but for a vector's length, which only the schema knows
+    msg = RECORDS[name]
+    ftype = FIELD_TYPES[msg.kind][field]
+    for value in wrong_values(ftype, 3):
+        bad = with_payload(msg, **{field: value})
+        if ftype == "vector" and np.ndim(value) == 1 and np.isfinite(value).all():
+            assert decode(encode(bad)).payload[field].shape == np.shape(value)
+        else:
+            with pytest.raises(SchemaViolation):
+                encode(bad)
